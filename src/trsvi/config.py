@@ -67,17 +67,34 @@ def _as_mapping(value, path: str) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_number(value, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            path, "expected a number")
+    _expect(_is_number(value), path, "expected a number")
     _expect(value > 0, path, "must be positive")
     return float(value)
 
 
-def _nonneg_int(value, path: str) -> int:
+def _integer(value, path: str, minimum: int | None = None) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool),
             path, "expected an integer")
-    _expect(value >= 0, path, "must be nonnegative")
+    _expect(minimum is None or value >= minimum, path, f"must be >= {minimum}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    _expect(isinstance(value, bool), path, "expected a boolean")
+    return value
+
+
+def _number_range(value, path: str) -> list:
+    _expect(isinstance(value, list) and len(value) == 2, path,
+            "expected [low, high]")
+    for i, v in enumerate(value):
+        _expect(_is_number(v), f"{path}[{i}]", "expected a number")
+    _expect(value[0] <= value[1], path, "low must not exceed high")
     return value
 
 
@@ -90,10 +107,13 @@ def load_config(path) -> dict:
 def validate_config(raw: dict) -> dict:
     """Structural validation plus static defaults.
 
-    Returns a normalized copy; numeric defaults that depend on the problem
-    dimension stay as the string "table" until resolve_method_defaults.
+    Every field is type-checked here, so a bad value fails with a
+    ConfigError naming it.  Returns a normalized copy; numeric defaults that
+    depend on the problem dimension stay as the string "table" until
+    resolve_method_defaults.
     """
     out = {}
+    _expect(isinstance(raw, dict), "<root>", "config must be a mapping")
     _expect("problem" in raw, "problem", "section is required")
     problem = dict(_as_mapping(raw["problem"], "problem"))
     kind = problem.get("kind")
@@ -104,37 +124,29 @@ def validate_config(raw: dict) -> dict:
         _expect(isinstance(sizes, list) and sizes, "problem.layer_sizes",
                 "expected a nonempty list of layer sizes")
         for i, s in enumerate(sizes):
-            _expect(isinstance(s, int) and s >= 1, f"problem.layer_sizes[{i}]",
-                    "layer sizes must be integers >= 1")
-        problem.setdefault("max_parents", 3)
-        _expect(problem["max_parents"] >= 1, "problem.max_parents", "must be >= 1")
-        problem.setdefault("gmm_nodes", 0)
-        _nonneg_int(problem["gmm_nodes"], "problem.gmm_nodes")
-        problem.setdefault("mean_range", [0.0, 2.0])
-        problem.setdefault("variance_range", [1e-3, 1.0])
-        for key in ("mean_range", "variance_range"):
-            rng = problem[key]
-            _expect(isinstance(rng, list) and len(rng) == 2, f"problem.{key}",
-                    "expected [low, high]")
+            _integer(s, f"problem.layer_sizes[{i}]", 1)
+        _integer(problem.setdefault("max_parents", 3), "problem.max_parents", 1)
+        _integer(problem.setdefault("gmm_nodes", 0), "problem.gmm_nodes", 0)
+        _number_range(problem.setdefault("mean_range", [0.0, 2.0]),
+                      "problem.mean_range")
+        _number_range(problem.setdefault("variance_range", [1e-3, 1.0]),
+                      "problem.variance_range")
         _expect(problem["variance_range"][0] > 0, "problem.variance_range",
                 "lower bound must be positive")
-        problem.setdefault("seed", 0)
     elif kind == "snlp":
         for key in ("unknowns", "anchors"):
             _expect(key in problem, f"problem.{key}", "field is required")
-        _expect(problem["unknowns"] >= 1, "problem.unknowns", "must be >= 1")
-        _nonneg_int(problem["anchors"], "problem.anchors")
+        _integer(problem["unknowns"], "problem.unknowns", 1)
+        _integer(problem["anchors"], "problem.anchors", 0)
         for key, default in (("side", 6.0), ("radius", 3.0),
                              ("noise_variance", 0.01)):
-            problem.setdefault(key, default)
-            _positive_number(problem[key], f"problem.{key}")
-        problem.setdefault("noiseless", False)
-        _expect(isinstance(problem["noiseless"], bool), "problem.noiseless",
-                "expected a boolean")
-        problem.setdefault("seed", 0)
+            _positive_number(problem.setdefault(key, default), f"problem.{key}")
+        _boolean(problem.setdefault("noiseless", False), "problem.noiseless")
     else:
         _expect(isinstance(problem.get("path"), str), "problem.path",
                 "expected a path to a problem spec file")
+    if kind != "file":
+        _integer(problem.setdefault("seed", 0), "problem.seed")
     out["problem"] = problem
 
     kernel = dict(_as_mapping(raw.get("kernel", {}), "kernel"))
@@ -155,66 +167,67 @@ def validate_config(raw: dict) -> dict:
     methods = []
     seen_labels = set()
     for i, m in enumerate(methods_raw):
-        m = dict(_as_mapping(m, f"method[{i}]"))
+        path = f"method[{i}]"
+        m = dict(_as_mapping(m, path))
         name = m.get("name")
-        _expect(name in METHOD_NAMES, f"method[{i}].name",
+        _expect(name in METHOD_NAMES, f"{path}.name",
                 f"expected one of {', '.join(METHOD_NAMES)}")
-        m.setdefault("iterations", 300)
-        _nonneg_int(m["iterations"], f"method[{i}].iterations")
-        m.setdefault("label", name)
-        _expect(m["label"] not in seen_labels, f"method[{i}].label",
+        _integer(m.setdefault("iterations", 300), f"{path}.iterations", 0)
+        label = m.setdefault("label", name)
+        _expect(isinstance(label, str) and label, f"{path}.label",
+                "expected a nonempty string")
+        _expect(label not in seen_labels, f"{path}.label",
                 "labels must be unique across methods")
-        seen_labels.add(m["label"])
+        seen_labels.add(label)
         if name == "tr-svi-kl":
-            m.setdefault("initial_radius", 1.0)
-            _positive_number(m["initial_radius"], f"method[{i}].initial_radius")
+            _positive_number(m.setdefault("initial_radius", 1.0),
+                             f"{path}.initial_radius")
+            if "nystrom_size" in m:
+                _integer(m["nystrom_size"], f"{path}.nystrom_size", 1)
         if name in FIRST_ORDER and "step" in m:
-            _positive_number(m["step"], f"method[{i}].step")
-        if name in ("mp-svgd-dlr",) and "decay" in m:
-            _expect(0.0 < m["decay"] <= 1.0, f"method[{i}].decay",
-                    "must lie in (0, 1]")
+            _positive_number(m["step"], f"{path}.step")
+        if name == "mp-svgd-dlr" and "decay" in m:
+            _expect(_positive_number(m["decay"], f"{path}.decay") <= 1.0,
+                    f"{path}.decay", "must lie in (0, 1]")
         if name == "svn-ctr" and "radius" in m:
-            _positive_number(m["radius"], f"method[{i}].radius")
+            _positive_number(m["radius"], f"{path}.radius")
         methods.append(m)
     out["method"] = methods
 
     run = dict(_as_mapping(raw.get("run", {}), "run"))
-    run.setdefault("particles", 200)
-    _expect(run["particles"] >= 1, "run.particles", "must be >= 1")
-    run.setdefault("seeds", [0, 1, 2, 3, 4])
-    seeds = run["seeds"]
+    _integer(run.setdefault("particles", 200), "run.particles", 1)
+    seeds = run.setdefault("seeds", [0, 1, 2, 3, 4])
     _expect(isinstance(seeds, list) and seeds, "run.seeds",
             "expected a nonempty list of integers")
     for i, s in enumerate(seeds):
-        _expect(isinstance(s, int) and not isinstance(s, bool),
-                f"run.seeds[{i}]", "expected an integer")
-    run.setdefault("init_center", None)
-    run.setdefault("init_scale", None)
-    if run["init_scale"] is not None:
+        _integer(s, f"run.seeds[{i}]")
+    center = run.setdefault("init_center", None)
+    if isinstance(center, list):
+        for i, v in enumerate(center):
+            _expect(_is_number(v), f"run.init_center[{i}]", "expected a number")
+    else:
+        _expect(center is None or _is_number(center), "run.init_center",
+                "expected a number or a list of numbers")
+    if run.setdefault("init_scale", None) is not None:
         _positive_number(run["init_scale"], "run.init_scale")
     out["run"] = run
 
     output = dict(_as_mapping(raw.get("output", {}), "output"))
     gt = dict(_as_mapping(output.get("ground_truth", {}), "output.ground_truth"))
-    gt.setdefault("samples", 0)
-    _nonneg_int(gt["samples"], "output.ground_truth.samples")
-    gt.setdefault("seed", 1_000_003)
-    gt.setdefault("proposal_scale", 0.1)
-    _positive_number(gt["proposal_scale"], "output.ground_truth.proposal_scale")
-    gt.setdefault("burn_in", 10_000)
-    _nonneg_int(gt["burn_in"], "output.ground_truth.burn_in")
-    gt.setdefault("thinning", 10)
-    _expect(gt["thinning"] >= 1, "output.ground_truth.thinning", "must be >= 1")
+    _integer(gt.setdefault("samples", 0), "output.ground_truth.samples", 0)
+    _integer(gt.setdefault("seed", 1_000_003), "output.ground_truth.seed")
+    _positive_number(gt.setdefault("proposal_scale", 0.1),
+                     "output.ground_truth.proposal_scale")
+    _integer(gt.setdefault("burn_in", 10_000), "output.ground_truth.burn_in", 0)
+    _integer(gt.setdefault("thinning", 10), "output.ground_truth.thinning", 1)
     output["ground_truth"] = gt
-    output.setdefault("mmd", gt["samples"] > 0)
-    _expect(isinstance(output["mmd"], bool), "output.mmd", "expected a boolean")
+    _boolean(output.setdefault("mmd", gt["samples"] > 0), "output.mmd")
     _expect(not output["mmd"] or gt["samples"] > 0, "output.mmd",
             "requires output.ground_truth.samples > 0")
-    output.setdefault("mmd_subsample_cap", 20_000)
-    _expect(output["mmd_subsample_cap"] >= 1, "output.mmd_subsample_cap",
-            "must be >= 1")
-    output.setdefault("mmd_seed", 0)
-    output.setdefault("binary_samples", False)
+    _integer(output.setdefault("mmd_subsample_cap", 20_000),
+             "output.mmd_subsample_cap", 1)
+    _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed")
+    _boolean(output.setdefault("binary_samples", False), "output.binary_samples")
     out["output"] = output
 
     if ls == "median":

@@ -82,6 +82,8 @@ TRACE_COLUMNS = (
     "approx_kl_u",
     "approx_kl_o",
     "accepted",
+    "model_decrease",
+    "b",
     "wall_ms",
 )
 
@@ -182,18 +184,7 @@ def write_trace_csv(path, trace: RunTrace) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in trace.records:
-            writer.writerow(
-                [
-                    _format_cell(r.iteration),
-                    _format_cell(r.gradient_magnitude),
-                    _format_cell(r.radius_or_step),
-                    _format_cell(r.rho),
-                    _format_cell(r.approx_kl_u),
-                    _format_cell(r.approx_kl_o),
-                    _format_cell(r.accepted),
-                    _format_cell(r.wall_ms),
-                ]
-            )
+            writer.writerow([_format_cell(getattr(r, c)) for c in TRACE_COLUMNS])
 
 
 def execute_method(problem, method_cfg: dict, lengthscale: float,

@@ -27,6 +27,26 @@ def _index_array(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class PairGroup:
+    """Overlapping factor pairs (a, b), a <= b, whose blocks share one shape.
+
+    Attributes:
+        a, b: (P,) factor indices of each pair.
+        rows, cols: (P, |C_a|) and (P, |C_b|) state dimensions of the pair's
+            block.
+        mask: (P, |C_a|, |C_b|) 0/1 support of the kernel cross term: entry
+            (p, q) is 1 iff C_a's dim p lies in blanket b and C_b's dim q lies
+            in blanket a.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mask: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class FactorLayout:
     """Partition of the state dimensions into factors plus per-factor blankets.
 
@@ -96,12 +116,29 @@ class FactorLayout:
             object.__setattr__(self, "_overlapping_pairs", cached)
         return cached
 
-    def all_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(self.n_factors)
-            for b in range(a, self.n_factors)
-        ]
+    def pair_groups(self) -> list[PairGroup]:
+        """Overlapping pairs grouped by block shape, in pair order."""
+        cached = getattr(self, "_pair_groups", None)
+        if cached is None:
+            f, bl = self.factors, self.blankets
+            by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for a, b in self.overlapping_pairs():
+                by_shape.setdefault((f[a].size, f[b].size), []).append((a, b))
+            cached = [
+                PairGroup(
+                    a=np.array([a for a, _ in pairs], dtype=np.intp),
+                    b=np.array([b for _, b in pairs], dtype=np.intp),
+                    rows=np.stack([f[a] for a, _ in pairs]),
+                    cols=np.stack([f[b] for _, b in pairs]),
+                    mask=np.stack([
+                        np.outer(np.isin(f[a], bl[b]), np.isin(f[b], bl[a]))
+                        for a, b in pairs
+                    ]).astype(float),
+                )
+                for pairs in by_shape.values()
+            ]
+            object.__setattr__(self, "_pair_groups", cached)
+        return cached
 
     @classmethod
     def single_factor(cls, total_dim: int) -> "FactorLayout":

@@ -10,8 +10,10 @@ so the log-density is the measurement log-likelihood alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .layout import FactorLayout, SingularityError, TargetModel
 
@@ -253,32 +255,49 @@ class SnlpModel(TargetModel):
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n, dim = X.shape
-        P = X.reshape(n, -1, 2)
-        out = np.zeros((n, dim, dim))
-        diffs, dists, meas = self._edge_geometry(P)
-        (uu_idx, _), (ua_idx, _) = self._uu, self._ua
-        cursor = 0
-        eye = np.eye(2)
-
-        def edge_blocks(d, dist, m):
-            """(n, E, 2, 2) curvature of one edge term wrt its first endpoint."""
+        diffs, dists, meas = self._edge_geometry(X.reshape(n, -1, 2))
+        out = np.zeros((n, dim * dim))
+        if diffs:
+            d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
+            m = np.concatenate(meas)
             u = d / dist[:, :, None]
             uut = u[:, :, :, None] * u[:, :, None, :]
-            e = m[None, :] - dist
-            return (-uut + (e / dist)[:, :, None, None] * (eye - uut)) / self._s2
+            curv = (-uut + ((m - dist) / dist)[:, :, None, None]
+                    * (np.eye(2) - uut)) / self._s2
+            targets, scatter = self._hessian_scatter
+            out[:, targets] = (scatter @ curv.reshape(n, -1).T).T
+        return out.reshape(n, dim, dim)
 
-        if len(uu_idx):
-            blocks = edge_blocks(diffs[cursor], dists[cursor], meas[cursor])
-            for k, (i, j) in enumerate(uu_idx):
-                bi, bj = 2 * i, 2 * j
-                out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
-                out[:, bj:bj + 2, bj:bj + 2] += blocks[:, k]
-                out[:, bi:bi + 2, bj:bj + 2] -= blocks[:, k]
-                out[:, bj:bj + 2, bi:bi + 2] -= blocks[:, k]
-            cursor += 1
-        if len(ua_idx):
-            blocks = edge_blocks(diffs[cursor], dists[cursor], meas[cursor])
-            for k, (i, _) in enumerate(ua_idx):
-                bi = 2 * i
-                out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
-        return out
+    @cached_property
+    def _hessian_scatter(self):
+        """Where each edge's 2x2 curvature block lands in the flat Hessian.
+
+        An edge term's curvature wrt its first endpoint, C, enters the
+        Hessian as +C on both endpoints' diagonal blocks and -C on the two
+        blocks joining them (anchor edges touch one diagonal block only).
+        Returns the flat (row * dim + col) entries that any edge touches and
+        a sparse +-1 matrix from the edges' stacked block entries to those
+        entries; its rows sum edges in edge order.
+        """
+        dim = self.layout.total_dim
+        # edge endpoints; an anchor edge's second entry is the anchor and
+        # is never used
+        ends = np.concatenate([self._uu[0], self._ua[0]])
+        every = np.arange(len(ends))
+        uu = every[:len(self._uu[0])]
+        p, q = np.divmod(np.arange(4), 2)
+        rows, cols, signs = [], [], []
+        for first, second, sign, k in (
+            (0, 0, 1.0, every), (1, 1, 1.0, uu), (0, 1, -1.0, uu), (1, 0, -1.0, uu),
+        ):
+            r = 2 * ends[k, first, None] + p
+            c = 2 * ends[k, second, None] + q
+            rows.append((r * dim + c).ravel())
+            cols.append((4 * k[:, None] + np.arange(4)).ravel())
+            signs.append(np.full(r.size, sign))
+        rows, cols, signs = (np.concatenate(v) for v in (rows, cols, signs))
+        targets, rows = np.unique(rows, return_inverse=True)
+        scatter = sparse.csr_matrix(
+            (signs, (rows, cols)), shape=(targets.size, 4 * len(ends))
+        )
+        return targets, scatter

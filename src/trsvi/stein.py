@@ -57,67 +57,6 @@ class SteinGradientField:
             raise ValueError("gradient field must be finite")
 
 
-class ParticleHessian:
-    """Symmetric block-sparse Hessian keyed by factor pairs (a, b), a <= b.
-
-    Blocks are assembled for the upper triangle and mirrored on access, so the
-    matrix equals its transpose exactly.  Missing pairs are treated as zero.
-    """
-
-    def __init__(self, layout: FactorLayout, blocks: dict[tuple[int, int], np.ndarray]):
-        self.layout = layout
-        self.blocks = {}
-        for (a, b), block in sorted(blocks.items()):
-            if b < a:
-                raise ValueError("blocks must be keyed with a <= b")
-            block = np.asarray(block, dtype=float)
-            expected = (layout.factors[a].size, layout.factors[b].size)
-            if block.shape != expected:
-                raise ValueError(f"block {(a, b)} must have shape {expected}")
-            if a == b:
-                upper = np.triu(block)
-                block = upper + np.triu(block, 1).T
-            self.blocks[(a, b)] = block
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """Dense view of block (a, b), mirroring or zero-filling as needed."""
-        if (a, b) in self.blocks:
-            return self.blocks[(a, b)]
-        if (b, a) in self.blocks:
-            return self.blocks[(b, a)].T
-        return np.zeros(
-            (self.layout.factors[a].size, self.layout.factors[b].size)
-        )
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Block-sparse matrix-vector product H @ v."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.layout.total_dim,):
-            raise ValueError("vector length must equal total_dim")
-        out = np.zeros_like(v)
-        factors = self.layout.factors
-        for (a, b), block in self.blocks.items():
-            out[factors[a]] += block @ v[factors[b]]
-            if a != b:
-                out[factors[b]] += block.T @ v[factors[a]]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        d = self.layout.total_dim
-        out = np.zeros((d, d))
-        factors = self.layout.factors
-        for (a, b), block in self.blocks.items():
-            out[np.ix_(factors[a], factors[b])] = block
-            if a != b:
-                out[np.ix_(factors[b], factors[a])] = block.T
-        return out
-
-
-def hessian_apply(hessian: ParticleHessian, v: np.ndarray) -> np.ndarray:
-    """Matrix-free product for the trust-region subproblem solver."""
-    return hessian.apply(v)
-
-
 def _check_layouts(target: TargetModel, layout: FactorLayout) -> None:
     t = target.layout
     if t.total_dim != layout.total_dim or t.n_factors != layout.n_factors:
@@ -129,15 +68,13 @@ def _check_layouts(target: TargetModel, layout: FactorLayout) -> None:
 
 @dataclass
 class AssemblyContext:
-    """Kernel matrices and pair structure shared by gradient and Hessian
-    assembly at one particle configuration."""
+    """Kernel matrices shared by gradient and Hessian assembly at one particle
+    configuration: one per factor, or the same global kernel for all."""
 
     X: np.ndarray
     layout: FactorLayout
     lengthscale: float
     kmats: list[np.ndarray]
-    supports: list[np.ndarray]
-    pairs: list[tuple[int, int]]
     is_global: bool = False
 
 
@@ -148,20 +85,15 @@ def local_context(X: np.ndarray, family: LocalKernelFamily) -> AssemblyContext:
         rbf_matrix(X, X, ls, dims=layout.blankets[a])
         for a in range(layout.n_factors)
     ]
-    return AssemblyContext(
-        X, layout, ls, kmats, list(layout.blankets), layout.overlapping_pairs()
-    )
+    return AssemblyContext(X, layout, ls, kmats)
 
 
 def global_context(
     X: np.ndarray, layout: FactorLayout, kernel: KernelSpec
 ) -> AssemblyContext:
     K = rbf_matrix(X, X, kernel.lengthscale)
-    kmats = [K] * layout.n_factors
-    supports = [np.arange(layout.total_dim)] * layout.n_factors
     return AssemblyContext(
-        X, layout, kernel.lengthscale, kmats, supports, layout.all_pairs(),
-        is_global=True,
+        X, layout, kernel.lengthscale, [K] * layout.n_factors, is_global=True
     )
 
 
@@ -183,10 +115,18 @@ def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradie
 def hessian_stack_from_context(
     ctx: AssemblyContext, target: TargetModel
 ) -> np.ndarray:
-    """Every particle's Hessian as one dense (n, dim, dim) stack.
+    """Every particle's second-variation Hessian as one dense (n, dim, dim)
+    stack, exactly symmetric.
 
-    Same entries as the block-sparse assembly; the drivers use this form so
-    the per-particle subproblem solves stay cheap at desk-scale dimensions.
+    Local kernels fill only the blocks of overlapping factor pairs.  With
+    weights W = K_a * K_b, pair (a, b) takes one product
+    W^T @ [H_ab | x_a x_b^T | x_a | x_b | 1]: the kernel-weighted model
+    Hessians plus the moments that expand the kernel cross term
+    sum_j W_ji (x_j - x_i)_a (x_j - x_i)_b^T.  Positions are centred first so
+    the expansion cancels little.  Pairs whose blocks share a shape are
+    gathered, combined and scattered together; off-diagonal blocks are
+    written with their exact transpose and diagonal blocks mirrored from
+    their upper triangle.
     """
     X, layout = ctx.X, ctx.layout
     n, dim = X.shape
@@ -199,49 +139,43 @@ def hessian_stack_from_context(
         stack += np.matmul(grads.transpose(1, 2, 0), grads.transpose(1, 0, 2)) / n
         return _mirror_upper(stack)
 
-    factors = layout.factors
+    Xc = X - X.mean(axis=0)
     stack = np.zeros((n, dim, dim))
-    for a, b in ctx.pairs:
-        Ca, Cb = factors[a], factors[b]
-        model_block = model_hessians[np.ix_(np.arange(n), Ca, Cb)]
-        weight = ctx.kmats[a] * ctx.kmats[b]
-        term = -np.tensordot(weight, model_block, axes=(0, 0)) / n
-        # cross term: x-gradient of k_b over C_a against x-gradient of k_a
-        # over C_b; coordinates outside the other kernel's support contribute
-        # nothing.
-        mask_a = np.isin(Ca, ctx.supports[b]).astype(float)
-        mask_b = np.isin(Cb, ctx.supports[a]).astype(float)
-        da = (X[:, None, Ca] - X[None, :, Ca]) * mask_a
-        db = (X[:, None, Cb] - X[None, :, Cb]) * mask_b
-        rows = -inv_ls2 * da * ctx.kmats[b][:, :, None]
-        cols = -inv_ls2 * db * ctx.kmats[a][:, :, None]
-        term += np.matmul(rows.transpose(1, 2, 0), cols.transpose(1, 0, 2)) / n
-        stack[:, Ca[:, None], Cb[None, :]] = term
-        if a != b:
-            stack[:, Cb[:, None], Ca[None, :]] = term.transpose(0, 2, 1)
-    return _mirror_upper(stack)
+    for g in layout.pair_groups():
+        rows, cols = g.rows[:, :, None], g.cols[:, None, :]
+        P, ca, cb = g.mask.shape
+        m = ca * cb
+        xa, xb = Xc[:, g.rows], Xc[:, g.cols]             # (n, P, c)
+        outer = xa[..., :, None] * xb[..., None, :]       # (n, P, ca, cb)
+        rhs = np.concatenate(
+            [model_hessians[:, rows, cols].reshape(n, P, m),
+             outer.reshape(n, P, m), xa, xb, np.ones((n, P, 1))],
+            axis=2,
+        ).transpose(1, 0, 2).copy()                       # (P, n, 2m+ca+cb+1)
+        mom = np.empty_like(rhs)
+        for p, (a, b) in enumerate(zip(g.a, g.b)):
+            np.matmul((ctx.kmats[a] * ctx.kmats[b]).T, rhs[p], out=mom[p])
+        mom = mom.transpose(1, 0, 2)
+        ma, mb = mom[..., 2 * m:2 * m + ca], mom[..., 2 * m + ca:-1]
+        cross = (
+            mom[..., m:2 * m].reshape(n, P, ca, cb)
+            - xa[..., :, None] * mb[..., None, :]
+            - ma[..., :, None] * xb[..., None, :]
+            + outer * mom[..., -1, None, None]
+        )
+        term = (inv_ls2**2 * g.mask * cross
+                - mom[..., :m].reshape(n, P, ca, cb)) / n
+        diag = g.a == g.b
+        if diag.any():
+            term[:, diag] = _mirror_upper(term[:, diag])
+        stack[:, rows, cols] = term
+        stack[:, g.cols[:, :, None], g.rows[:, None, :]] = term.swapaxes(2, 3)
+    return stack
 
 
 def _mirror_upper(stack: np.ndarray) -> np.ndarray:
     """Exact symmetry: keep each matrix's upper triangle, mirror it down."""
-    return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
-
-
-def hessians_from_context(
-    ctx: AssemblyContext, target: TargetModel
-) -> list[ParticleHessian]:
-    stack = hessian_stack_from_context(ctx, target)
-    factors = ctx.layout.factors
-    return [
-        ParticleHessian(
-            ctx.layout,
-            {
-                (a, b): stack[i][np.ix_(factors[a], factors[b])]
-                for a, b in ctx.pairs
-            },
-        )
-        for i in range(stack.shape[0])
-    ]
+    return np.triu(stack) + np.triu(stack, 1).swapaxes(-1, -2)
 
 
 def graphical_stein_gradient(
@@ -262,19 +196,20 @@ def global_stein_gradient(
 
 def graphical_hessians(
     particles: ParticleSet, target: TargetModel, local_kernels: LocalKernelFamily
-) -> list[ParticleHessian]:
-    """Second-variation Hessian for every particle, local-kernel variant."""
+) -> np.ndarray:
+    """Second-variation Hessian of every particle, local-kernel variant, as
+    an (n, dim, dim) stack."""
     _check_layouts(target, local_kernels.layout)
     ctx = local_context(particles.positions, local_kernels)
-    return hessians_from_context(ctx, target)
+    return hessian_stack_from_context(ctx, target)
 
 
 def global_hessians(
     particles: ParticleSet, target: TargetModel, kernel: KernelSpec
-) -> list[ParticleHessian]:
-    """Dense analogue of the graphical Hessian under the global kernel."""
+) -> np.ndarray:
+    """Dense analogue of the graphical Hessians under the global kernel."""
     ctx = global_context(particles.positions, target.layout, kernel)
-    return hessians_from_context(ctx, target)
+    return hessian_stack_from_context(ctx, target)
 
 
 def graphical_hessian(
@@ -282,8 +217,8 @@ def graphical_hessian(
     target: TargetModel,
     local_kernels: LocalKernelFamily,
     i: int,
-) -> ParticleHessian:
-    """Second-variation Hessian of particle i, local-kernel variant."""
+) -> np.ndarray:
+    """(dim, dim) second-variation Hessian of particle i, local-kernel variant."""
     if not 0 <= i < particles.n:
         raise IndexError("particle index out of range")
     return graphical_hessians(particles, target, local_kernels)[i]
@@ -291,8 +226,8 @@ def graphical_hessian(
 
 def global_hessian(
     particles: ParticleSet, target: TargetModel, kernel: KernelSpec, i: int
-) -> ParticleHessian:
-    """Second-variation Hessian of particle i under the global kernel."""
+) -> np.ndarray:
+    """(dim, dim) second-variation Hessian of particle i, global kernel."""
     if not 0 <= i < particles.n:
         raise IndexError("particle index out of range")
     return global_hessians(particles, target, kernel)[i]

@@ -31,10 +31,6 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 NEG_CURVATURE = "neg-curvature"
 
-# Below this dimension the per-particle subproblem uses a dense Hessian for
-# the CG products; the block-sparse apply is the scalable path.
-DENSE_SOLVE_MAX_DIM = 512
-
 
 def cg_steihaug(
     hessian_apply,
@@ -222,28 +218,24 @@ class RunTrace:
 
 
 def solve_subproblems(
-    field: SteinGradientField, hessians, radius: float
+    field: SteinGradientField, hessians: np.ndarray, radius: float
 ) -> tuple[np.ndarray, list[str], float]:
     """Solve every particle's subproblem at a shared radius.
 
-    `hessians` is either a list of ParticleHessian or a dense (n, dim, dim)
-    stack.  Returns the stacked steps, per-particle termination statuses, and
-    the total predicted model decrease.  CG is forced to a relative residual
-    of min(0.1, sqrt(||g_i||)) and at most dim iterations per particle.
+    `hessians` is the (n, dim, dim) stack of per-particle Hessians.  Returns
+    the stacked steps, per-particle termination statuses, and the total
+    predicted model decrease.  CG is forced to a relative residual of
+    min(0.1, sqrt(||g_i||)) and at most dim iterations per particle.
     """
     n, dim = field.values.shape
+    if not isinstance(hessians, np.ndarray) or hessians.shape != (n, dim, dim):
+        raise ValueError(f"hessians must be an ({n}, {dim}, {dim}) stack")
     steps = np.zeros_like(field.values)
     statuses = []
     decrease = 0.0
-    dense_stack = hessians if isinstance(hessians, np.ndarray) else None
     for i in range(n):
         g = field.values[i]
-        if dense_stack is not None:
-            apply = dense_stack[i].__matmul__
-        elif dim <= DENSE_SOLVE_MAX_DIM:
-            apply = hessians[i].to_dense().__matmul__
-        else:
-            apply = hessians[i].apply
+        apply = hessians[i].__matmul__
         tol = min(0.1, math.sqrt(float(np.linalg.norm(g))))
         w, status = cg_steihaug(apply, g, radius, tol=tol, max_iters=dim)
         steps[i] = w

@@ -139,3 +139,68 @@ def linear_gaussian_moments(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cov = M @ np.diag(v) @ M.T
     precision = (np.eye(d) - A).T @ np.diag(1.0 / v) @ (np.eye(d) - A)
     return mean, cov, precision
+
+
+def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
+    """Local-kernel second-variation Hessians, one factor pair at a time with
+    explicit (n, n, c) difference tensors and a batched matmul.
+
+    `kmats[a][j, i]` is k_a(x_j, x_i).  The kernel cross term of pair (a, b)
+    keeps only coordinates inside the other factor's blanket.
+    """
+    layout = target.layout
+    n, dim = X.shape
+    model_hessians = target.hessian_batch(X)
+    inv_ls2 = 1.0 / lengthscale**2
+    factors = layout.factors
+    stack = np.zeros((n, dim, dim))
+    for a, b in layout.overlapping_pairs():
+        Ca, Cb = factors[a], factors[b]
+        model_block = model_hessians[np.ix_(np.arange(n), Ca, Cb)]
+        weight = kmats[a] * kmats[b]
+        term = -np.tensordot(weight, model_block, axes=(0, 0)) / n
+        mask_a = np.isin(Ca, layout.blankets[b]).astype(float)
+        mask_b = np.isin(Cb, layout.blankets[a]).astype(float)
+        da = (X[:, None, Ca] - X[None, :, Ca]) * mask_a
+        db = (X[:, None, Cb] - X[None, :, Cb]) * mask_b
+        rows = -inv_ls2 * da * kmats[b][:, :, None]
+        cols = -inv_ls2 * db * kmats[a][:, :, None]
+        term += np.matmul(rows.transpose(1, 2, 0), cols.transpose(1, 0, 2)) / n
+        stack[:, Ca[:, None], Cb[None, :]] = term
+        if a != b:
+            stack[:, Cb[:, None], Ca[None, :]] = term.transpose(0, 2, 1)
+    return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
+
+
+def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
+    """SNLP log-likelihood Hessians accumulated edge by edge in a Python loop."""
+    X = np.asarray(X, dtype=float)
+    n, dim = X.shape
+    P = X.reshape(n, -1, 2)
+    out = np.zeros((n, dim, dim))
+    diffs, dists, meas = model._edge_geometry(P)
+    (uu_idx, _), (ua_idx, _) = model._uu, model._ua
+    eye = np.eye(2)
+
+    def edge_blocks(d, dist, m):
+        u = d / dist[:, :, None]
+        uut = u[:, :, :, None] * u[:, :, None, :]
+        e = m[None, :] - dist
+        return (-uut + (e / dist)[:, :, None, None] * (eye - uut)) / model._s2
+
+    cursor = 0
+    if len(uu_idx):
+        blocks = edge_blocks(diffs[cursor], dists[cursor], meas[cursor])
+        for k, (i, j) in enumerate(uu_idx):
+            bi, bj = 2 * i, 2 * j
+            out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
+            out[:, bj:bj + 2, bj:bj + 2] += blocks[:, k]
+            out[:, bi:bi + 2, bj:bj + 2] -= blocks[:, k]
+            out[:, bj:bj + 2, bi:bi + 2] -= blocks[:, k]
+        cursor += 1
+    if len(ua_idx):
+        blocks = edge_blocks(diffs[cursor], dists[cursor], meas[cursor])
+        for k, (i, _) in enumerate(ua_idx):
+            bi = 2 * i
+            out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
+    return out

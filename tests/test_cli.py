@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trsvi.cli import main
 from trsvi.config import ConfigError, validate_config
@@ -62,10 +64,114 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"output\.mmd"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "particles", "100"), ("problem", "max_parents", "3"),
+        ("output", "mmd_subsample_cap", "x"), ("run", "particles", 2.5),
+        ("run", "particles", True), ("problem", "mean_range", ["a", "b"]),
+    ])
+    def test_wrong_types_name_the_field(self, section, key, value):
+        cfg = tiny_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("kind", ["bayes_net", "snlp", "file"])
+    def test_full_configs_are_valid(self, kind):
+        validate_config(full_config(kind))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_wrong_typed_leaf_gives_config_error(self, data):
+        cfg = full_config(data.draw(st.sampled_from(["bayes_net", "snlp",
+                                                     "file"])))
+        leaves = [(p, v) for p, v in _leaves(cfg)
+                  if p != ("run", "init_center")]
+        path, value = data.draw(st.sampled_from(leaves))
+        wrong = data.draw(st.sampled_from(
+            [w for w in WRONG[type(value)]
+             if not (w is None and path == ("run", "init_scale"))]))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = wrong
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        # the error names the replaced field, its container, or (for a
+        # method list replaced by a single mapping) a field inside it
+        field, leaf = str(err.value).split(":")[0], _path_text(path)
+        assert leaf.startswith(field) or field.startswith(leaf), (path, wrong)
+
     def test_defaults_are_filled(self):
         validated = validate_config(tiny_config())
         assert validated["output"]["mmd_subsample_cap"] == 20_000
         assert validated["run"]["particles"] == 12
+
+
+def full_config(kind):
+    """A valid config with every field spelled out: floats for real-valued
+    fields, ints for integer fields."""
+    problem = {
+        "bayes_net": {"kind": "bayes_net", "layer_sizes": [2, 2],
+                      "max_parents": 2, "gmm_nodes": 1,
+                      "mean_range": [0.0, 2.0], "variance_range": [0.1, 1.0],
+                      "seed": 5},
+        "snlp": {"kind": "snlp", "unknowns": 4, "anchors": 2, "side": 6.0,
+                 "radius": 3.0, "noise_variance": 0.01, "noiseless": True,
+                 "seed": 3},
+        "file": {"kind": "file", "path": "problem.yaml"},
+    }[kind]
+    return {
+        "problem": problem,
+        "kernel": {"lengthscale": 1.0},
+        "method": [
+            {"name": "tr-svi-at", "label": "at", "iterations": 5},
+            {"name": "tr-svi-kl", "iterations": 4, "initial_radius": 1.0,
+             "nystrom_size": 2},
+            {"name": "mp-svgd-dlr", "iterations": 8, "step": 0.05,
+             "decay": 0.99},
+            {"name": "svn-ctr", "iterations": 3, "radius": 0.1},
+        ],
+        "run": {"particles": 12, "seeds": [0, 1], "init_center": [0.0, 1.0],
+                "init_scale": 1.0},
+        "output": {"ground_truth": {"samples": 400, "seed": 1,
+                                    "proposal_scale": 0.1, "burn_in": 10,
+                                    "thinning": 2},
+                   "mmd": True, "mmd_subsample_cap": 100, "mmd_seed": 0,
+                   "binary_samples": False},
+    }
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar leaf and every list in a config tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        yield path, node
+        items = enumerate(node)
+    else:
+        yield path, node
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _path_text(path):
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return text.lstrip(".")
+
+
+# values of the wrong type for a leaf, keyed by the type of its valid value;
+# init_center also takes a bare number, so a list there is not replaced, and
+# null is valid for run.init_scale
+WRONG = {
+    bool: ["true", 1, 0.5, None, [True], {"a": 1}],
+    int: ["100", 2.5, True, None, [1], {"a": 1}],
+    float: ["1.0", True, None, [1.0], {"a": 1.0}],
+    str: [3, 2.5, False, None, ["x"], {"x": 1}],
+    list: ["x", 3, 2.5, True, None, {"a": 1}],
+}
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +204,13 @@ class TestRunExperiment:
         assert float(first["gradient_magnitude"]) > 0
         assert first["rho"] == ""             # not a KL-driver column
         assert first["accepted"] == "true"
+        assert first["model_decrease"] == ""  # not a KL-driver column
+        assert float(first["b"]) > 0          # the AdaTrust denominator
         assert first["wall_ms"] == ""         # kept empty for reproducibility
+        dlr = artifact / "runs" / "mp-svgd-dlr" / "seed_0" / "trace.csv"
+        with open(dlr, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["model_decrease"] == "" and row["b"] == ""
 
     def test_kl_trace_fills_rho_columns(self, tmp_path):
         cfg = tiny_config()
@@ -109,6 +221,8 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert all(r["rho"] != "" for r in rows)
         assert all(r["approx_kl_u"] != "" for r in rows)
+        assert all(r["model_decrease"] != "" for r in rows)
+        assert all(r["b"] == "" for r in rows)
         assert all(r["accepted"] in ("true", "false") for r in rows)
 
     def test_manifest_records_every_tunable(self, artifact):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import pair_loop_hessian_stack, per_edge_snlp_hessian_batch
 from targets import GaussianTarget, fully_connected_layout
 from trsvi.kernels import KernelSpec, LocalKernelFamily
-from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode, FactorLayout
+from trsvi.model import (
+    BayesNetModel,
+    BayesNetSpec,
+    BayesNode,
+    FactorLayout,
+    SnlpConfig,
+    SnlpModel,
+    build_snlp,
+)
 from trsvi.stein import (
-    ParticleHessian,
     ParticleSet,
     global_hessian,
     global_hessians,
@@ -13,8 +21,10 @@ from trsvi.stein import (
     graphical_hessian,
     graphical_hessians,
     graphical_stein_gradient,
-    hessian_apply,
+    hessian_stack_from_context,
+    local_context,
 )
+from trsvi.trustregion import solve_subproblems
 
 
 def standard_normal_1d():
@@ -145,8 +155,7 @@ class TestHessian:
         x = rng.normal(size=mixed_bn.layout.total_dim)
         ps = ParticleSet(x[None, :])
         hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 0)
-        dense = hess.to_dense()
-        np.testing.assert_allclose(dense, -mixed_bn.hessian(x), atol=1e-12)
+        np.testing.assert_allclose(hess, -mixed_bn.hessian(x), atol=1e-12)
 
     def test_gaussian_single_particle_gives_precision(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -154,25 +163,24 @@ class TestHessian:
         ps = ParticleSet(np.array([[0.3, -0.7]]))
         hess = global_hessian(ps, target, KernelSpec(1.0), 0)
         precision = np.linalg.inv(cov)
-        np.testing.assert_allclose(hess.to_dense(), precision, rtol=1e-10)
-        assert np.all(np.linalg.eigvalsh(hess.to_dense()) > 0)
+        np.testing.assert_allclose(hess, precision, rtol=1e-10)
+        assert np.all(np.linalg.eigvalsh(hess) > 0)
 
     def test_assembled_matrix_is_exactly_symmetric(self, mixed_bn):
         rng = np.random.default_rng(3)
         ps = ParticleSet(rng.normal(size=(8, mixed_bn.layout.total_dim)))
         for hess in graphical_hessians(ps, mixed_bn, family_for(mixed_bn)):
-            dense = hess.to_dense()
-            np.testing.assert_array_equal(dense, dense.T)
+            np.testing.assert_array_equal(hess, hess.T)
 
     def test_block_transpose_symmetry_under_index_swap(self, mixed_bn):
         rng = np.random.default_rng(4)
         ps = ParticleSet(rng.normal(size=(6, mixed_bn.layout.total_dim)))
         hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 2)
-        D = mixed_bn.layout.n_factors
-        for a in range(D):
-            for b in range(D):
-                np.testing.assert_array_equal(hess.block(a, b),
-                                              hess.block(b, a).T)
+        factors = mixed_bn.layout.factors
+        for Ca in factors:
+            for Cb in factors:
+                np.testing.assert_array_equal(hess[np.ix_(Ca, Cb)],
+                                              hess[np.ix_(Cb, Ca)].T)
 
     def test_single_factor_matches_global(self):
         cov = np.array([[1.0, 0.3, 0.0], [0.3, 0.9, 0.2], [0.0, 0.2, 1.4]])
@@ -183,8 +191,7 @@ class TestHessian:
         graph = graphical_hessians(ps, target, fam)
         glob = global_hessians(ps, target, KernelSpec(0.8))
         for hg, hgl in zip(graph, glob):
-            np.testing.assert_allclose(hg.to_dense(), hgl.to_dense(),
-                                       atol=1e-12)
+            np.testing.assert_allclose(hg, hgl, atol=1e-12)
 
     def test_graphical_equals_global_entrywise_under_full_blankets(self):
         # 3-dim target, per-dim factors with all-covering blankets: every
@@ -199,14 +206,21 @@ class TestHessian:
         graph = graphical_hessians(ps, target, fam)
         glob = global_hessians(ps, target, KernelSpec(1.0))
         for hg, hgl in zip(graph, glob):
-            np.testing.assert_allclose(hg.to_dense(), hgl.to_dense(),
-                                       atol=1e-13)
+            np.testing.assert_allclose(hg, hgl, atol=1e-13)
 
     def test_only_overlapping_pairs_materialized(self, mixed_bn):
+        layout = mixed_bn.layout
         rng = np.random.default_rng(7)
-        ps = ParticleSet(rng.normal(size=(5, mixed_bn.layout.total_dim)))
+        ps = ParticleSet(rng.normal(size=(5, layout.total_dim)))
         hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 0)
-        assert set(hess.blocks) == set(mixed_bn.layout.overlapping_pairs())
+        pairs = set(layout.overlapping_pairs())
+        for a, Ca in enumerate(layout.factors):
+            for b, Cb in enumerate(layout.factors):
+                block = hess[np.ix_(Ca, Cb)]
+                if (min(a, b), max(a, b)) in pairs:
+                    assert np.any(block != 0.0)
+                else:
+                    assert np.all(block == 0.0)
 
     def test_index_guards(self, mixed_bn):
         ps = ParticleSet(np.zeros((2, mixed_bn.layout.total_dim)))
@@ -215,42 +229,109 @@ class TestHessian:
 
 
 class TestHessianApply:
-    def _random_hessian(self, seed):
-        layout = FactorLayout.from_factor_neighbors(
-            [2, 1, 3, 2], [[1], [0, 2], [1], []]
-        )
-        rng = np.random.default_rng(seed)
-        blocks = {}
-        for a, b in layout.overlapping_pairs():
-            shape = (layout.factors[a].size, layout.factors[b].size)
-            blocks[(a, b)] = rng.normal(size=shape)
-        return ParticleHessian(layout, blocks)
+    """The stack is applied per particle in the trust-region subproblems."""
 
-    def test_zero_vector(self):
-        hess = self._random_hessian(0)
-        np.testing.assert_array_equal(hess.apply(np.zeros(8)), np.zeros(8))
+    def _field_and_stack(self, mixed_bn, n=6, seed=0):
+        rng = np.random.default_rng(seed)
+        ps = ParticleSet(rng.normal(size=(n, mixed_bn.layout.total_dim)))
+        fam = family_for(mixed_bn)
+        return (graphical_stein_gradient(ps, mixed_bn, fam),
+                graphical_hessians(ps, mixed_bn, fam))
+
+    def test_zero_vector(self, mixed_bn):
+        field, stack = self._field_and_stack(mixed_bn)
+        field.values[:] = 0.0
+        steps, statuses, decrease = solve_subproblems(field, stack, 1.0)
+        np.testing.assert_array_equal(steps, np.zeros_like(steps))
+        assert statuses == ["interior"] * 6 and decrease == 0.0
 
     def test_identity_like(self):
         target = GaussianTarget(np.zeros(3), np.eye(3))
         ps = ParticleSet(np.array([[0.1, 0.2, -0.3]]))
         hess = global_hessian(ps, target, KernelSpec(1.0), 0)
         v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(hessian_apply(hess, v), v, rtol=1e-12)
+        np.testing.assert_allclose(hess @ v, v, rtol=1e-12)
 
-    def test_matches_dense_product(self):
+    def test_matches_dense_product(self, mixed_bn):
+        # the product over overlapping pair blocks alone, each used with its
+        # transpose, reproduces the full matrix-vector product
+        layout = mixed_bn.layout
         rng = np.random.default_rng(8)
-        for seed in range(10):
-            hess = self._random_hessian(seed)
-            dense = hess.to_dense()
-            v = rng.normal(size=8)
-            assert np.abs(hess.apply(v) - dense @ v).max() < 1e-12
+        _, stack = self._field_and_stack(mixed_bn, seed=8)
+        for hess in stack:
+            v = rng.normal(size=layout.total_dim)
+            out = np.zeros_like(v)
+            for a, b in layout.overlapping_pairs():
+                Ca, Cb = layout.factors[a], layout.factors[b]
+                block = hess[np.ix_(Ca, Cb)]
+                out[Ca] += block @ v[Cb]
+                if a != b:
+                    out[Cb] += block.T @ v[Ca]
+            assert np.abs(out - hess @ v).max() < 1e-12
 
-    def test_dimension_mismatch(self):
-        hess = self._random_hessian(1)
-        with pytest.raises(ValueError):
-            hess.apply(np.zeros(5))
+    def test_dimension_mismatch(self, mixed_bn):
+        field, stack = self._field_and_stack(mixed_bn)
+        for bad in (stack[:, :5, :5], stack[:5], stack[0]):
+            with pytest.raises(ValueError):
+                solve_subproblems(field, bad, 1.0)
 
-    def test_blocks_keyed_upper_triangle(self):
-        layout = FactorLayout.from_factor_neighbors([1, 1], [[1], [0]])
+    def test_non_stack_operand_rejected(self, mixed_bn):
+        field, stack = self._field_and_stack(mixed_bn)
         with pytest.raises(ValueError):
-            ParticleHessian(layout, {(1, 0): np.zeros((1, 1))})
+            solve_subproblems(field, list(stack), 1.0)
+
+
+def _partial_blanket_layout():
+    # factor 1 = dims 2..4 sits only partly in blanket 0 and factor 2 only
+    # partly in blanket 1, so several pair masks are not all ones
+    factors = (np.arange(0, 2), np.arange(2, 5), np.arange(5, 7))
+    blankets = (np.array([0, 1, 3]), np.array([1, 2, 3, 4, 6]),
+                np.array([4, 5, 6]))
+    return FactorLayout(factors=factors, blankets=blankets, total_dim=7)
+
+
+def _assembly_cases(mixed_bn, small_snlp):
+    rng = np.random.default_rng(21)
+    yield "mixed_bn", mixed_bn, rng.normal(size=(9, 6)), 1.0
+    base = small_snlp.problem.true_positions.reshape(-1)
+    yield "small snlp", small_snlp, base + rng.normal(scale=0.5, size=(11, 12)), 1.0
+    snlp50 = SnlpModel(build_snlp(SnlpConfig(
+        unknowns=50, anchors=12, side=20.0, radius=3.0, noise_variance=0.01,
+        seed=0)))
+    X = 10.0 + 5.0 * rng.standard_normal((40, 100))
+    yield "snlp50", snlp50, X, 3.0
+    layout = _partial_blanket_layout()
+    A = rng.normal(size=(7, 7))
+    cov = A @ A.T + 7.0 * np.eye(7)
+    yield "partial blankets", GaussianTarget(np.ones(7), cov, layout), \
+        rng.normal(size=(12, 7)), 0.9
+
+
+class TestStackAssembly:
+    """The moment-GEMM assembly against the per-pair difference-tensor loop."""
+
+    def test_partial_blanket_masks_are_not_all_ones(self):
+        groups = _partial_blanket_layout().pair_groups()
+        assert any(0.0 < m.mean() < 1.0 for g in groups for m in g.mask)
+
+    def test_matches_pair_loop_oracle(self, mixed_bn, small_snlp):
+        for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
+            fam = LocalKernelFamily(KernelSpec(ls), target.layout)
+            ctx = local_context(X, fam)
+            stack = hessian_stack_from_context(ctx, target)
+            oracle = pair_loop_hessian_stack(X, target, ctx.kmats, ls)
+            assert stack.shape == oracle.shape
+            scale = np.abs(oracle).max()
+            assert np.abs(stack - oracle).max() <= 1e-12 * scale, name
+            np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
+
+    def test_snlp_hessian_batch_matches_per_edge_loop(self, small_snlp,
+                                                      noisy_snlp):
+        rng = np.random.default_rng(22)
+        for model in (small_snlp, noisy_snlp):
+            base = model.problem.true_positions.reshape(-1)
+            X = base + rng.normal(scale=0.5, size=(13, base.size))
+            oracle = per_edge_snlp_hessian_batch(model, X)
+            batch = model.hessian_batch(X)
+            assert np.abs(batch - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            np.testing.assert_array_equal(batch, batch.transpose(0, 2, 1))

@@ -424,3 +424,6 @@ class TestSolveSubproblems:
         norms = np.linalg.norm(steps, axis=1)
         assert np.all(norms <= radius * (1 + 1e-10))
         assert len(statuses) == 12
+        expected = sum(model_value(H, g, w) for H, g, w
+                       in zip(hessians, field.values, steps))
+        assert decrease == pytest.approx(expected, rel=1e-12)
