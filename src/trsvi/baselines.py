@@ -3,7 +3,8 @@ with static / decayed / AdaGrad step rules, and the global-kernel Newton step
 with a constant trust region.
 
 Every update is synchronous: all particle moves are computed from the
-pre-step particle matrix, then applied at once.
+pre-step particle matrix, then applied at once.  Each step function returns
+the moved particles, the Stein field at the old positions and the step size.
 """
 
 from __future__ import annotations
@@ -16,21 +17,23 @@ from .kernels import KernelSpec, LocalKernelFamily
 from .model.layout import TargetModel
 from .stein import (
     ParticleSet,
+    SteinGradientField,
     field_from_context,
     global_context,
+    global_stein_gradient,
     graphical_stein_gradient,
     hessian_stack_from_context,
 )
 from .trustregion import solve_subproblems
 
-STATIC = "static"
 DECAYED = "decayed"
 ADAGRAD = "adagrad"
 
 
 @dataclass
 class StepSchedule:
-    """First-order step rule: constant, geometrically decayed, or AdaGrad."""
+    """First-order step rule: geometrically decayed (constant at decay 1.0)
+    or AdaGrad."""
 
     kind: str
     initial_step: float
@@ -39,19 +42,23 @@ class StepSchedule:
     accumulator: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (STATIC, DECAYED, ADAGRAD):
+        if self.kind not in (DECAYED, ADAGRAD):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.initial_step <= 0:
             raise ValueError("initial step must be positive")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
 
+    def step_size(self, t: int) -> float:
+        """Step size of update t; AdaGrad's is its initial step."""
+        if self.kind == DECAYED:
+            return self.initial_step * self.decay**t
+        return self.initial_step
+
     def scaled_step(self, direction: np.ndarray, t: int) -> np.ndarray:
         """Displacement for one update; AdaGrad accumulates squared directions."""
-        if self.kind == STATIC:
-            return self.initial_step * direction
         if self.kind == DECAYED:
-            return self.initial_step * self.decay**t * direction
+            return self.step_size(t) * direction
         if self.accumulator is None:
             self.accumulator = np.zeros_like(direction)
         self.accumulator = self.accumulator + direction**2
@@ -63,19 +70,13 @@ def svgd_step(
     target: TargetModel,
     kernel: KernelSpec,
     step: float,
-    field=None,
-) -> ParticleSet:
-    """One SVGD update: kernel-weighted score plus kernel repulsion.
-
-    A precomputed gradient field for the current positions may be passed in
-    to avoid recomputing it (the runner already needs it for traces).
-    """
+) -> tuple[ParticleSet, SteinGradientField, float]:
+    """One SVGD update: kernel-weighted score plus kernel repulsion."""
     if step <= 0:
         raise ValueError("step size must be positive")
-    if field is None:
-        ctx = global_context(particles.positions, target.layout, kernel)
-        field = field_from_context(ctx, target)
-    return particles.advanced(particles.positions - step * field.values)
+    field = global_stein_gradient(particles, target, kernel)
+    moved = particles.advanced(particles.positions - step * field.values)
+    return moved, field, step
 
 
 def mp_svgd_step(
@@ -84,13 +85,12 @@ def mp_svgd_step(
     local_kernels: LocalKernelFamily,
     schedule: StepSchedule,
     t: int,
-    field=None,
-) -> ParticleSet:
+) -> tuple[ParticleSet, SteinGradientField, float]:
     """One first-order update along the local-kernel functional gradient."""
-    if field is None:
-        field = graphical_stein_gradient(particles, target, local_kernels)
+    field = graphical_stein_gradient(particles, target, local_kernels)
     displacement = schedule.scaled_step(-field.values, t)
-    return particles.advanced(particles.positions + displacement)
+    return (particles.advanced(particles.positions + displacement), field,
+            schedule.step_size(t))
 
 
 def svn_ctr_step(
@@ -98,7 +98,7 @@ def svn_ctr_step(
     target: TargetModel,
     global_kernel: KernelSpec,
     radius: float,
-) -> ParticleSet:
+) -> tuple[ParticleSet, SteinGradientField, float]:
     """One Newton step per particle under the global kernel, solved inside a
     constant trust region and applied unconditionally."""
     if radius <= 0:
@@ -107,4 +107,4 @@ def svn_ctr_step(
     field = field_from_context(ctx, target)
     hessians = hessian_stack_from_context(ctx, target)
     steps, _, _ = solve_subproblems(field, hessians, radius)
-    return particles.advanced(particles.positions + steps)
+    return particles.advanced(particles.positions + steps), field, radius

@@ -10,6 +10,7 @@ dimension; every resolved value lands in the run manifest.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -19,33 +20,21 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad field."""
 
 
-METHOD_NAMES = (
-    "tr-svi-at",
-    "tr-svi-kl",
-    "mp-svgd-static",
-    "mp-svgd-dlr",
-    "mp-svgd-ag",
-    "svgd",
-    "svn-ctr",
-)
-
-FIRST_ORDER = ("mp-svgd-static", "mp-svgd-dlr", "mp-svgd-ag", "svgd")
-
-# Per-family tuning table: kernel lengthscale, decayed-step (initial, decay),
-# AdaGrad initial step, and the constant trust-region radius.  Keys are the
-# state dimensions of the four reference problem families.
+# Per-family tuning table: kernel lengthscale, decayed-step initial step and
+# decay, AdaGrad initial step, and the constant trust-region radius.  Keys
+# are the state dimensions of the four reference problem families.
 BUNDLED_DEFAULTS = {
     "snlp": {
-        12: {"lengthscale": 1.0, "dlr": (0.1, 0.99), "adagrad_step": 0.5,
-             "svn_radius": 1.0},
-        100: {"lengthscale": 3.0, "dlr": (0.1, 0.99), "adagrad_step": 0.5,
-              "svn_radius": 0.1},
+        12: {"lengthscale": 1.0, "dlr_step": 0.1, "dlr_decay": 0.99,
+             "adagrad_step": 0.5, "svn_radius": 1.0},
+        100: {"lengthscale": 3.0, "dlr_step": 0.1, "dlr_decay": 0.99,
+              "adagrad_step": 0.5, "svn_radius": 0.1},
     },
     "bayes_net": {
-        30: {"lengthscale": 10.0, "dlr": (0.01, 0.999), "adagrad_step": 0.05,
-             "svn_radius": 0.1},
-        80: {"lengthscale": 60.0, "dlr": (0.01, 0.99), "adagrad_step": 0.05,
-             "svn_radius": 0.1},
+        30: {"lengthscale": 10.0, "dlr_step": 0.01, "dlr_decay": 0.999,
+             "adagrad_step": 0.05, "svn_radius": 0.1},
+        80: {"lengthscale": 60.0, "dlr_step": 0.01, "dlr_decay": 0.99,
+             "adagrad_step": 0.05, "svn_radius": 0.1},
     },
 }
 
@@ -98,6 +87,30 @@ def _number_range(value, path: str) -> list:
     return value
 
 
+def _fraction(value, path: str) -> None:
+    _expect(_positive_number(value, path) <= 1.0, path, "must lie in (0, 1]")
+
+
+# Every method's own fields as field -> (check, default), in the order
+# defaults are filled in.  A default is a constant or, as a string, a key of
+# the bundled tuning table or TENTH_OF_PARTICLES.  Besides its own fields a
+# method takes only COMMON_FIELDS.
+TENTH_OF_PARTICLES = "tenth_of_particles"
+COMMON_FIELDS = ("name", "label", "iterations")
+METHODS = {
+    "tr-svi-at": {},
+    "tr-svi-kl": {"initial_radius": (_positive_number, 1.0),
+                  "nystrom_size": (partial(_integer, minimum=1),
+                                   TENTH_OF_PARTICLES)},
+    "mp-svgd-static": {"step": (_positive_number, "dlr_step")},
+    "mp-svgd-dlr": {"step": (_positive_number, "dlr_step"),
+                    "decay": (_fraction, "dlr_decay")},
+    "mp-svgd-ag": {"step": (_positive_number, "adagrad_step")},
+    "svgd": {"step": (_positive_number, "dlr_step")},
+    "svn-ctr": {"radius": (_positive_number, "svn_radius")},
+}
+
+
 def load_config(path) -> dict:
     raw = yaml.safe_load(Path(path).read_text())
     _expect(isinstance(raw, dict), "<root>", "config must be a mapping")
@@ -108,9 +121,9 @@ def validate_config(raw: dict) -> dict:
     """Structural validation plus static defaults.
 
     Every field is type-checked here, so a bad value fails with a
-    ConfigError naming it.  Returns a normalized copy; numeric defaults that
-    depend on the problem dimension stay as the string "table" until
-    resolve_method_defaults.
+    ConfigError naming it; a method field outside METHODS is rejected.
+    Returns a normalized copy; a table lengthscale stays as the string
+    "table", and method fields stay unset until resolve_method_defaults.
     """
     out = {}
     _expect(isinstance(raw, dict), "<root>", "config must be a mapping")
@@ -170,8 +183,8 @@ def validate_config(raw: dict) -> dict:
         path = f"method[{i}]"
         m = dict(_as_mapping(m, path))
         name = m.get("name")
-        _expect(name in METHOD_NAMES, f"{path}.name",
-                f"expected one of {', '.join(METHOD_NAMES)}")
+        _expect(isinstance(name, str) and name in METHODS, f"{path}.name",
+                f"expected one of {', '.join(METHODS)}")
         _integer(m.setdefault("iterations", 300), f"{path}.iterations", 0)
         label = m.setdefault("label", name)
         _expect(isinstance(label, str) and label, f"{path}.label",
@@ -179,18 +192,13 @@ def validate_config(raw: dict) -> dict:
         _expect(label not in seen_labels, f"{path}.label",
                 "labels must be unique across methods")
         seen_labels.add(label)
-        if name == "tr-svi-kl":
-            _positive_number(m.setdefault("initial_radius", 1.0),
-                             f"{path}.initial_radius")
-            if "nystrom_size" in m:
-                _integer(m["nystrom_size"], f"{path}.nystrom_size", 1)
-        if name in FIRST_ORDER and "step" in m:
-            _positive_number(m["step"], f"{path}.step")
-        if name == "mp-svgd-dlr" and "decay" in m:
-            _expect(_positive_number(m["decay"], f"{path}.decay") <= 1.0,
-                    f"{path}.decay", "must lie in (0, 1]")
-        if name == "svn-ctr" and "radius" in m:
-            _positive_number(m["radius"], f"{path}.radius")
+        fields = METHODS[name]
+        for key, value in m.items():
+            if key not in COMMON_FIELDS:
+                _expect(key in fields, f"{path}.{key}",
+                        f"not a field of {name}; it takes "
+                        f"{', '.join((*COMMON_FIELDS, *fields))}")
+                fields[key][0](value, f"{path}.{key}")
         methods.append(m)
     out["method"] = methods
 
@@ -211,6 +219,9 @@ def validate_config(raw: dict) -> dict:
     if run.setdefault("init_scale", None) is not None:
         _positive_number(run["init_scale"], "run.init_scale")
     out["run"] = run
+    for i, m in enumerate(methods):
+        _expect(m.get("nystrom_size", 1) <= run["particles"],
+                f"method[{i}].nystrom_size", "must not exceed run.particles")
 
     output = dict(_as_mapping(raw.get("output", {}), "output"))
     gt = dict(_as_mapping(output.get("ground_truth", {}), "output.ground_truth"))
@@ -237,24 +248,15 @@ def validate_config(raw: dict) -> dict:
 
 
 def resolve_method_defaults(config: dict, kind: str, total_dim: int) -> dict:
-    """Fill dimension-dependent method defaults from the bundled table."""
-    table = bundled_defaults(kind, total_dim)
+    """Fill every method's unset fields with their METHODS defaults, looking
+    string defaults up in the bundled table of the problem family."""
+    table = {**bundled_defaults(kind, total_dim),
+             TENTH_OF_PARTICLES: max(1, config["run"]["particles"] // 10)}
     resolved = dict(config)
-    methods = []
-    for m in config["method"]:
-        m = dict(m)
-        name = m["name"]
-        if name == "mp-svgd-dlr":
-            m.setdefault("step", table["dlr"][0])
-            m.setdefault("decay", table["dlr"][1])
-        elif name == "mp-svgd-ag":
-            m.setdefault("step", table["adagrad_step"])
-        elif name in ("mp-svgd-static", "svgd"):
-            m.setdefault("step", table["dlr"][0])
-        elif name == "svn-ctr":
-            m.setdefault("radius", table["svn_radius"])
-        elif name == "tr-svi-kl":
-            m.setdefault("nystrom_size", max(1, config["run"]["particles"] // 10))
-        methods.append(m)
-    resolved["method"] = methods
+    resolved["method"] = [
+        {**m, **{key: table[default] if isinstance(default, str) else default
+                 for key, (_, default) in METHODS[m["name"]].items()
+                 if key not in m}}
+        for m in config["method"]
+    ]
     return resolved

@@ -31,7 +31,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .baselines import ADAGRAD, DECAYED, STATIC, StepSchedule, mp_svgd_step, svgd_step
+from .baselines import (
+    ADAGRAD,
+    DECAYED,
+    StepSchedule,
+    mp_svgd_step,
+    svgd_step,
+    svn_ctr_step,
+)
 from .config import (
     ConfigError,
     bundled_defaults,
@@ -58,21 +65,14 @@ from .model import (
     save_samples_binary,
     save_samples_csv,
 )
-from .stein import (
-    ParticleSet,
-    field_from_context,
-    global_context,
-    global_stein_gradient,
-    graphical_stein_gradient,
-    hessian_stack_from_context,
-)
-from .trustregion import (
-    IterationRecord,
-    RunTrace,
-    solve_subproblems,
-    tr_svi_at_run,
-    tr_svi_kl_run,
-)
+from .stein import ParticleSet
+from .trustregion import IterationRecord, RunTrace, tr_svi_at_run, tr_svi_kl_run
+
+# Not called here; perfbench/tracing.py patches these names in this module.
+from .stein import (  # noqa: F401
+    field_from_context, global_context, global_stein_gradient,
+    graphical_stein_gradient, hessian_stack_from_context)
+from .trustregion import solve_subproblems  # noqa: F401
 
 TRACE_COLUMNS = (
     "iteration",
@@ -202,55 +202,26 @@ def execute_method(problem, method_cfg: dict, lengthscale: float,
     if name == "tr-svi-kl":
         return tr_svi_kl_run(
             particles, model, family, method_cfg["initial_radius"], iterations,
-            seed=seed, nystrom_size=method_cfg.get("nystrom_size"),
+            seed=seed, nystrom_size=method_cfg["nystrom_size"],
         )
-    if name == "svn-ctr":
-        radius = method_cfg["radius"]
-        trace = RunTrace()
-        current = particles
-        for t in range(iterations):
-            ctx = global_context(current.positions, model.layout, kernel)
-            field = field_from_context(ctx, model)
-            hessians = hessian_stack_from_context(ctx, model)
-            steps, _, _ = solve_subproblems(field, hessians, radius)
-            current = current.advanced(current.positions + steps)
-            trace.append(
-                IterationRecord(t, gradient_magnitude(field), radius,
-                                accepted=True)
-            )
-        return current, trace
-
-    # first-order updates
-    if name == "svgd":
-        step = method_cfg["step"]
-        trace = RunTrace()
-        current = particles
-        for t in range(iterations):
-            field = global_stein_gradient(current, model, kernel)
-            current = svgd_step(current, model, kernel, step, field=field)
-            trace.append(
-                IterationRecord(t, gradient_magnitude(field), step,
-                                accepted=True)
-            )
-        return current, trace
-
-    kind = {"mp-svgd-static": STATIC, "mp-svgd-dlr": DECAYED,
-            "mp-svgd-ag": ADAGRAD}[name]
-    schedule = StepSchedule(
-        kind, method_cfg["step"], decay=method_cfg.get("decay", 1.0)
-    )
+    step = _baseline_step(method_cfg, model, kernel, family)
     trace = RunTrace()
-    current = particles
     for t in range(iterations):
-        field = graphical_stein_gradient(current, model, family)
-        current = mp_svgd_step(current, model, family, schedule, t, field=field)
-        scale = schedule.initial_step
-        if kind == DECAYED:
-            scale = schedule.initial_step * schedule.decay**t
-        trace.append(
-            IterationRecord(t, gradient_magnitude(field), scale, accepted=True)
-        )
-    return current, trace
+        particles, field, size = step(particles, t)
+        trace.append(IterationRecord(t, gradient_magnitude(field), size,
+                                     accepted=True))
+    return particles, trace
+
+
+def _baseline_step(cfg: dict, model, kernel, family):
+    """A baseline's update (particles, t) -> (particles, field, step size)."""
+    if cfg["name"] == "svgd":
+        return lambda ps, t: svgd_step(ps, model, kernel, cfg["step"])
+    if cfg["name"] == "svn-ctr":
+        return lambda ps, t: svn_ctr_step(ps, model, kernel, cfg["radius"])
+    kind = ADAGRAD if cfg["name"] == "mp-svgd-ag" else DECAYED
+    schedule = StepSchedule(kind, cfg["step"], decay=cfg.get("decay", 1.0))
+    return lambda ps, t: mp_svgd_step(ps, model, family, schedule, t)
 
 
 def _run_task(payload: dict) -> dict:
@@ -279,19 +250,14 @@ def _run_task(payload: dict) -> dict:
     }
 
 
-def resolve_lengthscale(kernel_cfg: dict, problem, ground_truth, mmd_seed: int):
+def resolve_lengthscale(configured, table: dict, ground_truth, mmd_seed: int):
     """Numeric kernel lengthscale plus a note on where it came from."""
-    configured = kernel_cfg["lengthscale"]
-    if isinstance(configured, (int, float)):
-        return float(configured), "config"
-    kind = "snlp" if isinstance(problem, SnlpProblem) else "bayes_net"
-    model = make_model(problem)
     if configured == "table":
-        return (
-            bundled_defaults(kind, model.layout.total_dim)["lengthscale"],
-            "bundled table",
-        )
-    return median_heuristic(ground_truth, seed=mmd_seed), "median of ground truth"
+        return table["lengthscale"], "bundled table"
+    if configured == "median":
+        return (median_heuristic(ground_truth, seed=mmd_seed),
+                "median of ground truth")
+    return float(configured), "config"
 
 
 def run_experiment(config, output_dir, seed_override: int | None = None,
@@ -340,8 +306,9 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
             save_samples_binary(out / "ground_truth.bin", ground_truth)
 
     lengthscale, ls_source = resolve_lengthscale(
-        config["kernel"], problem, ground_truth, config["output"]["mmd_seed"]
-    )
+        config["kernel"]["lengthscale"],
+        bundled_defaults(kind, model.layout.total_dim), ground_truth,
+        config["output"]["mmd_seed"])
 
     init_center, init_scale = default_init(problem)
     manifest = {

@@ -41,42 +41,6 @@ class LocalKernelFamily:
     layout: FactorLayout
 
 
-def rbf_eval(x, y, lengthscale: float):
-    """Kernel value and its gradient with respect to x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal length")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("kernel inputs must be finite")
-    if lengthscale <= 0:
-        raise ValueError("lengthscale must be positive")
-    diff = x - y
-    value = float(np.exp(-0.5 * diff @ diff / lengthscale**2))
-    return value, -diff / lengthscale**2 * value
-
-
-def local_kernel_eval(family: LocalKernelFamily, a: int, x, y):
-    """Value of k_a plus the x-gradient sliced over C_a and over S_a.
-
-    Both state vectors are full-length; only the S_a coordinates matter.
-    """
-    layout = family.layout
-    if not 0 <= a < layout.n_factors:
-        raise IndexError("factor index out of range")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (layout.total_dim,) or y.shape != (layout.total_dim,):
-        raise ValueError("state vectors must have length total_dim")
-    blanket = layout.blankets[a]
-    value, grad_s = rbf_eval(x[blanket], y[blanket], family.kernel.lengthscale)
-    factor = layout.factors[a]
-    grad_c = np.zeros(factor.size)
-    pos = np.searchsorted(blanket, factor)
-    grad_c[:] = grad_s[pos]
-    return value, grad_c, grad_s
-
-
 def median_heuristic(samples: np.ndarray, seed: int = 0) -> float:
     """Median pairwise Euclidean distance over all distinct unordered pairs.
 

@@ -9,6 +9,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from trsvi.evaluation import gradient_magnitude
+from trsvi.stein import (
+    field_from_context,
+    global_context,
+    global_stein_gradient,
+    graphical_stein_gradient,
+    hessian_stack_from_context,
+)
+from trsvi.trustregion import IterationRecord, solve_subproblems
+
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
@@ -204,3 +214,87 @@ def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
             bi = 2 * i
             out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
     return out
+
+
+def rbf_eval(x, y, lengthscale: float):
+    """Kernel value and its gradient with respect to x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("kernel inputs must be finite")
+    if lengthscale <= 0:
+        raise ValueError("lengthscale must be positive")
+    diff = x - y
+    value = float(np.exp(-0.5 * diff @ diff / lengthscale**2))
+    return value, -diff / lengthscale**2 * value
+
+
+def local_kernel_eval(family, a: int, x, y):
+    """Value of k_a plus the x-gradient sliced over C_a and over S_a.
+
+    Both state vectors are full-length; only the S_a coordinates matter.
+    """
+    layout = family.layout
+    if not 0 <= a < layout.n_factors:
+        raise IndexError("factor index out of range")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != (layout.total_dim,) or y.shape != (layout.total_dim,):
+        raise ValueError("state vectors must have length total_dim")
+    blanket = layout.blankets[a]
+    value, grad_s = rbf_eval(x[blanket], y[blanket], family.kernel.lengthscale)
+    factor = layout.factors[a]
+    grad_c = np.zeros(factor.size)
+    pos = np.searchsorted(blanket, factor)
+    grad_c[:] = grad_s[pos]
+    return value, grad_c, grad_s
+
+
+def baseline_loop_run(method_cfg, particles, model, kernel, family):
+    """The runner's three per-method baseline loops as they were before the
+    baselines shared one loop: SVGD, the message-passing SVGD step rules
+    (static / decayed / AdaGrad) and SVN-CTR.  Returns the final particles
+    and the trace records."""
+    name = method_cfg["name"]
+    records = []
+    current = particles
+    if name == "svn-ctr":
+        radius = method_cfg["radius"]
+        for t in range(method_cfg["iterations"]):
+            ctx = global_context(current.positions, model.layout, kernel)
+            field = field_from_context(ctx, model)
+            hessians = hessian_stack_from_context(ctx, model)
+            steps, _, _ = solve_subproblems(field, hessians, radius)
+            current = current.advanced(current.positions + steps)
+            records.append(IterationRecord(t, gradient_magnitude(field),
+                                           radius, accepted=True))
+        return current, records
+    step = method_cfg["step"]
+    if name == "svgd":
+        for t in range(method_cfg["iterations"]):
+            field = global_stein_gradient(current, model, kernel)
+            current = current.advanced(current.positions - step * field.values)
+            records.append(IterationRecord(t, gradient_magnitude(field), step,
+                                           accepted=True))
+        return current, records
+    accumulator = None
+    for t in range(method_cfg["iterations"]):
+        field = graphical_stein_gradient(current, model, family)
+        direction = -field.values
+        scale = step
+        if name == "mp-svgd-static":
+            displacement = step * direction
+        elif name == "mp-svgd-dlr":
+            scale = step * method_cfg["decay"]**t
+            displacement = step * method_cfg["decay"]**t * direction
+        else:
+            if accumulator is None:
+                accumulator = np.zeros_like(direction)
+            accumulator = accumulator + direction**2
+            displacement = step * direction / (np.sqrt(accumulator) + 1e-8)
+        current = current.advanced(current.positions + displacement)
+        records.append(IterationRecord(t, gradient_magnitude(field), scale,
+                                       accepted=True))
+    return current, records

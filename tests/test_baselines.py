@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import baseline_loop_run
 from targets import GaussianTarget
 from trsvi import baselines as bl
 from trsvi import trustregion as tr
+from trsvi.experiment import execute_method, initialize_particles
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import (
     BayesNetModel,
@@ -26,18 +28,17 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             bl.StepSchedule("nope", 0.1)
         with pytest.raises(ValueError):
-            bl.StepSchedule(bl.STATIC, -0.1)
+            bl.StepSchedule(bl.DECAYED, -0.1)
         with pytest.raises(ValueError):
             bl.StepSchedule(bl.DECAYED, 0.1, decay=0.0)
 
     def test_decay_one_reduces_to_static(self):
         rng = np.random.default_rng(0)
         d = rng.normal(size=(4, 3))
-        static = bl.StepSchedule(bl.STATIC, 0.2)
         decayed = bl.StepSchedule(bl.DECAYED, 0.2, decay=1.0)
         for t in (0, 3, 10):
-            np.testing.assert_array_equal(static.scaled_step(d, t),
-                                          decayed.scaled_step(d, t))
+            np.testing.assert_array_equal(decayed.scaled_step(d, t), 0.2 * d)
+            assert decayed.step_size(t) == 0.2
 
     def test_adagrad_first_step(self):
         d = np.array([[2.0, -0.5]])
@@ -60,13 +61,15 @@ class TestSvgdStep:
     def test_lone_particle_gradient_ascent(self):
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[2.0]]))
-        moved = bl.svgd_step(ps, target, KernelSpec(1.0), 0.1)
+        moved, field, step = bl.svgd_step(ps, target, KernelSpec(1.0), 0.1)
         assert moved.positions[0, 0] == pytest.approx(1.8, rel=1e-12)
+        assert field.values[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert step == 0.1
 
     def test_symmetric_pair_stays_symmetric(self):
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[1.3], [-1.3]]))
-        moved = bl.svgd_step(ps, target, KernelSpec(1.0), 0.05)
+        moved, _, _ = bl.svgd_step(ps, target, KernelSpec(1.0), 0.05)
         assert moved.positions[0, 0] == pytest.approx(-moved.positions[1, 0],
                                                       rel=1e-12)
 
@@ -75,10 +78,11 @@ class TestSvgdStep:
         ps = ParticleSet(rng.normal(size=(9, mixed_bn.layout.total_dim)))
         kernel = KernelSpec(1.2)
         field = global_stein_gradient(ps, mixed_bn, kernel)
-        moved = bl.svgd_step(ps, mixed_bn, kernel, 0.3)
+        moved, own_field, _ = bl.svgd_step(ps, mixed_bn, kernel, 0.3)
         np.testing.assert_allclose(
             moved.positions, ps.positions - 0.3 * field.values, atol=1e-12
         )
+        np.testing.assert_array_equal(own_field.values, field.values)
 
 
 class TestMpSvgdStep:
@@ -93,22 +97,25 @@ class TestMpSvgdStep:
         ps = ParticleSet(rng.normal(size=(7, mixed_bn.layout.total_dim)))
         field = graphical_stein_gradient(ps, mixed_bn, fam)
         schedule = bl.StepSchedule(bl.DECAYED, 0.1, decay=0.5)
-        moved = bl.mp_svgd_step(ps, mixed_bn, fam, schedule, t=2)
+        moved, own_field, step = bl.mp_svgd_step(ps, mixed_bn, fam, schedule,
+                                                 t=2)
         np.testing.assert_allclose(
             moved.positions,
             ps.positions - 0.1 * 0.5**2 * field.values,
             atol=1e-12,
         )
+        np.testing.assert_array_equal(own_field.values, field.values)
+        assert step == 0.1 * 0.5**2
 
     def test_synchronous_update_permutation_invariant(self, mixed_bn):
         fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(11, mixed_bn.layout.total_dim))
         perm = rng.permutation(11)
-        schedule = bl.StepSchedule(bl.STATIC, 0.05)
-        moved = bl.mp_svgd_step(ParticleSet(X), mixed_bn, fam, schedule, 0)
-        moved_p = bl.mp_svgd_step(ParticleSet(X[perm]), mixed_bn, fam,
-                                  bl.StepSchedule(bl.STATIC, 0.05), 0)
+        schedule = bl.StepSchedule(bl.DECAYED, 0.05)
+        moved, _, _ = bl.mp_svgd_step(ParticleSet(X), mixed_bn, fam, schedule, 0)
+        moved_p, _, _ = bl.mp_svgd_step(ParticleSet(X[perm]), mixed_bn, fam,
+                                        bl.StepSchedule(bl.DECAYED, 0.05), 0)
         np.testing.assert_allclose(moved_p.positions, moved.positions[perm],
                                    rtol=1e-10, atol=1e-12)
 
@@ -131,10 +138,13 @@ class TestSvnCtrStep:
         # the driver's forcing tolerance (10% relative residual) is looser:
         # one step covers most of the distance, a few steps converge
         ps = ParticleSet(x[None, :])
-        moved = bl.svn_ctr_step(ps, target, KernelSpec(1.0), radius=1e9)
+        moved, _, radius = bl.svn_ctr_step(ps, target, KernelSpec(1.0),
+                                           radius=1e9)
+        assert radius == 1e9
         assert np.linalg.norm(moved.positions) < 0.3 * np.linalg.norm(x)
         for _ in range(4):
-            moved = bl.svn_ctr_step(moved, target, KernelSpec(1.0), radius=1e9)
+            moved, _, _ = bl.svn_ctr_step(moved, target, KernelSpec(1.0),
+                                          radius=1e9)
         assert np.linalg.norm(moved.positions) < 1e-4
 
     def test_single_factor_matches_frozen_radius_at_iteration(self):
@@ -147,7 +157,8 @@ class TestSvnCtrStep:
 
         # one gradient-driven iteration starts at radius g0/b0 = 1 exactly
         final_at, _ = tr.tr_svi_at_run(ParticleSet(X), target, fam, 1)
-        final_svn = bl.svn_ctr_step(ParticleSet(X), target, kernel, radius=1.0)
+        final_svn, _, _ = bl.svn_ctr_step(ParticleSet(X), target, kernel,
+                                          radius=1.0)
         np.testing.assert_allclose(final_at.positions, final_svn.positions,
                                    rtol=1e-12, atol=1e-12)
 
@@ -169,14 +180,42 @@ class TestStaticStepInstability:
         rng = np.random.default_rng(0)
         center = np.tile([3.0, 3.0], 6)
         ps = ParticleSet(center + 1.5 * rng.standard_normal((50, 12)), seed=0)
-        schedule = bl.StepSchedule(bl.STATIC, 0.1)
+        schedule = bl.StepSchedule(bl.DECAYED, 0.1)   # static: decay 1.0
         mags = []
         for t in range(200):
-            field = graphical_stein_gradient(ps, model, fam)
+            ps, field, _ = bl.mp_svgd_step(ps, model, fam, schedule, t)
             mags.append(np.linalg.norm(field.values))
-            ps = bl.mp_svgd_step(ps, model, fam, schedule, t, field=field)
             if len(mags) > 2 and mags[-1] >= 1.1 * mags[-2]:
                 break
         mags = np.array(mags)
         increases = mags[1:] >= 1.1 * mags[:-1]
         assert increases.any(), "static step should oscillate on this problem"
+
+
+BASELINES = [
+    {"name": "svgd", "step": 0.05},
+    {"name": "mp-svgd-static", "step": 0.1},
+    {"name": "mp-svgd-dlr", "step": 0.1, "decay": 0.97},
+    {"name": "mp-svgd-ag", "step": 0.5},
+    {"name": "svn-ctr", "radius": 0.5},
+]
+
+
+class TestRunnerLoopMatchesOracle:
+    """The runner's one baseline loop against the per-method loops it
+    replaced: bitwise equal final positions and trace records."""
+
+    @pytest.mark.parametrize("method", BASELINES, ids=lambda m: m["name"])
+    @pytest.mark.parametrize("fixture", ["mixed_bn", "small_snlp"])
+    def test_bitwise_equal(self, method, fixture, request):
+        model = request.getfixturevalue(fixture)
+        problem = getattr(model, "spec", None) or model.problem
+        cfg = {**method, "label": method["name"], "iterations": 12}
+        run_cfg = {"particles": 30, "init_center": None, "init_scale": None}
+        final, trace = execute_method(problem, cfg, 1.0, run_cfg, seed=3)
+        kernel = KernelSpec(1.0)
+        ref, records = baseline_loop_run(
+            cfg, initialize_particles(problem, run_cfg, 3), model, kernel,
+            LocalKernelFamily(kernel, model.layout))
+        np.testing.assert_array_equal(final.positions, ref.positions)
+        assert trace.records == records

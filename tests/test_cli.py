@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trsvi.cli import main
-from trsvi.config import ConfigError, validate_config
+from trsvi.config import (
+    METHODS,
+    ConfigError,
+    resolve_method_defaults,
+    validate_config,
+)
 from trsvi.experiment import TRACE_COLUMNS, export_marginals, run_experiment
 from trsvi.model import load_problem, load_samples_csv
 
@@ -75,6 +80,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("method, field", [
+        ({"name": "mp-svgd-ag", "decay": 0.5}, "decay"),
+        ({"name": "mp-svgd-static", "decay": 2.0}, "decay"),
+        ({"name": "mp-svgd-dlr", "stepp": 0.3}, "stepp"),
+        ({"name": "svn-ctr", "step": 0.1}, "step"),
+        ({"name": "tr-svi-at", "radius": 1.0}, "radius"),
+        ({"name": "tr-svi-kl", "nystrom_size": 13}, "nystrom_size"),
+        ({"name": ["svgd"]}, "name"),
+    ])
+    def test_method_fields_checked_against_table(self, method, field):
+        cfg = tiny_config()
+        cfg["method"] = [method]
+        with pytest.raises(ConfigError, match=rf"method\[0\]\.{field}"):
+            validate_config(cfg)
+
+    def test_method_defaults_resolved_from_table(self):
+        methods = [{"name": name} for name in METHODS]
+        cfg = resolve_method_defaults(
+            validate_config(tiny_config(method=methods)), "snlp", 12)
+        fields = {m["name"]: {k: v for k, v in m.items()
+                              if k not in ("name", "label", "iterations")}
+                  for m in cfg["method"]}
+        assert fields == {
+            "tr-svi-at": {},
+            "tr-svi-kl": {"initial_radius": 1.0, "nystrom_size": 1},
+            "mp-svgd-static": {"step": 0.1},
+            "mp-svgd-dlr": {"step": 0.1, "decay": 0.99},
+            "mp-svgd-ag": {"step": 0.5},
+            "svgd": {"step": 0.1},
+            "svn-ctr": {"radius": 1.0},
+        }
+
     @pytest.mark.parametrize("kind", ["bayes_net", "snlp", "file"])
     def test_full_configs_are_valid(self, kind):
         validate_config(full_config(kind))
@@ -129,6 +166,9 @@ def full_config(kind):
              "nystrom_size": 2},
             {"name": "mp-svgd-dlr", "iterations": 8, "step": 0.05,
              "decay": 0.99},
+            {"name": "mp-svgd-static", "iterations": 8, "step": 0.05},
+            {"name": "mp-svgd-ag", "iterations": 8, "step": 0.5},
+            {"name": "svgd", "iterations": 8, "step": 0.05},
             {"name": "svn-ctr", "iterations": 3, "radius": 0.1},
         ],
         "run": {"particles": 12, "seeds": [0, 1], "init_center": [0.0, 1.0],

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import fd_gradient
+from oracles import fd_gradient, local_kernel_eval, rbf_eval
 from trsvi.kernels import (
     DegenerateSampleError,
     KernelSpec,
     LocalKernelFamily,
-    local_kernel_eval,
     median_heuristic,
-    rbf_eval,
     rbf_matrix,
 )
 from trsvi.model import FactorLayout

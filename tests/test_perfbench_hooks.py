@@ -52,3 +52,26 @@ def test_install_wraps_and_uninstall_restores(tracing, mixed_bn):
         tracer.uninstall()
     for ns, name in HOOKS:
         assert vars(ns)[name] is originals[(id(ns), name)], name
+
+
+def test_baseline_runs_record_their_spans(tracing, mixed_bn):
+    """The runner's baseline loop reaches the step, Hessian and subproblem
+    layers through names the tracer wraps."""
+    run_cfg = {"particles": 8, "init_center": None, "init_scale": None}
+    methods = [
+        {"name": "mp-svgd-dlr", "iterations": 3, "step": 0.05, "decay": 0.99},
+        {"name": "svn-ctr", "iterations": 2, "radius": 0.1},
+    ]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        for method in methods:
+            experiment.execute_method(mixed_bn.spec, method, 1.0, run_cfg, 0)
+        spans = tracer.aggregate()
+    finally:
+        tracer.uninstall()
+    assert spans["experiment.execute_method"]["calls"] == 2
+    assert spans["baselines.mp_svgd_step"]["calls"] == 3
+    assert spans["trustregion.solve_subproblems"]["calls"] == 2
+    assert spans["stein.hessian_stack_from_context"]["calls"] == 2
+    assert tracer.counts["cg.statuses"] == 2 * 8
