@@ -106,5 +106,5 @@ def svn_ctr_step(
     ctx = global_context(particles.positions, target.layout, global_kernel)
     field = field_from_context(ctx, target)
     hessians = hessian_stack_from_context(ctx, target)
-    steps, _, _ = solve_subproblems(field, hessians, radius)
+    steps = solve_subproblems(field, hessians, radius).steps
     return particles.advanced(particles.positions + steps), field, radius

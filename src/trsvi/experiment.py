@@ -84,6 +84,9 @@ TRACE_COLUMNS = (
     "accepted",
     "model_decrease",
     "b",
+    "cg_iters",
+    "cg_boundary",
+    "cg_neg_curvature",
     "wall_ms",
 )
 

@@ -9,6 +9,7 @@ little-endian float64 values.
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from .bayesnet import BayesNetSpec, BayesNode
 from .snlp import SnlpEdge, SnlpProblem
 
 SCHEMA_VERSION = 1
+_HEADER_BYTES = 16
 
 
 def problem_to_dict(problem) -> dict:
@@ -111,10 +113,22 @@ def save_samples_csv(path, samples: np.ndarray, names: list[str]) -> None:
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Samples and column names from a CSV; a file without a header, with a
+    row of the wrong length or a value that is not a number raises a
+    ValueError naming the path."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        names = next(reader, None)
+        if not names:
+            raise ValueError(f"{path}: no header row of column names")
+        try:
+            rows = [[float(v) for v in row] for row in reader]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    for k, row in enumerate(rows):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: data row {k + 1} has {len(row)} values, "
+                             f"the header names {len(names)}")
     return np.asarray(rows, dtype=float).reshape(len(rows), len(names)), names
 
 
@@ -126,10 +140,21 @@ def save_samples_binary(path, samples: np.ndarray) -> None:
 
 
 def load_samples_binary(path) -> np.ndarray:
+    """Samples from the packed binary layout; a short header, a negative
+    count or a payload that is not exactly rows * cols values raises a
+    ValueError naming the path."""
+    size = os.path.getsize(path)
+    if size < _HEADER_BYTES:
+        raise ValueError(f"{path}: {size} bytes is shorter than the "
+                         f"{_HEADER_BYTES}-byte (rows, cols) header")
     with open(path, "rb") as fh:
-        shape = np.fromfile(fh, dtype="<i8", count=2)
-        data = np.fromfile(fh, dtype="<f8")
-    rows, cols = int(shape[0]), int(shape[1])
-    if data.size != rows * cols:
-        raise ValueError("binary sample file is truncated")
+        rows, cols = (int(v) for v in np.fromfile(fh, dtype="<i8", count=2))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"{path}: negative shape ({rows}, {cols})")
+        need, payload = 8 * rows * cols, size - _HEADER_BYTES
+        if payload != need:
+            defect = "truncated" if payload < need else "trailing bytes"
+            raise ValueError(f"{path}: {defect}: shape ({rows}, {cols}) needs "
+                             f"{need} payload bytes, file has {payload}")
+        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
     return data.reshape(rows, cols)

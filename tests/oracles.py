@@ -6,6 +6,8 @@ eigendecompositions, explicit double loops, and finite differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -17,7 +19,13 @@ from trsvi.stein import (
     graphical_stein_gradient,
     hessian_stack_from_context,
 )
-from trsvi.trustregion import IterationRecord, solve_subproblems
+from trsvi.trustregion import (
+    BOUNDARY,
+    INTERIOR,
+    NEG_CURVATURE,
+    IterationRecord,
+    solve_subproblems,
+)
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -266,7 +274,7 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
             ctx = global_context(current.positions, model.layout, kernel)
             field = field_from_context(ctx, model)
             hessians = hessian_stack_from_context(ctx, model)
-            steps, _, _ = solve_subproblems(field, hessians, radius)
+            steps = solve_subproblems(field, hessians, radius).steps
             current = current.advanced(current.positions + steps)
             records.append(IterationRecord(t, gradient_magnitude(field),
                                            radius, accepted=True))
@@ -298,3 +306,105 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
         records.append(IterationRecord(t, gradient_magnitude(field), scale,
                                        accepted=True))
     return current, records
+
+
+def scalar_cg_steihaug(
+    hessian_apply,
+    g: np.ndarray,
+    radius: float,
+    tol: float = 0.1,
+    max_iters: int | None = None,
+) -> tuple[np.ndarray, str]:
+    """One system at a time, as the package solved them before CG worked on
+    all particles at once: truncated conjugate gradients that stop on a
+    relative residual below tol, on crossing the boundary, or on negative
+    curvature, where the step runs to the boundary along the current
+    direction."""
+    g = np.asarray(g, dtype=float)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if not np.isfinite(g).all():
+        raise ValueError("gradient must be finite")
+    dim = g.size
+    if max_iters is None:
+        max_iters = dim
+    z = np.zeros(dim)
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == 0.0:
+        return z, INTERIOR
+    r = g.copy()
+    d = -g
+    rr = gnorm**2
+    threshold = tol * gnorm
+    for _ in range(max_iters):
+        dd = float(d @ d)
+        if dd == 0.0:
+            return z, INTERIOR
+        Hd = hessian_apply(d)
+        dHd = float(d @ Hd)
+        if dHd <= 0.0:
+            w = _best_boundary_point(hessian_apply, g, z, d, radius)
+            return w, NEG_CURVATURE
+        alpha = rr / dHd
+        z_next = z + alpha * d
+        if float(np.linalg.norm(z_next)) >= radius:
+            tau = _boundary_tau(z, d, radius)
+            return z + tau * d, BOUNDARY
+        r = r + alpha * Hd
+        rr_next = float(r @ r)
+        z = z_next
+        if math.sqrt(rr_next) < threshold:
+            return z, INTERIOR
+        d = -r + (rr_next / rr) * d
+        rr = rr_next
+    return z, INTERIOR
+
+
+def _boundary_tau(z: np.ndarray, d: np.ndarray, radius: float) -> float:
+    """Positive root of ||z + tau d|| = radius."""
+    dd = float(d @ d)
+    zd = float(z @ d)
+    zz = float(z @ z)
+    disc = zd**2 + dd * (radius**2 - zz)
+    return (-zd + math.sqrt(max(disc, 0.0))) / dd
+
+
+def _best_boundary_point(hessian_apply, g, z, d, radius) -> np.ndarray:
+    """Boundary point along +-d from z with the lower model value."""
+    dd = float(d @ d)
+    zd = float(z @ d)
+    zz = float(z @ z)
+    disc = math.sqrt(max(zd**2 + dd * (radius**2 - zz), 0.0))
+    best, best_val = None, np.inf
+    for tau in ((-zd + disc) / dd, (-zd - disc) / dd):
+        p = z + tau * d
+        val = float(g @ p + 0.5 * p @ hessian_apply(p))
+        if val < best_val:
+            best, best_val = p, val
+    return best
+
+
+def per_particle_solve_subproblems(G, hessians, radius):
+    """The per-particle loop over `scalar_cg_steihaug` that solve_subproblems
+    ran before: returns steps, statuses, the decrease summed in particle
+    order, and each particle's CG iteration count (its Hessian products,
+    less the two that rank the boundary points on negative curvature)."""
+    n, dim = G.shape
+    steps = np.zeros_like(G)
+    statuses, iterations = [], []
+    decrease = 0.0
+    for i in range(n):
+        g = G[i]
+        calls = [0]
+
+        def apply(v, H=hessians[i]):
+            calls[0] += 1
+            return H @ v
+
+        tol = min(0.1, math.sqrt(float(np.linalg.norm(g))))
+        w, status = scalar_cg_steihaug(apply, g, radius, tol=tol, max_iters=dim)
+        steps[i] = w
+        statuses.append(status)
+        iterations.append(calls[0] - (2 if status == NEG_CURVATURE else 0))
+        decrease += float(g @ w + 0.5 * w @ (hessians[i] @ w))
+    return steps, statuses, decrease, np.array(iterations)

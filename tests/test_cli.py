@@ -246,11 +246,15 @@ class TestRunExperiment:
         assert first["accepted"] == "true"
         assert first["model_decrease"] == ""  # not a KL-driver column
         assert float(first["b"]) > 0          # the AdaTrust denominator
+        assert int(first["cg_iters"]) > 0     # CG totals over the particles
+        assert 0 <= int(first["cg_boundary"]) <= 12
+        assert 0 <= int(first["cg_neg_curvature"]) <= 12
         assert first["wall_ms"] == ""         # kept empty for reproducibility
         dlr = artifact / "runs" / "mp-svgd-dlr" / "seed_0" / "trace.csv"
         with open(dlr, newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["model_decrease"] == "" and row["b"] == ""
+        assert row["cg_iters"] == row["cg_boundary"] == ""
 
     def test_kl_trace_fills_rho_columns(self, tmp_path):
         cfg = tiny_config()
@@ -262,6 +266,9 @@ class TestRunExperiment:
         assert all(r["rho"] != "" for r in rows)
         assert all(r["approx_kl_u"] != "" for r in rows)
         assert all(r["model_decrease"] != "" for r in rows)
+        assert all(int(r["cg_iters"]) > 0 for r in rows)
+        assert all(r["cg_boundary"].isdigit() for r in rows)
+        assert all(r["cg_neg_curvature"].isdigit() for r in rows)
         assert all(r["b"] == "" for r in rows)
         assert all(r["accepted"] in ("true", "false") for r in rows)
 

@@ -10,6 +10,7 @@ import pytest
 from trsvi import baselines, experiment, stein, trustregion
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, SnlpModel
+from trsvi.stein import ParticleSet
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -75,3 +76,42 @@ def test_baseline_runs_record_their_spans(tracing, mixed_bn):
     assert spans["trustregion.solve_subproblems"]["calls"] == 2
     assert spans["stein.hessian_stack_from_context"]["calls"] == 2
     assert tracer.counts["cg.statuses"] == 2 * 8
+
+
+def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
+    """`cg_steihaug` stays bound, the traced `solve_subproblems` span gets a
+    statuses list of one entry per particle at result[1], and the tracer's
+    CG counts equal the statuses and the driver's trace columns."""
+    assert callable(vars(trustregion)["cg_steihaug"])
+    n = 10
+    fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+    X = np.random.default_rng(3).normal(size=(n, mixed_bn.layout.total_dim))
+    results = []
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        traced = trustregion.solve_subproblems
+
+        def capture(*args):
+            results.append(traced(*args))
+            return results[-1]
+
+        trustregion.solve_subproblems = capture
+        _, trace = trustregion.tr_svi_at_run(ParticleSet(X), mixed_bn, fam, 4)
+        spans = tracer.aggregate()
+    finally:
+        trustregion.solve_subproblems = traced
+        tracer.uninstall()
+    assert spans["trustregion.solve_subproblems"]["calls"] == len(results) == 4
+    statuses = [s for result in results for s in result[1]]
+    assert all(isinstance(result[1], list) and len(result[1]) == n
+               for result in results)
+    assert tracer.counts["cg.statuses"] == len(statuses) == 4 * n
+    boundary = statuses.count(trustregion.BOUNDARY)
+    negative = statuses.count(trustregion.NEG_CURVATURE)
+    assert tracer.counts["cg.boundary"] == boundary
+    assert tracer.counts["cg.neg_curvature"] == negative
+    assert sum(r.cg_boundary for r in trace.records) == boundary
+    assert sum(r.cg_neg_curvature for r in trace.records) == negative
+    assert [r.cg_iters for r in trace.records] == [
+        int(result.iterations.sum()) for result in results]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trsvi.model import (
     BayesNetConfig,
@@ -95,3 +97,67 @@ def test_truncated_binary_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_samples_binary(path)
+
+
+# -- malformed sample files -------------------------------------------------
+
+def _raises_naming(path, loader, match):
+    with pytest.raises(ValueError, match=match) as info:
+        loader(path)
+    assert str(path) in str(info.value)
+
+
+def test_csv_without_header_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    _raises_naming(path, load_samples_csv, "header")
+
+
+def test_csv_non_numeric_value_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,x1\r\n1.0,2.0\r\n3.0,abc\r\n")
+    _raises_naming(path, load_samples_csv, "line 3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cols=st.integers(1, 5),
+    widths=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+)
+def test_ragged_csv_rejected(tmp_path_factory, cols, widths):
+    path = tmp_path_factory.mktemp("csv") / "ragged.csv"
+    lines = [",".join(f"x{j}" for j in range(cols))]
+    lines += [",".join(["0.5"] * w) for w in widths]
+    path.write_text("\r\n".join(lines) + "\r\n")
+    if all(w == cols for w in widths):
+        loaded, _ = load_samples_csv(path)
+        assert loaded.shape == (len(widths), cols)
+    else:
+        _raises_naming(path, load_samples_csv, "data row")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 4), data=st.data())
+def test_truncated_or_padded_binary_rejected(tmp_path_factory, rows, cols,
+                                             data):
+    path = tmp_path_factory.mktemp("bin") / "samples.bin"
+    save_samples_binary(path, np.ones((rows, cols)))
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw)), label="kept bytes")
+    extra = data.draw(st.binary(max_size=20), label="trailing bytes")
+    path.write_bytes(raw[:cut] + (extra if cut == len(raw) else b""))
+    if cut == len(raw) and not extra:
+        assert load_samples_binary(path).shape == (rows, cols)
+    elif cut < 16:
+        _raises_naming(path, load_samples_binary, "header")
+    else:
+        _raises_naming(path, load_samples_binary, "truncated|trailing")
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(st.integers(-2**40, 8), st.integers(-2**40, 8)).filter(
+    lambda s: min(s) < 0))
+def test_negative_binary_shape_rejected(tmp_path_factory, shape):
+    path = tmp_path_factory.mktemp("bin") / "negative.bin"
+    path.write_bytes(np.asarray(shape, dtype="<i8").tobytes() + bytes(64))
+    _raises_naming(path, load_samples_binary, "negative shape")

@@ -241,7 +241,7 @@ class TestHessianApply:
     def test_zero_vector(self, mixed_bn):
         field, stack = self._field_and_stack(mixed_bn)
         field.values[:] = 0.0
-        steps, statuses, decrease = solve_subproblems(field, stack, 1.0)
+        steps, statuses, decrease, _ = solve_subproblems(field, stack, 1.0)
         np.testing.assert_array_equal(steps, np.zeros_like(steps))
         assert statuses == ["interior"] * 6 and decrease == 0.0
 

@@ -4,12 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import exact_trust_region, model_value, power_iteration_norm
+from oracles import (
+    exact_trust_region,
+    model_value,
+    per_particle_solve_subproblems,
+    power_iteration_norm,
+)
 from targets import GaussianTarget
 from trsvi import trustregion as tr
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
-from trsvi.stein import ParticleSet, graphical_hessians, graphical_stein_gradient
+from trsvi.model.layout import FactorLayout
+from trsvi.stein import (
+    ParticleSet,
+    SteinGradientField,
+    graphical_hessians,
+    graphical_stein_gradient,
+)
 
 
 def random_symmetric(rng, dim, indefinite):
@@ -419,7 +430,8 @@ class TestSolveSubproblems:
         field = graphical_stein_gradient(ps, mixed_bn, fam)
         hessians = graphical_hessians(ps, mixed_bn, fam)
         radius = 0.5
-        steps, statuses, decrease = tr.solve_subproblems(field, hessians, radius)
+        steps, statuses, decrease, _ = tr.solve_subproblems(field, hessians,
+                                                            radius)
         assert decrease <= 0
         norms = np.linalg.norm(steps, axis=1)
         assert np.all(norms <= radius * (1 + 1e-10))
@@ -427,3 +439,158 @@ class TestSolveSubproblems:
         expected = sum(model_value(H, g, w) for H, g, w
                        in zip(hessians, field.values, steps))
         assert decrease == pytest.approx(expected, rel=1e-12)
+
+
+def spd_stack(rng, n, dim):
+    A = rng.normal(size=(n, dim, dim))
+    return A @ A.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+
+
+def indefinite_stack(rng, n, dim):
+    A = rng.normal(size=(n, dim, dim))
+    return 0.5 * (A + A.transpose(0, 2, 1))
+
+
+def rank_deficient_stack(rng, n, dim):
+    """SPD on a random half of the coordinates and exactly zero elsewhere, so
+    curvature along the null space is exactly zero, not rounding noise of
+    either sign (for which the oracle's and the batched status could
+    legitimately differ)."""
+    rank = max(1, dim // 2)
+    H = np.zeros((n, dim, dim))
+    for i in range(n):
+        keep = rng.permutation(dim)[:rank]
+        H[i][np.ix_(keep, keep)] = spd_stack(rng, 1, rank)[0]
+    return H
+
+
+def oracle_systems(seed):
+    """(name, gradients, Hessian stack, radius) cases for the batched solver:
+    every row is its own system, and each case mixes rows that stop
+    differently within one call."""
+    rng = np.random.default_rng(seed)
+    n, dim = 24, 8
+    cases = []
+    for radius in (1e-12, 0.3, 3.0, 1e12):
+        cases.append(("spd", rng.normal(size=(n, dim)),
+                      spd_stack(rng, n, dim), radius))
+        cases.append(("indefinite", rng.normal(size=(n, dim)),
+                      indefinite_stack(rng, n, dim), radius))
+    # below ||g|| = 0.01 the relative tolerance sqrt(||g||) is the tighter one
+    cases.append(("small gradients", 10.0**rng.uniform(-8, -1, size=(n, 1))
+                  * rng.normal(size=(n, dim)), spd_stack(rng, n, dim), 1.0))
+    H = rank_deficient_stack(rng, n, dim)
+    G = rng.normal(size=(n, dim))
+    null = np.all(H == 0.0, axis=1)          # coordinates outside the range
+    G[::4] *= null[::4]                      # gradients in the null space
+    G[1::4] *= ~null[1::4]                   # consistent systems
+    cases.append(("rank-deficient", G, H, 1.0))
+    H = np.concatenate([spd_stack(rng, n // 2, dim),
+                        indefinite_stack(rng, n // 2, dim)])
+    G = rng.normal(size=(n, dim))
+    G[::3] = 0.0
+    cases.append(("zero-gradient rows", G, H, 1.0))
+    # large curvature keeps the Newton step inside, small curvature pushes
+    # it out, and negated SPD rows give negative curvature at once
+    scale = np.repeat([100.0, 1e-2, -1.0], n // 3)
+    cases.append(("three statuses", rng.normal(size=(n, dim)),
+                  scale[:, None, None] * spd_stack(rng, n, dim), 1.0))
+    h = rng.normal(size=(n, 1, 1))
+    h[:3] = 0.0
+    g = rng.normal(size=(n, 1))
+    g[3:6] = 0.0
+    cases.append(("dim 1", g, h, 0.5))
+    # the hard case of exact_trust_region: g orthogonal to the eigenvector
+    # of the negative eigenvalue, which CG then never sees
+    lam = np.array([-1.0, 1.0, 2.0, 3.0])
+    H = np.repeat(np.diag(lam)[None], n, axis=0)
+    G = rng.normal(size=(n, 4))
+    G[:, 0] = 0.0
+    cases.append(("hard case", G, H, 2.0))
+    return cases
+
+
+# Measured worst case of the batched solver against the per-particle oracle,
+# over oracle_systems(seed) for seeds 0..299 and over the mixed_bn stacks of
+# test_stein_hessian_stacks for particle seeds 0..99: statuses and iteration
+# counts always equal; step difference 2.8e-9 of the oracle's step norm
+# (SPD rows that run many CG iterations; 1.8e-14 on the mixed_bn stacks);
+# per-row model value difference 1.3e-13 relative, summed decrease 7.1e-15.
+# The two differ only in the summation order of their dot products (einsum
+# against BLAS ddot), which CG amplifies along weakly curved directions; the
+# model value barely depends on those.  Each bound is its worst case rounded
+# up to the next power of ten.
+STEP_RTOL = 1e-8
+MODEL_RTOL = 1e-12
+
+
+def field_of(G):
+    """A Stein field holding G under a single-factor layout."""
+    dim = G.shape[1]
+    whole = np.arange(dim)
+    return SteinGradientField(FactorLayout((whole,), (whole,), dim), G)
+
+
+def assert_matches_oracle(G, H, radius):
+    field = field_of(G)
+    got = tr.solve_subproblems(field, H, radius)
+    steps, statuses, decrease, iterations = per_particle_solve_subproblems(
+        G, H, radius)
+    assert got.statuses == statuses
+    np.testing.assert_array_equal(got.iterations, iterations)
+    norms = np.linalg.norm(steps, axis=1)
+    assert np.all(np.linalg.norm(got.steps - steps, axis=1)
+                  <= STEP_RTOL * norms)
+    assert np.all(np.linalg.norm(got.steps, axis=1) <= radius * (1 + 1e-12))
+    models = [model_value(h, g, w) for h, g, w in zip(H, G, steps)]
+    got_models = [model_value(h, g, w) for h, g, w in zip(H, G, got.steps)]
+    assert np.all(np.abs(np.subtract(got_models, models))
+                  <= MODEL_RTOL * np.abs(models))
+    assert abs(got.decrease - decrease) <= MODEL_RTOL * abs(decrease)
+    return got
+
+
+class TestBatchedMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_and_adversarial_systems(self, seed):
+        for name, G, H, radius in oracle_systems(seed):
+            got = assert_matches_oracle(G, H, radius)
+            if name == "three statuses":
+                assert set(got.statuses) == set(tr.STATUSES)
+            if name == "zero-gradient rows":
+                assert not got.steps[::3].any()
+                assert not got.iterations[::3].any()
+
+    def test_hard_case_stays_in_the_gradient_subspace(self):
+        _, G, H, radius = oracle_systems(0)[-1]
+        got = assert_matches_oracle(G, H, radius)
+        assert not got.steps[:, 0].any()
+        for g, h, w in zip(G, H, got.steps):
+            exact = exact_trust_region(h, g, radius)
+            assert model_value(h, g, w) >= model_value(h, g, exact) - 1e-12
+
+    @pytest.mark.parametrize("radius", [0.05, 0.5, 5.0])
+    def test_stein_hessian_stacks(self, mixed_bn, radius):
+        fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+        rng = np.random.default_rng(17)
+        ps = ParticleSet(rng.normal(size=(30, mixed_bn.layout.total_dim)))
+        field = graphical_stein_gradient(ps, mixed_bn, fam)
+        assert_matches_oracle(field.values,
+                              graphical_hessians(ps, mixed_bn, fam), radius)
+
+    def test_rejects_bad_inputs(self):
+        rng = np.random.default_rng(0)
+        G = rng.normal(size=(3, 2))
+        H = spd_stack(rng, 3, 2)
+        field = field_of(G)
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                tr.solve_subproblems(field, H, radius)
+        for bad in (H[0], H[:, :1], H[:2], list(H)):
+            with pytest.raises(ValueError, match="stack"):
+                tr.solve_subproblems(field, bad, 1.0)
+        # the field checks finiteness itself; the solver checks again for
+        # values changed after construction
+        field.values[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            tr.solve_subproblems(field, H, 1.0)
