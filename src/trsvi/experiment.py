@@ -47,7 +47,12 @@ from .config import (
     validate_config,
 )
 from .evaluation import MmdReference, gradient_magnitude, metropolis_reference
-from .kernels import KernelSpec, LocalKernelFamily, median_heuristic
+from .kernels import (
+    MEDIAN_SUBSAMPLE,
+    KernelSpec,
+    LocalKernelFamily,
+    median_heuristic,
+)
 from .model import (
     BayesNetConfig,
     BayesNetModel,
@@ -335,7 +340,7 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         },
         "output": {
             **config["output"],
-            "median_heuristic_subsample_cap": 10_000,
+            "median_heuristic_subsample_cap": MEDIAN_SUBSAMPLE,
         },
         "problem_warnings": list(getattr(problem, "warnings", ())),
     }

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial.distance import pdist
 
 from trsvi.evaluation import gradient_magnitude
+from trsvi.kernels import MEDIAN_SUBSAMPLE, DegenerateSampleError
 from trsvi.stein import (
     field_from_context,
     global_context,
@@ -131,6 +133,26 @@ def naive_mmd(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
     n, m = X.shape[0], Y.shape[0]
     return pair_sum(X, X) / n**2 - 2.0 * pair_sum(X, Y) / (n * m) \
         + pair_sum(Y, Y) / m**2
+
+
+def pdist_median_heuristic(samples: np.ndarray, seed: int = 0) -> float:
+    """The median heuristic as np.median over the full pdist vector, with
+    the package's seeded subsample above MEDIAN_SUBSAMPLE rows."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 1:
+        samples = samples[:, None]
+    if samples.shape[0] < 2:
+        raise ValueError("median heuristic needs at least two rows")
+    if samples.shape[0] > MEDIAN_SUBSAMPLE:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(samples.shape[0], size=MEDIAN_SUBSAMPLE, replace=False)
+        samples = samples[np.sort(idx)]
+    value = float(np.median(pdist(samples)))
+    if value == 0.0:
+        raise DegenerateSampleError(
+            "median pairwise distance is zero (coincident sample rows)"
+        )
+    return value
 
 
 def linear_gaussian_moments(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

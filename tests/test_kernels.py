@@ -1,11 +1,19 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
-from oracles import fd_gradient, local_kernel_eval, rbf_eval
+from oracles import fd_gradient, local_kernel_eval, pdist_median_heuristic, rbf_eval
+from trsvi import kernels
+from trsvi.experiment import build_problem, ground_truth_sample
 from trsvi.kernels import (
+    MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
     KernelSpec,
     LocalKernelFamily,
@@ -136,6 +144,126 @@ class TestMedianHeuristic:
         assert a == b
         assert a != c    # different subsample
         assert a == pytest.approx(median_heuristic(big[:10_000]), rel=0.05)
+
+
+def _same_as_oracle(X, seed=0):
+    """median_heuristic equals the pdist + np.median oracle bitwise, or both
+    reject the sample as degenerate."""
+    try:
+        expected = pdist_median_heuristic(X, seed=seed)
+    except DegenerateSampleError:
+        with pytest.raises(DegenerateSampleError):
+            median_heuristic(X, seed=seed)
+        return
+    assert median_heuristic(X, seed=seed) == expected
+
+
+# the whole real line brackets up to 362 rows (65 341 pairs); blocks are
+# 256 rows, so the explicit examples sit on both sides of each switch
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=1500),
+       d=st.integers(min_value=1, max_value=12),
+       log_scale=st.integers(min_value=-6, max_value=6),
+       rounded=st.booleans(),
+       flat=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=362, d=3, log_scale=0, rounded=False, flat=False, seed=1)
+@example(n=363, d=3, log_scale=0, rounded=False, flat=False, seed=1)
+@example(n=256, d=2, log_scale=0, rounded=True, flat=False, seed=2)
+@example(n=257, d=2, log_scale=0, rounded=True, flat=False, seed=2)
+@example(n=1500, d=1, log_scale=6, rounded=True, flat=True, seed=3)
+@example(n=1025, d=12, log_scale=-6, rounded=False, flat=False, seed=4)
+def test_median_heuristic_is_bitwise_pdist_median(n, d, log_scale, rounded,
+                                                   flat, seed):
+    X = np.random.default_rng(seed).normal(size=(n, d))
+    if rounded:
+        X = np.round(X)   # tied and zero distances
+    X *= 10.0 ** log_scale
+    _same_as_oracle(X[:, 0] if flat else X)
+
+
+class TestMedianHeuristicExact:
+    def test_bn10_desk_ground_truth(self):
+        """The 6000-row ground truth the desk benchmark evaluates with."""
+        root = Path(__file__).resolve().parents[1]
+        cfg = yaml.safe_load((root / "configs" / "bn10_desk.yaml").read_text())
+        X = ground_truth_sample(build_problem(cfg["problem"]),
+                                {"samples": 6000, "seed": 1000})
+        _same_as_oracle(X)
+
+    def test_above_subsample_cap(self):
+        X = np.random.default_rng(8).normal(size=(MEDIAN_SUBSAMPLE + 50, 3))
+        _same_as_oracle(X, seed=5)
+
+    # first bracket edges: offsets from the lower (lo) and upper (hi) middle
+    # rank of the sorted exact distances, a fixed float, or None (open side)
+    @pytest.mark.parametrize("n", [40, 600, 602])
+    @pytest.mark.parametrize("edges, missed", [
+        ((-3, 3), None),
+        ((0, 0), None),        # edges on the middle values themselves
+        ((-3, None), None),
+        ((None, 3), None),
+        ((1, None), "lo"),     # the lower middle value lies below lo
+        ((None, -1), "hi"),    # the upper middle value lies above hi
+        ((np.inf, None), "lo"),
+        ((None, -np.inf), "hi"),
+    ])
+    def test_bracket_edges_on_pair_distances(self, monkeypatch, n, edges,
+                                             missed):
+        """Bracket edges that are themselves pair distances (ties at lo and
+        hi) give the exact value; a bracket that misses a middle rank is
+        widened on the missed side only and the pass repeated."""
+        X = np.random.default_rng(9).normal(size=(n, 4))
+        exact = np.sort(pdist(X))
+        pairs = exact.size
+        middle = (pairs // 2 - 1 + pairs % 2, pairs // 2)
+
+        def edge(k, offset, open_value):
+            if offset is None:
+                return open_value
+            if isinstance(offset, float):
+                return offset
+            return exact[middle[k] + offset]
+
+        calls = []
+        real = kernels._bracket
+
+        def first_given(sample, sigmas_lo, sigmas_hi):
+            calls.append((sigmas_lo, sigmas_hi))
+            if len(calls) == 1:
+                return edge(0, edges[0], -np.inf), edge(1, edges[1], np.inf)
+            return real(sample, sigmas_lo, sigmas_hi)
+
+        monkeypatch.setattr(kernels, "_bracket", first_given)
+        _same_as_oracle(X)
+        assert len(calls) == (1 if missed is None else 2)
+        if missed is not None:
+            (lo0, hi0), (lo1, hi1) = calls
+            if missed == "lo":
+                assert lo1 > lo0 and hi1 == hi0
+            else:
+                assert hi1 > hi0 and lo1 == lo0
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        X = np.random.default_rng(10).normal(size=(6000, 10))
+        tracemalloc.start()
+        try:
+            median_heuristic(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full pdist vector alone is 144 MB
+        assert peak < 48e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_named(self, bad):
+        X = np.random.default_rng(11).normal(size=(30, 2))
+        X[17, 1] = bad
+        with pytest.raises(ValueError, match="finite.*row 17") as err:
+            median_heuristic(X)
+        assert not isinstance(err.value, DegenerateSampleError)
+        with pytest.raises(ValueError, match="row 17"):
+            median_heuristic(X[:, 1])
 
 
 class TestKernelMatrix:

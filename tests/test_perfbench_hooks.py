@@ -21,6 +21,8 @@ HOOKS = [
     for name in ("hessian_stack_from_context", "solve_subproblems",
                  "field_from_context")
 ] + [(trustregion, "cg_steihaug")] + [
+    (ns, "median_heuristic") for ns in (trustregion, experiment)
+] + [
     (cls, "hessian_batch") for cls in (BayesNetModel, SnlpModel)
 ]
 
@@ -115,3 +117,26 @@ def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
     assert sum(r.cg_neg_curvature for r in trace.records) == negative
     assert [r.cg_iters for r in trace.records] == [
         int(result.iterations.sum()) for result in results]
+
+
+def test_evaluate_records_one_median_heuristic_span(tracing, tmp_path):
+    """`trsvi evaluate` reaches the median heuristic through the name the
+    tracer wraps, once per artifact."""
+    config = {
+        "problem": {"kind": "bayes_net", "layer_sizes": [2, 2],
+                    "max_parents": 2, "gmm_nodes": 1, "seed": 5},
+        "kernel": {"lengthscale": 1.0},
+        "method": [{"name": "tr-svi-at", "iterations": 2}],
+        "run": {"particles": 6, "seeds": [0]},
+        "output": {"ground_truth": {"samples": 300}, "mmd": False},
+    }
+    artifact = experiment.run_experiment(config, tmp_path / "run")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        report = experiment.evaluate_artifact(artifact)
+        spans = tracer.aggregate()
+    finally:
+        tracer.uninstall()
+    assert spans["kernels.median_heuristic"]["calls"] == 1
+    assert report["kernel_lengthscale"] > 0
