@@ -2,8 +2,8 @@
 
 Particle-based posterior approximation that exploits conditional-independence
 structure through local kernels, second-order information through blanket-
-sparse Hessians, and adaptive step control through two trust-region drivers,
-plus the first-order and global-kernel baselines they are compared against.
+sparse Hessians, and adaptive step control on one trust-region loop, plus
+the first-order and global-kernel baselines it is compared against.
 """
 
 from . import baselines, evaluation, kernels, model, stein, trustregion

@@ -1,6 +1,6 @@
-"""Reference SVI updates used as ablations: plain SVGD, message-passing SVGD
-with static / decayed / AdaGrad step rules, and the global-kernel Newton step
-with a constant trust region.
+"""First-order SVI updates used as ablations: plain SVGD, and message-passing
+SVGD with static / decayed / AdaGrad step rules.  (The SVN-CTR ablation is
+the trust-region loop with a constant radius, in `trustregion`.)
 
 Every update is synchronous: all particle moves are computed from the
 pre-step particle matrix, then applied at once.  Each step function returns
@@ -15,16 +15,13 @@ import numpy as np
 
 from .kernels import KernelSpec, LocalKernelFamily
 from .model.layout import TargetModel
-from .stein import (
-    ParticleSet,
-    SteinGradientField,
-    field_from_context,
-    global_context,
-    global_stein_gradient,
-    graphical_stein_gradient,
-    hessian_stack_from_context,
-)
-from .trustregion import solve_subproblems
+from .stein import (ParticleSet, SteinGradientField, global_stein_gradient,
+                    graphical_stein_gradient)
+
+# Not called here; perfbench/tracing.py patches these names in this module.
+from .stein import (  # noqa: F401
+    field_from_context, global_context, hessian_stack_from_context)
+from .trustregion import solve_subproblems  # noqa: F401
 
 DECAYED = "decayed"
 ADAGRAD = "adagrad"
@@ -92,19 +89,3 @@ def mp_svgd_step(
     return (particles.advanced(particles.positions + displacement), field,
             schedule.step_size(t))
 
-
-def svn_ctr_step(
-    particles: ParticleSet,
-    target: TargetModel,
-    global_kernel: KernelSpec,
-    radius: float,
-) -> tuple[ParticleSet, SteinGradientField, float]:
-    """One Newton step per particle under the global kernel, solved inside a
-    constant trust region and applied unconditionally."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    ctx = global_context(particles.positions, target.layout, global_kernel)
-    field = field_from_context(ctx, target)
-    hessians = hessian_stack_from_context(ctx, target)
-    steps = solve_subproblems(field, hessians, radius).steps
-    return particles.advanced(particles.positions + steps), field, radius

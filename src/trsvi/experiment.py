@@ -31,14 +31,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .baselines import (
-    ADAGRAD,
-    DECAYED,
-    StepSchedule,
-    mp_svgd_step,
-    svgd_step,
-    svn_ctr_step,
-)
+from .baselines import ADAGRAD, DECAYED, StepSchedule, mp_svgd_step, svgd_step
 from .config import (
     ConfigError,
     bundled_defaults,
@@ -70,14 +63,17 @@ from .model import (
     save_samples_binary,
     save_samples_csv,
 )
-from .stein import ParticleSet
-from .trustregion import IterationRecord, RunTrace, tr_svi_at_run, tr_svi_kl_run
+from .stein import ParticleSet, global_context
+from .trustregion import (ConstantRadius, IterationRecord, RunTrace,
+                          tr_svi_at_run, tr_svi_kl_run, trust_region_run)
 
 # Not called here; perfbench/tracing.py patches these names in this module.
 from .stein import (  # noqa: F401
-    field_from_context, global_context, global_stein_gradient,
-    graphical_stein_gradient, hessian_stack_from_context)
+    field_from_context, global_stein_gradient, graphical_stein_gradient,
+    hessian_stack_from_context)
 from .trustregion import solve_subproblems  # noqa: F401
+
+TRUST_REGION_METHODS = ("tr-svi-at", "tr-svi-kl", "svn-ctr")
 
 TRACE_COLUMNS = (
     "iteration",
@@ -202,31 +198,38 @@ def execute_method(problem, method_cfg: dict, lengthscale: float,
     particles = initialize_particles(problem, run_cfg, seed)
     kernel = KernelSpec(lengthscale)
     family = LocalKernelFamily(kernel, model.layout)
-    name = method_cfg["name"]
-    iterations = method_cfg["iterations"]
-
-    if name == "tr-svi-at":
-        return tr_svi_at_run(particles, model, family, iterations)
-    if name == "tr-svi-kl":
-        return tr_svi_kl_run(
-            particles, model, family, method_cfg["initial_radius"], iterations,
-            seed=seed, nystrom_size=method_cfg["nystrom_size"],
-        )
+    if method_cfg["name"] in TRUST_REGION_METHODS:
+        return _trust_region_run(method_cfg, particles, model, kernel, family,
+                                 seed)
     step = _baseline_step(method_cfg, model, kernel, family)
     trace = RunTrace()
-    for t in range(iterations):
+    for t in range(method_cfg["iterations"]):
         particles, field, size = step(particles, t)
         trace.append(IterationRecord(t, gradient_magnitude(field), size,
                                      accepted=True))
     return particles, trace
 
 
+def _trust_region_run(cfg: dict, particles, model, kernel, family, seed: int):
+    """The trust-region loop under the method's kernels and step control."""
+    iterations = cfg["iterations"]
+    if cfg["name"] == "tr-svi-at":
+        return tr_svi_at_run(particles, model, family, iterations)
+    if cfg["name"] == "tr-svi-kl":
+        return tr_svi_kl_run(
+            particles, model, family, cfg["initial_radius"], iterations,
+            seed=seed, nystrom_size=cfg["nystrom_size"],
+        )
+    return trust_region_run(
+        particles, model, lambda X: global_context(X, model.layout, kernel),
+        ConstantRadius(cfg["radius"]), iterations,
+    )
+
+
 def _baseline_step(cfg: dict, model, kernel, family):
-    """A baseline's update (particles, t) -> (particles, field, step size)."""
+    """A first-order update (particles, t) -> (particles, field, step size)."""
     if cfg["name"] == "svgd":
         return lambda ps, t: svgd_step(ps, model, kernel, cfg["step"])
-    if cfg["name"] == "svn-ctr":
-        return lambda ps, t: svn_ctr_step(ps, model, kernel, cfg["radius"])
     kind = ADAGRAD if cfg["name"] == "mp-svgd-ag" else DECAYED
     schedule = StepSchedule(kind, cfg["step"], decay=cfg.get("decay", 1.0))
     return lambda ps, t: mp_svgd_step(ps, model, family, schedule, t)

@@ -193,41 +193,3 @@ def global_stein_gradient(
     ctx = global_context(particles.positions, target.layout, kernel)
     return field_from_context(ctx, target)
 
-
-def graphical_hessians(
-    particles: ParticleSet, target: TargetModel, local_kernels: LocalKernelFamily
-) -> np.ndarray:
-    """Second-variation Hessian of every particle, local-kernel variant, as
-    an (n, dim, dim) stack."""
-    _check_layouts(target, local_kernels.layout)
-    ctx = local_context(particles.positions, local_kernels)
-    return hessian_stack_from_context(ctx, target)
-
-
-def global_hessians(
-    particles: ParticleSet, target: TargetModel, kernel: KernelSpec
-) -> np.ndarray:
-    """Dense analogue of the graphical Hessians under the global kernel."""
-    ctx = global_context(particles.positions, target.layout, kernel)
-    return hessian_stack_from_context(ctx, target)
-
-
-def graphical_hessian(
-    particles: ParticleSet,
-    target: TargetModel,
-    local_kernels: LocalKernelFamily,
-    i: int,
-) -> np.ndarray:
-    """(dim, dim) second-variation Hessian of particle i, local-kernel variant."""
-    if not 0 <= i < particles.n:
-        raise IndexError("particle index out of range")
-    return graphical_hessians(particles, target, local_kernels)[i]
-
-
-def global_hessian(
-    particles: ParticleSet, target: TargetModel, kernel: KernelSpec, i: int
-) -> np.ndarray:
-    """(dim, dim) second-variation Hessian of particle i, global kernel."""
-    if not 0 <= i < particles.n:
-        raise IndexError("particle index out of range")
-    return global_hessians(particles, target, kernel)[i]

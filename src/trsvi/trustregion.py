@@ -1,12 +1,13 @@
 """Trust-region machinery: the CG-Steihaug subproblem solver, the Nystrom
-KL-divergence estimate, and the two step-control drivers.
+KL-divergence estimate, and one trust-region loop with three controllers.
 
-Both drivers solve one decoupled Newton system per particle inside a shared
-radius; the max-over-particles step norm makes the joint trust-region problem
-separable, so the per-particle solves are independent.  The KL driver adjusts
-the radius from the agreement between predicted and estimated KL change and
-can reject steps; the gradient driver adapts the radius purely from gradient
-magnitudes and always applies its steps.
+Each iteration of `trust_region_run` solves one decoupled Newton system per
+particle inside a shared radius; the max-over-particles step norm makes the
+joint problem separable.  The controller sets the radius and judges each
+proposal: `AdaTrustState` (tr-svi-at) from gradient magnitudes alone, taking
+every step; `TrustRegionKLState` (tr-svi-kl) from the agreement between
+predicted and estimated KL change, rejecting some steps; `ConstantRadius`
+(svn-ctr, under the global kernel) keeps one radius and takes every step.
 """
 
 from __future__ import annotations
@@ -177,65 +178,8 @@ def approx_kl(
 
 
 @dataclass
-class TrustRegionKLState:
-    """Shared radius of the KL driver plus its last agreement ratio."""
-
-    radius: float
-    iteration: int = 0
-    last_rho: float | None = None
-
-    SHRINK_BELOW = 1e-4
-    EXPAND_ABOVE = 0.7
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def update(self, rho: float) -> bool:
-        """Apply the radius transition for one agreement ratio; returns
-        whether the step is accepted (any nonnegative ratio)."""
-        if rho < self.SHRINK_BELOW:
-            self.radius = self.radius / 2.0
-        elif rho > self.EXPAND_ABOVE:
-            self.radius = 1.5 * self.radius
-        self.last_rho = rho
-        self.iteration += 1
-        return not rho < 0.0
-
-
-@dataclass
-class AdaTrustState:
-    """Gradient-magnitude driver state: radius is g / b.
-
-    b grows (up to the frozen b_max) while the gradient stalls and shrinks
-    (down to b_min) whenever a new lowest gradient magnitude is seen.
-    """
-
-    b: float
-    w: float
-    g: float
-    b_max: float
-    b_min: float = 0.1
-
-    @classmethod
-    def initialize(cls, g0: float) -> "AdaTrustState":
-        return cls(b=g0, w=g0, g=g0, b_max=g0)
-
-    def radius(self) -> float:
-        return self.g / self.b
-
-    def update(self, g_new: float) -> None:
-        if g_new < 0.999 * self.w:
-            self.b = max(self.b_min, 0.9 * self.b)
-            self.w = g_new
-        else:
-            self.b = min(self.b_max, self.b + g_new**2 / self.b)
-        self.g = g_new
-
-
-@dataclass
 class IterationRecord:
-    """One driver iteration; fields not meaningful for a driver stay None."""
+    """One iteration of a method; fields it does not set stay None."""
 
     iteration: int
     gradient_magnitude: float
@@ -309,8 +253,204 @@ def solve_subproblems(
     return Subproblems(steps, statuses, decrease, iterations)
 
 
-def _median_kernel(X: np.ndarray) -> KernelSpec:
-    return KernelSpec(median_heuristic(X))
+class Trial(NamedTuple):
+    """One solved iteration, as a controller judges it."""
+
+    particles: ParticleSet
+    field: SteinGradientField
+    solution: Subproblems
+    proposal: np.ndarray
+
+
+class Verdict(NamedTuple):
+    """Acceptance, the controller's own IterationRecord fields, and a stop."""
+
+    accepted: bool
+    record: dict
+    stop: bool = False
+
+
+@dataclass
+class TrustRegionKLState:
+    """KL-ratio step control (tr-svi-kl): the shared radius, the Nystrom
+    subset size of the KL estimate (None: a tenth of the particles, at least
+    one) and the seed of the per-iteration subset seeds."""
+
+    radius: float
+    nystrom_size: int | None = None
+    seed: int = 0
+    _rng: np.random.Generator = dataclass_field(init=False)
+    # (positions, median kernel) of the current particles, matched by identity
+    _kernel: tuple = dataclass_field(default=(None, None), init=False, compare=False)
+
+    SHRINK_BELOW = 1e-4
+    EXPAND_ABOVE = 0.7
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
+        self._rng = np.random.default_rng(self.seed)
+
+    def update(self, rho: float) -> bool:
+        """Apply the radius transition for one agreement ratio; returns
+        whether the step is accepted (any nonnegative ratio)."""
+        if rho < self.SHRINK_BELOW:
+            self.radius = self.radius / 2.0
+        elif rho > self.EXPAND_ABOVE:
+            self.radius = 1.5 * self.radius
+        return not rho < 0.0
+
+    def begin(self, g0: float, warnings: list[str]) -> bool:
+        return True
+
+    def trial_radius(self) -> float:
+        return self.radius
+
+    def judge(self, trial: Trial, target: TargetModel, field_at) -> Verdict:
+        """rho = (u - o) / model, with KL estimates u of the proposal and o
+        of the current particles; a model predicting no decrease halves the
+        radius and keeps the particles, and one at a zero gradient stops."""
+        gmag = gradient_magnitude(trial.field)
+        model = trial.solution.decrease
+        subset_seed = int(self._rng.integers(0, 2**63 - 1))
+        if model == 0.0 and gmag == 0.0:
+            return Verdict(False, {"gradient_magnitude": gmag}, stop=True)
+        if model >= 0.0:
+            self.radius /= 2.0
+            return Verdict(False, {"gradient_magnitude": gmag})
+        current = trial.particles
+        m = (max(1, current.n // 10) if self.nystrom_size is None
+             else int(self.nystrom_size))
+        kernel_u = KernelSpec(median_heuristic(trial.proposal))
+        u = approx_kl(ParticleSet(trial.proposal, current.iteration,
+                                  current.seed), target, m, kernel_u, subset_seed)
+        if self._kernel[0] is not current.positions:
+            self._kernel = (current.positions,
+                            KernelSpec(median_heuristic(current.positions)))
+        o = approx_kl(current, target, m, self._kernel[1], subset_seed)
+        rho = (u - o) / model
+        accepted = self.update(rho)
+        if accepted:
+            self._kernel = (trial.proposal, kernel_u)
+        return Verdict(accepted, {"gradient_magnitude": gmag, "rho": rho,
+                                  "approx_kl_u": u, "approx_kl_o": o})
+
+
+@dataclass
+class AdaTrustState:
+    """Gradient-magnitude step control (tr-svi-at): radius is g / b.
+
+    b grows (up to the frozen b_max) while the gradient stalls and shrinks
+    (down to b_min) whenever a new lowest gradient magnitude is seen.  All
+    fields start at the first gradient magnitude (`initialize`, `begin`).
+    """
+
+    b: float = float("nan")
+    w: float = float("nan")
+    g: float = float("nan")
+    b_max: float = float("nan")
+    b_min: float = 0.1
+
+    @classmethod
+    def initialize(cls, g0: float) -> "AdaTrustState":
+        return cls(b=g0, w=g0, g=g0, b_max=g0)
+
+    def radius(self) -> float:
+        return self.g / self.b
+
+    def update(self, g_new: float) -> None:
+        if g_new < 0.999 * self.w:
+            self.b = max(self.b_min, 0.9 * self.b)
+            self.w = g_new
+        else:
+            self.b = min(self.b_max, self.b + g_new**2 / self.b)
+        self.g = g_new
+
+    def begin(self, g0: float, warnings: list[str]) -> bool:
+        if g0 == 0.0:
+            warnings.append("initial gradient magnitude is zero; nothing to do")
+            return False
+        self.b = self.w = self.g = self.b_max = g0
+        if g0 < self.b_min:
+            warnings.append(f"initial gradient magnitude {g0:.3e} is below b_min="
+                            f"{self.b_min}; early radii may exceed the problem scale")
+        return True
+
+    def trial_radius(self) -> float:
+        return self.radius()
+
+    def judge(self, trial: Trial, target: TargetModel, field_at) -> Verdict:
+        """The gradient magnitude at the proposal sets the next radius."""
+        g_new = gradient_magnitude(field_at(trial.proposal))
+        self.update(g_new)
+        return Verdict(True, {"gradient_magnitude": g_new, "b": self.b})
+
+
+@dataclass
+class ConstantRadius:
+    """Constant step control (svn-ctr): one radius, every step taken."""
+
+    radius: float
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
+
+    def begin(self, g0: float, warnings: list[str]) -> bool:
+        return True
+
+    def trial_radius(self) -> float:
+        return self.radius
+
+    def judge(self, trial: Trial, target: TargetModel, field_at) -> Verdict:
+        return Verdict(True, {"gradient_magnitude": gradient_magnitude(trial.field)})
+
+
+def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
+                     controller, iterations: int) -> tuple[ParticleSet, RunTrace]:
+    """The trust-region loop of tr-svi-at, tr-svi-kl and svn-ctr.
+
+    Each iteration builds the kernel context (`build_context(positions)`),
+    Stein field and Hessian stack at the current particles, solves the
+    subproblems at `controller.trial_radius()`, and lets
+    `controller.judge(trial, target, field_at)` take or reject the proposal;
+    `controller.begin(g0, warnings)` may end the run before it starts.  The
+    three are kept with the positions array they were built at, so nothing is
+    rebuilt after a rejection or at a proposal `field_at` already evaluated.
+    """
+    trace = RunTrace()
+    built = {"X": None}
+
+    def field_at(X):
+        if X is not built["X"]:
+            built["hessians"] = None        # release the old stack first
+            ctx = build_context(X)
+            built.update(X=X, ctx=ctx, field=field_from_context(ctx, target))
+        return built["field"]
+
+    if not controller.begin(gradient_magnitude(field_at(particles.positions)),
+                            trace.warnings):
+        return particles, trace
+    current = particles
+    for t in range(iterations):
+        field = field_at(current.positions)
+        if built["hessians"] is None:
+            built["hessians"] = hessian_stack_from_context(built["ctx"], target)
+        radius = controller.trial_radius()
+        solution = solve_subproblems(field, built["hessians"], radius)
+        trial = Trial(current, field, solution,
+                      current.positions + solution.steps)
+        verdict = controller.judge(trial, target, field_at)
+        trace.append(IterationRecord(
+            iteration=t, radius_or_step=radius, accepted=verdict.accepted,
+            model_decrease=solution.decrease, **solution.trace_counts(),
+            **verdict.record))
+        if verdict.stop:
+            break
+        current = current.advanced(
+            trial.proposal if verdict.accepted else current.positions)
+        del trial, solution     # free their arrays before the next assembly
+    return current, trace
 
 
 def tr_svi_kl_run(
@@ -322,64 +462,10 @@ def tr_svi_kl_run(
     seed: int,
     nystrom_size: int | None = None,
 ) -> tuple[ParticleSet, RunTrace]:
-    """Trust-region driver with KL-estimate step control.
-
-    Each iteration solves the per-particle systems inside the shared radius,
-    compares the predicted quadratic decrease against the estimated KL change
-    of the proposed set, and shrinks/expands the radius accordingly; steps
-    with a negative agreement ratio are rejected outright.
-    """
-    if initial_radius <= 0:
-        raise ValueError("initial radius must be positive")
-    state = TrustRegionKLState(radius=initial_radius)
-    trace = RunTrace()
-    current = particles
-    nystrom = max(1, current.n // 10) if nystrom_size is None else int(nystrom_size)
-    rng = np.random.default_rng(seed)
-    for t in range(iterations):
-        ctx = local_context(current.positions, local_kernels)
-        field = field_from_context(ctx, target)
-        hessians = hessian_stack_from_context(ctx, target)
-        gmag = gradient_magnitude(field)
-        radius_used = state.radius
-        solution = solve_subproblems(field, hessians, radius_used)
-        model = solution.decrease
-        cg = solution.trace_counts()
-        subset_seed = int(rng.integers(0, 2**63 - 1))
-        if model == 0.0 and gmag == 0.0:
-            trace.append(
-                IterationRecord(t, gmag, radius_used, accepted=False,
-                                model_decrease=0.0, **cg)
-            )
-            break
-        if model >= 0.0:
-            # quadratic model predicts no decrease: treat as a failed model,
-            # shrink, and keep the particles
-            state.radius /= 2.0
-            state.iteration += 1
-            current = current.advanced(current.positions)
-            trace.append(
-                IterationRecord(t, gmag, radius_used, accepted=False,
-                                model_decrease=model, **cg)
-            )
-            continue
-        proposed = current.positions + solution.steps
-        proposed_set = ParticleSet(proposed, iteration=current.iteration,
-                                   seed=current.seed)
-        u = approx_kl(proposed_set, target, nystrom, _median_kernel(proposed),
-                      subset_seed)
-        o = approx_kl(current, target, nystrom,
-                      _median_kernel(current.positions), subset_seed)
-        rho = (u - o) / model
-        accepted = state.update(rho)
-        current = current.advanced(proposed if accepted else current.positions)
-        trace.append(
-            IterationRecord(
-                t, gmag, radius_used, accepted=accepted, rho=rho,
-                approx_kl_u=u, approx_kl_o=o, model_decrease=model, **cg,
-            )
-        )
-    return current, trace
+    """Local-kernel trust-region run with KL-ratio step control."""
+    return trust_region_run(
+        particles, target, lambda X: local_context(X, local_kernels),
+        TrustRegionKLState(initial_radius, nystrom_size, seed), iterations)
 
 
 def tr_svi_at_run(
@@ -388,39 +474,7 @@ def tr_svi_at_run(
     local_kernels: LocalKernelFamily,
     iterations: int,
 ) -> tuple[ParticleSet, RunTrace]:
-    """Trust-region driver with gradient-magnitude step control.
-
-    Needs no objective evaluations: the radius g/b expands while new lowest
-    gradient magnitudes keep arriving and contracts otherwise.  Every step is
-    applied unconditionally.
-    """
-    trace = RunTrace()
-    ctx = local_context(particles.positions, local_kernels)
-    field = field_from_context(ctx, target)
-    g0 = gradient_magnitude(field)
-    if g0 == 0.0:
-        trace.warnings.append("initial gradient magnitude is zero; nothing to do")
-        return particles, trace
-    state = AdaTrustState.initialize(g0)
-    if g0 < state.b_min:
-        trace.warnings.append(
-            f"initial gradient magnitude {g0:.3e} is below b_min={state.b_min}; "
-            "early radii may exceed the problem scale"
-        )
-    current = particles
-    for t in range(iterations):
-        hessians = hessian_stack_from_context(ctx, target)
-        radius_used = state.radius()
-        solution = solve_subproblems(field, hessians, radius_used)
-        current = current.advanced(current.positions + solution.steps)
-        ctx = local_context(current.positions, local_kernels)
-        field = field_from_context(ctx, target)
-        g_new = gradient_magnitude(field)
-        state.update(g_new)
-        trace.append(
-            IterationRecord(
-                t, g_new, radius_used, accepted=True, b=state.b,
-                **solution.trace_counts(),
-            )
-        )
-    return current, trace
+    """Local-kernel trust-region run with gradient-magnitude step control."""
+    return trust_region_run(
+        particles, target, lambda X: local_context(X, local_kernels),
+        AdaTrustState(), iterations)

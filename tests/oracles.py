@@ -12,20 +12,29 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial.distance import pdist
 
+from trsvi import trustregion as tr
 from trsvi.evaluation import gradient_magnitude
-from trsvi.kernels import MEDIAN_SUBSAMPLE, DegenerateSampleError
+from trsvi.kernels import (
+    MEDIAN_SUBSAMPLE,
+    DegenerateSampleError,
+    KernelSpec,
+    median_heuristic,
+)
 from trsvi.stein import (
+    ParticleSet,
     field_from_context,
     global_context,
     global_stein_gradient,
     graphical_stein_gradient,
     hessian_stack_from_context,
+    local_context,
 )
 from trsvi.trustregion import (
     BOUNDARY,
     INTERIOR,
     NEG_CURVATURE,
     IterationRecord,
+    RunTrace,
     solve_subproblems,
 )
 
@@ -285,8 +294,9 @@ def local_kernel_eval(family, a: int, x, y):
 def baseline_loop_run(method_cfg, particles, model, kernel, family):
     """The runner's three per-method baseline loops as they were before the
     baselines shared one loop: SVGD, the message-passing SVGD step rules
-    (static / decayed / AdaGrad) and SVN-CTR.  Returns the final particles
-    and the trace records."""
+    (static / decayed / AdaGrad) and SVN-CTR, whose records now also carry
+    the model decrease and CG counts of its subproblems.  Returns the final
+    particles and the trace records."""
     name = method_cfg["name"]
     records = []
     current = particles
@@ -296,10 +306,11 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
             ctx = global_context(current.positions, model.layout, kernel)
             field = field_from_context(ctx, model)
             hessians = hessian_stack_from_context(ctx, model)
-            steps = solve_subproblems(field, hessians, radius).steps
-            current = current.advanced(current.positions + steps)
-            records.append(IterationRecord(t, gradient_magnitude(field),
-                                           radius, accepted=True))
+            solution = solve_subproblems(field, hessians, radius)
+            current = current.advanced(current.positions + solution.steps)
+            records.append(IterationRecord(
+                t, gradient_magnitude(field), radius, accepted=True,
+                model_decrease=solution.decrease, **solution.trace_counts()))
         return current, records
     step = method_cfg["step"]
     if name == "svgd":
@@ -430,3 +441,84 @@ def per_particle_solve_subproblems(G, hessians, radius):
         iterations.append(calls[0] - (2 if status == NEG_CURVATURE else 0))
         decrease += float(g @ w + 0.5 * w @ (hessians[i] @ w))
     return steps, statuses, decrease, np.array(iterations)
+
+
+def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
+                     iterations, seed, nystrom_size=None):
+    """The KL trust-region driver as its own loop, before the trust-region
+    methods shared one: every iteration rebuilds the kernel context, field
+    and Hessian stack and computes both median kernels of its KL ratio.
+    `solve_subproblems` and `approx_kl` are looked up in `trustregion`, so a
+    test that scripts them there scripts this loop too."""
+    state = tr.TrustRegionKLState(radius=initial_radius)
+    trace = RunTrace()
+    current = particles
+    nystrom = max(1, current.n // 10) if nystrom_size is None else int(nystrom_size)
+    rng = np.random.default_rng(seed)
+    for t in range(iterations):
+        ctx = local_context(current.positions, local_kernels)
+        field = field_from_context(ctx, target)
+        hessians = hessian_stack_from_context(ctx, target)
+        gmag = gradient_magnitude(field)
+        radius_used = state.radius
+        solution = tr.solve_subproblems(field, hessians, radius_used)
+        model = solution.decrease
+        cg = solution.trace_counts()
+        subset_seed = int(rng.integers(0, 2**63 - 1))
+        if model == 0.0 and gmag == 0.0:
+            trace.append(IterationRecord(t, gmag, radius_used, accepted=False,
+                                         model_decrease=0.0, **cg))
+            break
+        if model >= 0.0:
+            state.radius /= 2.0
+            current = current.advanced(current.positions)
+            trace.append(IterationRecord(t, gmag, radius_used, accepted=False,
+                                         model_decrease=model, **cg))
+            continue
+        proposed = current.positions + solution.steps
+        proposed_set = ParticleSet(proposed, iteration=current.iteration,
+                                   seed=current.seed)
+        u = tr.approx_kl(proposed_set, target, nystrom,
+                         KernelSpec(median_heuristic(proposed)), subset_seed)
+        o = tr.approx_kl(current, target, nystrom,
+                         KernelSpec(median_heuristic(current.positions)),
+                         subset_seed)
+        rho = (u - o) / model
+        accepted = state.update(rho)
+        current = current.advanced(proposed if accepted else current.positions)
+        trace.append(IterationRecord(
+            t, gmag, radius_used, accepted=accepted, rho=rho, approx_kl_u=u,
+            approx_kl_o=o, model_decrease=model, **cg))
+    return current, trace
+
+
+def tr_svi_at_oracle(particles, target, local_kernels, iterations):
+    """The AdaTrust driver as its own loop, before the trust-region methods
+    shared one; its records now also carry the model decrease."""
+    trace = RunTrace()
+    ctx = local_context(particles.positions, local_kernels)
+    field = field_from_context(ctx, target)
+    g0 = gradient_magnitude(field)
+    if g0 == 0.0:
+        trace.warnings.append("initial gradient magnitude is zero; nothing to do")
+        return particles, trace
+    state = tr.AdaTrustState.initialize(g0)
+    if g0 < state.b_min:
+        trace.warnings.append(
+            f"initial gradient magnitude {g0:.3e} is below b_min={state.b_min}; "
+            "early radii may exceed the problem scale"
+        )
+    current = particles
+    for t in range(iterations):
+        hessians = hessian_stack_from_context(ctx, target)
+        radius_used = state.radius()
+        solution = tr.solve_subproblems(field, hessians, radius_used)
+        current = current.advanced(current.positions + solution.steps)
+        ctx = local_context(current.positions, local_kernels)
+        field = field_from_context(ctx, target)
+        g_new = gradient_magnitude(field)
+        state.update(g_new)
+        trace.append(IterationRecord(
+            t, g_new, radius_used, accepted=True, b=state.b,
+            model_decrease=solution.decrease, **solution.trace_counts()))
+    return current, trace

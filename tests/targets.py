@@ -1,10 +1,25 @@
-"""Toy targets implementing the evaluable-distribution contract for tests."""
+"""Toy targets implementing the evaluable-distribution contract for tests,
+and every particle's Stein Hessian built the way the trust-region loop
+builds it."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from trsvi.model.layout import FactorLayout, TargetModel
+from trsvi.stein import global_context, hessian_stack_from_context, local_context
+
+
+def local_hessians(particles, target, family) -> np.ndarray:
+    """(n, dim, dim) local-kernel Stein Hessians of a particle set."""
+    ctx = local_context(particles.positions, family)
+    return hessian_stack_from_context(ctx, target)
+
+
+def global_hessians(particles, target, kernel) -> np.ndarray:
+    """(n, dim, dim) global-kernel Stein Hessians of a particle set."""
+    ctx = global_context(particles.positions, target.layout, kernel)
+    return hessian_stack_from_context(ctx, target)
 
 
 def fully_connected_layout(dims_per_factor: list[int]) -> FactorLayout:

@@ -15,12 +15,26 @@ from trsvi.model import (
     SnlpModel,
     build_snlp,
 )
-from trsvi.stein import ParticleSet, global_stein_gradient, graphical_stein_gradient
+from trsvi.stein import (
+    ParticleSet,
+    global_context,
+    global_stein_gradient,
+    graphical_stein_gradient,
+)
 
 
 def standard_normal_1d():
     node = BayesNode("root", (), ((),), (1.0,), 0.0, 1.0)
     return BayesNetModel(BayesNetSpec(layers=((node,),)))
+
+
+def svn_ctr(particles, target, radius, iterations=1):
+    """SVN-CTR as the runner builds it: the trust-region loop under a global
+    unit-lengthscale kernel with a constant radius."""
+    kernel = KernelSpec(1.0)
+    return tr.trust_region_run(
+        particles, target, lambda X: global_context(X, target.layout, kernel),
+        tr.ConstantRadius(radius), iterations)
 
 
 class TestStepSchedule:
@@ -138,13 +152,10 @@ class TestSvnCtrStep:
         # the driver's forcing tolerance (10% relative residual) is looser:
         # one step covers most of the distance, a few steps converge
         ps = ParticleSet(x[None, :])
-        moved, _, radius = bl.svn_ctr_step(ps, target, KernelSpec(1.0),
-                                           radius=1e9)
-        assert radius == 1e9
+        moved, trace = svn_ctr(ps, target, radius=1e9)
+        assert trace.records[0].radius_or_step == 1e9
         assert np.linalg.norm(moved.positions) < 0.3 * np.linalg.norm(x)
-        for _ in range(4):
-            moved, _, _ = bl.svn_ctr_step(moved, target, KernelSpec(1.0),
-                                          radius=1e9)
+        moved, _ = svn_ctr(moved, target, radius=1e9, iterations=4)
         assert np.linalg.norm(moved.positions) < 1e-4
 
     def test_single_factor_matches_frozen_radius_at_iteration(self):
@@ -157,16 +168,14 @@ class TestSvnCtrStep:
 
         # one gradient-driven iteration starts at radius g0/b0 = 1 exactly
         final_at, _ = tr.tr_svi_at_run(ParticleSet(X), target, fam, 1)
-        final_svn, _, _ = bl.svn_ctr_step(ParticleSet(X), target, kernel,
-                                          radius=1.0)
+        final_svn, _ = svn_ctr(ParticleSet(X), target, radius=1.0)
         np.testing.assert_allclose(final_at.positions, final_svn.positions,
                                    rtol=1e-12, atol=1e-12)
 
     def test_radius_validation(self):
         target = standard_normal_1d()
         with pytest.raises(ValueError):
-            bl.svn_ctr_step(ParticleSet(np.zeros((1, 1))), target,
-                            KernelSpec(1.0), radius=0.0)
+            svn_ctr(ParticleSet(np.zeros((1, 1))), target, radius=0.0)
 
 
 class TestStaticStepInstability:

@@ -244,7 +244,7 @@ class TestRunExperiment:
         assert float(first["gradient_magnitude"]) > 0
         assert first["rho"] == ""             # not a KL-driver column
         assert first["accepted"] == "true"
-        assert first["model_decrease"] == ""  # not a KL-driver column
+        assert float(first["model_decrease"]) < 0   # predicted by the model
         assert float(first["b"]) > 0          # the AdaTrust denominator
         assert int(first["cg_iters"]) > 0     # CG totals over the particles
         assert 0 <= int(first["cg_boundary"]) <= 12

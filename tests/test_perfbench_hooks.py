@@ -80,6 +80,39 @@ def test_baseline_runs_record_their_spans(tracing, mixed_bn):
     assert tracer.counts["cg.statuses"] == 2 * 8
 
 
+def test_trust_region_runs_record_their_spans(tracing, mixed_bn):
+    """All three trust-region methods reach the context, subproblem and KL
+    layers through names the tracer wraps; svn-ctr builds its global
+    context through the runner's own name."""
+    run_cfg = {"particles": 8, "init_center": None, "init_scale": None}
+    methods = [
+        {"name": "svn-ctr", "iterations": 2, "radius": 0.1},
+        {"name": "tr-svi-at", "iterations": 3},
+        {"name": "tr-svi-kl", "iterations": 3, "initial_radius": 1.0,
+         "nystrom_size": 2},
+    ]
+    spans = {}
+    for method in methods:
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer)
+            _, trace = experiment.execute_method(mixed_bn.spec, method, 1.0,
+                                                 run_cfg, 0)
+            spans[method["name"]] = tracer.aggregate()
+        finally:
+            tracer.uninstall()
+        assert spans[method["name"]]["trustregion.solve_subproblems"][
+            "calls"] == method["iterations"]
+        if method["name"] == "tr-svi-kl":
+            estimated = sum(r.rho is not None for r in trace.records)
+            assert spans["tr-svi-kl"]["trustregion.approx_kl"]["calls"] == (
+                2 * estimated) > 0
+    assert spans["svn-ctr"]["stein.global_context"]["calls"] == 2
+    assert spans["svn-ctr"]["stein.local_context"]["calls"] == 0
+    assert spans["tr-svi-at"]["stein.local_context"]["calls"] == 3 + 1
+    assert spans["tr-svi-kl"]["stein.local_context"]["calls"] >= 1
+
+
 def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
     """`cg_steihaug` stays bound, the traced `solve_subproblems` span gets a
     statuses list of one entry per particle at result[1], and the tracer's

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import pair_loop_hessian_stack, per_edge_snlp_hessian_batch
-from targets import GaussianTarget, fully_connected_layout
+from targets import (
+    GaussianTarget,
+    fully_connected_layout,
+    global_hessians,
+    local_hessians,
+)
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import (
     BayesNetModel,
@@ -15,11 +20,7 @@ from trsvi.model import (
 )
 from trsvi.stein import (
     ParticleSet,
-    global_hessian,
-    global_hessians,
     global_stein_gradient,
-    graphical_hessian,
-    graphical_hessians,
     graphical_stein_gradient,
     hessian_stack_from_context,
     local_context,
@@ -154,14 +155,14 @@ class TestHessian:
         rng = np.random.default_rng(2)
         x = rng.normal(size=mixed_bn.layout.total_dim)
         ps = ParticleSet(x[None, :])
-        hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 0)
+        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[0]
         np.testing.assert_allclose(hess, -mixed_bn.hessian(x), atol=1e-12)
 
     def test_gaussian_single_particle_gives_precision(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         target = GaussianTarget(np.zeros(2), cov)
         ps = ParticleSet(np.array([[0.3, -0.7]]))
-        hess = global_hessian(ps, target, KernelSpec(1.0), 0)
+        hess = global_hessians(ps, target, KernelSpec(1.0))[0]
         precision = np.linalg.inv(cov)
         np.testing.assert_allclose(hess, precision, rtol=1e-10)
         assert np.all(np.linalg.eigvalsh(hess) > 0)
@@ -169,13 +170,13 @@ class TestHessian:
     def test_assembled_matrix_is_exactly_symmetric(self, mixed_bn):
         rng = np.random.default_rng(3)
         ps = ParticleSet(rng.normal(size=(8, mixed_bn.layout.total_dim)))
-        for hess in graphical_hessians(ps, mixed_bn, family_for(mixed_bn)):
+        for hess in local_hessians(ps, mixed_bn, family_for(mixed_bn)):
             np.testing.assert_array_equal(hess, hess.T)
 
     def test_block_transpose_symmetry_under_index_swap(self, mixed_bn):
         rng = np.random.default_rng(4)
         ps = ParticleSet(rng.normal(size=(6, mixed_bn.layout.total_dim)))
-        hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 2)
+        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[2]
         factors = mixed_bn.layout.factors
         for Ca in factors:
             for Cb in factors:
@@ -188,7 +189,7 @@ class TestHessian:
         rng = np.random.default_rng(5)
         ps = ParticleSet(rng.normal(size=(10, 3)))
         fam = family_for(target, 0.8)
-        graph = graphical_hessians(ps, target, fam)
+        graph = local_hessians(ps, target, fam)
         glob = global_hessians(ps, target, KernelSpec(0.8))
         for hg, hgl in zip(graph, glob):
             np.testing.assert_allclose(hg, hgl, atol=1e-12)
@@ -203,7 +204,7 @@ class TestHessian:
         rng = np.random.default_rng(6)
         ps = ParticleSet(rng.normal(size=(7, 3)))
         fam = LocalKernelFamily(KernelSpec(1.0), layout)
-        graph = graphical_hessians(ps, target, fam)
+        graph = local_hessians(ps, target, fam)
         glob = global_hessians(ps, target, KernelSpec(1.0))
         for hg, hgl in zip(graph, glob):
             np.testing.assert_allclose(hg, hgl, atol=1e-13)
@@ -212,7 +213,7 @@ class TestHessian:
         layout = mixed_bn.layout
         rng = np.random.default_rng(7)
         ps = ParticleSet(rng.normal(size=(5, layout.total_dim)))
-        hess = graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 0)
+        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[0]
         pairs = set(layout.overlapping_pairs())
         for a, Ca in enumerate(layout.factors):
             for b, Cb in enumerate(layout.factors):
@@ -225,7 +226,7 @@ class TestHessian:
     def test_index_guards(self, mixed_bn):
         ps = ParticleSet(np.zeros((2, mixed_bn.layout.total_dim)))
         with pytest.raises(IndexError):
-            graphical_hessian(ps, mixed_bn, family_for(mixed_bn), 5)
+            local_hessians(ps, mixed_bn, family_for(mixed_bn))[5]
 
 
 class TestHessianApply:
@@ -236,7 +237,7 @@ class TestHessianApply:
         ps = ParticleSet(rng.normal(size=(n, mixed_bn.layout.total_dim)))
         fam = family_for(mixed_bn)
         return (graphical_stein_gradient(ps, mixed_bn, fam),
-                graphical_hessians(ps, mixed_bn, fam))
+                local_hessians(ps, mixed_bn, fam))
 
     def test_zero_vector(self, mixed_bn):
         field, stack = self._field_and_stack(mixed_bn)
@@ -248,7 +249,7 @@ class TestHessianApply:
     def test_identity_like(self):
         target = GaussianTarget(np.zeros(3), np.eye(3))
         ps = ParticleSet(np.array([[0.1, 0.2, -0.3]]))
-        hess = global_hessian(ps, target, KernelSpec(1.0), 0)
+        hess = global_hessians(ps, target, KernelSpec(1.0))[0]
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(hess @ v, v, rtol=1e-12)
 

@@ -10,7 +10,7 @@ from oracles import (
     per_particle_solve_subproblems,
     power_iteration_norm,
 )
-from targets import GaussianTarget
+from targets import GaussianTarget, local_hessians
 from trsvi import trustregion as tr
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
@@ -18,7 +18,6 @@ from trsvi.model.layout import FactorLayout
 from trsvi.stein import (
     ParticleSet,
     SteinGradientField,
-    graphical_hessians,
     graphical_stein_gradient,
 )
 
@@ -428,7 +427,7 @@ class TestSolveSubproblems:
         rng = np.random.default_rng(7)
         ps = ParticleSet(rng.normal(size=(12, mixed_bn.layout.total_dim)))
         field = graphical_stein_gradient(ps, mixed_bn, fam)
-        hessians = graphical_hessians(ps, mixed_bn, fam)
+        hessians = local_hessians(ps, mixed_bn, fam)
         radius = 0.5
         steps, statuses, decrease, _ = tr.solve_subproblems(field, hessians,
                                                             radius)
@@ -576,7 +575,7 @@ class TestBatchedMatchesOracle:
         ps = ParticleSet(rng.normal(size=(30, mixed_bn.layout.total_dim)))
         field = graphical_stein_gradient(ps, mixed_bn, fam)
         assert_matches_oracle(field.values,
-                              graphical_hessians(ps, mixed_bn, fam), radius)
+                              local_hessians(ps, mixed_bn, fam), radius)
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
