@@ -78,11 +78,14 @@ class FactorLayout:
             )
         if any(f.size == 0 for f in factors):
             raise ValueError("factors must be nonempty")
-        for a, (fac, bl) in enumerate(zip(factors, blankets)):
+        for a, bl in enumerate(blankets):
             if bl.size and (bl[0] < 0 or bl[-1] >= self.total_dim):
                 raise ValueError(f"blanket {a} indexes outside the state space")
-            if not np.isin(fac, bl).all():
-                raise ValueError(f"blanket {a} must contain its own factor")
+        owner = np.repeat(np.arange(len(factors)), self._sizes())
+        own = self.membership()[owner, np.arange(self.total_dim)]
+        if not own.all():
+            a = owner[np.argmin(own)]
+            raise ValueError(f"blanket {a} must contain its own factor")
         overlap = self.overlap_matrix()
         if not np.array_equal(overlap, overlap.T):
             raise ValueError("blanket structure must be symmetric at factor level")
@@ -91,14 +94,28 @@ class FactorLayout:
     def n_factors(self) -> int:
         return len(self.factors)
 
+    def _sizes(self) -> list[int]:
+        return [f.size for f in self.factors]
+
+    def membership(self) -> np.ndarray:
+        """Boolean (D, total_dim) matrix: entry (a, j) true iff dimension j
+        lies in blanket a."""
+        cached = getattr(self, "_membership", None)
+        if cached is None:
+            cached = np.zeros((self.n_factors, self.total_dim), dtype=bool)
+            for a, bl in enumerate(self.blankets):
+                cached[a, bl] = True
+            object.__setattr__(self, "_membership", cached)
+        return cached
+
     def overlap_matrix(self) -> np.ndarray:
         """Boolean (D, D) matrix: entry (a, b) true iff factor b meets blanket a."""
         cached = getattr(self, "_overlap_matrix", None)
         if cached is None:
-            cached = np.zeros((self.n_factors, self.n_factors), dtype=bool)
-            for a, bl in enumerate(self.blankets):
-                for b, fac in enumerate(self.factors):
-                    cached[a, b] = bool(np.isin(fac, bl).any())
+            # factors are contiguous, so OR-ing each factor's run of columns
+            # asks whether any of its dimensions lies in the blanket
+            starts = np.cumsum([0] + self._sizes()[:-1])
+            cached = np.logical_or.reduceat(self.membership(), starts, axis=1)
             object.__setattr__(self, "_overlap_matrix", cached)
         return cached
 
@@ -106,13 +123,8 @@ class FactorLayout:
         """Factor pairs (a, b), a <= b, whose blocks can be nonzero."""
         cached = getattr(self, "_overlapping_pairs", None)
         if cached is None:
-            overlap = self.overlap_matrix()
-            cached = [
-                (a, b)
-                for a in range(self.n_factors)
-                for b in range(a, self.n_factors)
-                if overlap[a, b]
-            ]
+            upper = np.nonzero(np.triu(self.overlap_matrix()))
+            cached = [(int(a), int(b)) for a, b in zip(*upper)]
             object.__setattr__(self, "_overlapping_pairs", cached)
         return cached
 
@@ -120,24 +132,34 @@ class FactorLayout:
         """Overlapping pairs grouped by block shape, in pair order."""
         cached = getattr(self, "_pair_groups", None)
         if cached is None:
-            f, bl = self.factors, self.blankets
+            f, member = self.factors, self.membership()
             by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for a, b in self.overlapping_pairs():
                 by_shape.setdefault((f[a].size, f[b].size), []).append((a, b))
-            cached = [
-                PairGroup(
-                    a=np.array([a for a, _ in pairs], dtype=np.intp),
-                    b=np.array([b for _, b in pairs], dtype=np.intp),
-                    rows=np.stack([f[a] for a, _ in pairs]),
-                    cols=np.stack([f[b] for _, b in pairs]),
-                    mask=np.stack([
-                        np.outer(np.isin(f[a], bl[b]), np.isin(f[b], bl[a]))
-                        for a, b in pairs
-                    ]).astype(float),
-                )
-                for pairs in by_shape.values()
-            ]
+            cached = []
+            for pairs in by_shape.values():
+                a = np.array([a for a, _ in pairs], dtype=np.intp)
+                b = np.array([b for _, b in pairs], dtype=np.intp)
+                rows = np.stack([f[k] for k in a])
+                cols = np.stack([f[k] for k in b])
+                in_b = member[b[:, None], rows]           # C_a's dims in blanket b
+                in_a = member[a[:, None], cols]           # C_b's dims in blanket a
+                mask = (in_b[:, :, None] & in_a[:, None, :]).astype(float)
+                cached.append(PairGroup(a=a, b=b, rows=rows, cols=cols, mask=mask))
             object.__setattr__(self, "_pair_groups", cached)
+        return cached
+
+    def upper_pattern(self) -> np.ndarray:
+        """Sorted flat (row * total_dim + col) indices, row <= col, of the
+        entries that the blocks of overlapping factor pairs cover: where a
+        model Hessian's upper triangle can be nonzero."""
+        cached = getattr(self, "_upper_pattern", None)
+        if cached is None:
+            sizes = self._sizes()
+            covered = np.repeat(np.repeat(self.overlap_matrix(), sizes, axis=0),
+                                sizes, axis=1)
+            cached = np.flatnonzero(np.triu(covered))
+            object.__setattr__(self, "_upper_pattern", cached)
         return cached
 
     @classmethod

@@ -17,6 +17,9 @@ import numpy as np
 from .kernels import KernelSpec, LocalKernelFamily, rbf_matrix
 from .model.layout import FactorLayout, TargetModel
 
+# particles per batch of the global kernel term's symmetric products
+_GLOBAL_CHUNK = 16
+
 
 @dataclass
 class ParticleSet:
@@ -133,11 +136,7 @@ def hessian_stack_from_context(
     model_hessians = target.hessian_batch(X)
     inv_ls2 = 1.0 / ctx.lengthscale**2
     if ctx.is_global:
-        K = ctx.kmats[0]
-        stack = -np.tensordot(K * K, model_hessians, axes=(0, 0)) / n
-        grads = -inv_ls2 * (X[:, None, :] - X[None, :, :]) * K[:, :, None]
-        stack += np.matmul(grads.transpose(1, 2, 0), grads.transpose(1, 0, 2)) / n
-        return _mirror_upper(stack)
+        return _global_stack(X, ctx.kmats[0], model_hessians, layout, inv_ls2)
 
     Xc = X - X.mean(axis=0)
     stack = np.zeros((n, dim, dim))
@@ -171,6 +170,32 @@ def hessian_stack_from_context(
         stack[:, rows, cols] = term
         stack[:, g.cols[:, :, None], g.rows[:, None, :]] = term.swapaxes(2, 3)
     return stack
+
+
+def _global_stack(X, K, model_hessians, layout, inv_ls2) -> np.ndarray:
+    """Global-kernel stack: sum_j (G_ji G_ji^T - K_ji^2 H_j) / n, where
+    G_ji = (x_j - x_i) K_ji / l^2 is the kernel gradient.
+
+    The model term is one product over only the upper-triangle columns of
+    the layout's pattern, outside which every model Hessian is zero.  The
+    kernel term is one symmetric product G_i^T G_i per particle, formed a
+    few particles at a time so that no (n, n, dim) array is built.  Every
+    entry is then read from its upper-triangle twin, so both triangles come
+    from the same values.
+    """
+    n, dim = X.shape
+    pattern = layout.upper_pattern()
+    model = (K * K).T @ model_hessians.reshape(n, dim * dim)[:, pattern] / n
+    r, c = np.divmod(np.arange(dim * dim), dim)
+    upper_twin = np.minimum(r, c) * dim + np.maximum(r, c)
+    stack = np.empty((n, dim * dim))
+    for start in range(0, n, _GLOBAL_CHUNK):
+        i = slice(start, start + _GLOBAL_CHUNK)
+        G = (X[None, :, :] - X[i, None, :]) * (K[:, i].T * inv_ls2)[:, :, None]
+        prods = np.matmul(G.transpose(0, 2, 1), G).reshape(-1, dim * dim) / n
+        prods[:, pattern] -= model[i]
+        stack[i] = prods[:, upper_twin]
+    return stack.reshape(n, dim, dim)
 
 
 def _mirror_upper(stack: np.ndarray) -> np.ndarray:

@@ -221,6 +221,53 @@ def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
     return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
 
 
+def dense_global_hessian_stack(ctx, target) -> np.ndarray:
+    """Global-kernel second-variation Hessians over all dim^2 entries: the
+    model term as one tensordot, the kernel term from an explicit
+    (n, n, dim) gradient tensor and a batched matmul, then the upper
+    triangle mirrored down."""
+    X, K = ctx.X, ctx.kmats[0]
+    n = X.shape[0]
+    inv_ls2 = 1.0 / ctx.lengthscale**2
+    stack = -np.tensordot(K * K, target.hessian_batch(X), axes=(0, 0)) / n
+    grads = -inv_ls2 * (X[:, None, :] - X[None, :, :]) * K[:, :, None]
+    stack += np.matmul(grads.transpose(1, 2, 0), grads.transpose(1, 0, 2)) / n
+    return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
+
+
+def isin_overlap_matrix(layout) -> np.ndarray:
+    """Factor-level overlap, one np.isin per (blanket, factor) pair."""
+    D = layout.n_factors
+    overlap = np.zeros((D, D), dtype=bool)
+    for a, bl in enumerate(layout.blankets):
+        for b, fac in enumerate(layout.factors):
+            overlap[a, b] = bool(np.isin(fac, bl).any())
+    return overlap
+
+
+def isin_pair_mask(layout, a: int, b: int) -> np.ndarray:
+    """Cross-term support of pair (a, b): C_a's dims in blanket b times
+    C_b's dims in blanket a."""
+    f, bl = layout.factors, layout.blankets
+    return np.outer(np.isin(f[a], bl[b]), np.isin(f[b], bl[a])).astype(float)
+
+
+def loop_upper_pattern(layout) -> np.ndarray:
+    """Sorted flat upper-triangle entries of every overlapping pair's block,
+    entry by entry."""
+    dim, f = layout.total_dim, layout.factors
+    overlap = isin_overlap_matrix(layout)
+    entries = {
+        min(r, c) * dim + max(r, c)
+        for a in range(layout.n_factors)
+        for b in range(layout.n_factors)
+        if overlap[a, b]
+        for r in f[a]
+        for c in f[b]
+    }
+    return np.array(sorted(entries), dtype=np.intp)
+
+
 def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
     """SNLP log-likelihood Hessians accumulated edge by edge in a Python loop."""
     X = np.asarray(X, dtype=float)

@@ -29,6 +29,15 @@ def fully_connected_layout(dims_per_factor: list[int]) -> FactorLayout:
     return FactorLayout.from_factor_neighbors(dims_per_factor, neighbors)
 
 
+def partial_blanket_layout() -> FactorLayout:
+    """Factor 1 (dims 2..4) lies only partly in blanket 0 and factor 2 only
+    partly in blanket 1, so several pair masks are not all ones."""
+    factors = (np.arange(0, 2), np.arange(2, 5), np.arange(5, 7))
+    blankets = (np.array([0, 1, 3]), np.array([1, 2, 3, 4, 6]),
+                np.array([4, 5, 6]))
+    return FactorLayout(factors=factors, blankets=blankets, total_dim=7)
+
+
 class GaussianTarget(TargetModel):
     """Multivariate normal with an arbitrary factor layout."""
 

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import isin_overlap_matrix, isin_pair_mask, loop_upper_pattern
+from targets import partial_blanket_layout
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
     BayesNetSpec,
     BayesNode,
     FactorLayout,
+    SnlpConfig,
+    SnlpModel,
+    build_snlp,
     eval_target,
     generate_bayes_net,
     markov_blanket,
@@ -106,3 +111,78 @@ def test_eval_target_rejects_nonfinite(mixed_bn):
 def test_target_model_is_abstract():
     with pytest.raises(TypeError):
         TargetModel()
+
+
+def _assert_matches_isin_oracles(layout):
+    """Overlap, pair masks and pattern equal their np.isin / loop oracles
+    bit for bit."""
+    overlap = layout.overlap_matrix()
+    assert overlap.dtype == bool
+    np.testing.assert_array_equal(overlap, isin_overlap_matrix(layout))
+    pairs = []
+    for g in layout.pair_groups():
+        assert g.mask.dtype == float
+        for p, (a, b) in enumerate(zip(g.a, g.b)):
+            pairs.append((a, b))
+            np.testing.assert_array_equal(g.mask[p], isin_pair_mask(layout, a, b))
+    assert sorted(pairs) == layout.overlapping_pairs()
+    np.testing.assert_array_equal(layout.upper_pattern(),
+                                  loop_upper_pattern(layout))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([(3, 4, 2), (5, 5), (2, 3, 3, 2), (1,)]),
+       st.integers(min_value=1, max_value=3))
+def test_bayes_net_layouts_match_isin_oracles(seed, sizes, max_parents):
+    spec = generate_bayes_net(BayesNetConfig(
+        layer_sizes=sizes, max_parents=max_parents, gmm_nodes=min(2, sum(sizes[1:])),
+        seed=seed))
+    _assert_matches_isin_oracles(BayesNetModel(spec).layout)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=5),
+       st.floats(min_value=1.5, max_value=6.0), st.integers(0, 10_000))
+@example(50, 12, 3.0, 0)    # the instance of configs/snlp_large.yaml
+def test_snlp_layouts_match_isin_oracles(unknowns, anchors, radius, seed):
+    problem = build_snlp(SnlpConfig(unknowns=unknowns, anchors=anchors,
+                                    side=20.0 if unknowns == 50 else 6.0,
+                                    radius=radius, noise_variance=0.01, seed=seed))
+    _assert_matches_isin_oracles(SnlpModel(problem).layout)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=8),
+       st.data())
+def test_neighbor_layouts_match_isin_oracles(sizes, data):
+    D = len(sizes)
+    edges = data.draw(st.sets(st.tuples(st.integers(0, D - 1),
+                                        st.integers(0, D - 1))))
+    neighbors = [set() for _ in range(D)]
+    for a, b in edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    _assert_matches_isin_oracles(
+        FactorLayout.from_factor_neighbors(sizes, neighbors))
+
+
+@pytest.mark.parametrize("layout", [
+    FactorLayout.single_factor(1),
+    FactorLayout.single_factor(5),
+    partial_blanket_layout(),
+], ids=["single1", "single5", "partial"])
+def test_fixed_layouts_match_isin_oracles(layout):
+    _assert_matches_isin_oracles(layout)
+
+
+def test_asymmetric_blankets_raise_the_symmetry_error():
+    # blanket 0 reaches one dimension of factor 1; blanket 1 stays home
+    with pytest.raises(ValueError,
+                       match="blanket structure must be symmetric at factor level"):
+        FactorLayout(
+            factors=(np.arange(0, 2), np.arange(2, 5), np.arange(5, 6)),
+            blankets=(np.array([0, 1, 3]), np.array([2, 3, 4, 5]),
+                      np.array([2, 5])),
+            total_dim=6,
+        )

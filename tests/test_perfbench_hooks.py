@@ -113,6 +113,41 @@ def test_trust_region_runs_record_their_spans(tracing, mixed_bn):
     assert spans["tr-svi-kl"]["stein.local_context"]["calls"] >= 1
 
 
+def test_svn_ctr_stack_spans_see_a_dense_stack(tracing, small_snlp):
+    """svn-ctr's global Hessian stack still reaches the tracer as one
+    `stein.hessian_stack_from_context` span per iteration whose result is a
+    dense (n, dim, dim) array, so the span's calls and out_bytes stay
+    comparable across versions."""
+    n, iterations = 12, 3
+    dim = small_snlp.layout.total_dim
+    run_cfg = {"particles": n, "init_center": None, "init_scale": None}
+    method = {"name": "svn-ctr", "iterations": iterations, "radius": 0.1}
+    results = []
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        traced = trustregion.hessian_stack_from_context
+
+        def capture(*args):
+            results.append(traced(*args))
+            return results[-1]
+
+        trustregion.hessian_stack_from_context = capture
+        experiment.execute_method(small_snlp.problem, method, 1.0, run_cfg, 0)
+        spans = tracer.aggregate()
+    finally:
+        trustregion.hessian_stack_from_context = traced
+        tracer.uninstall()
+    assert spans["stein.global_context"]["calls"] == iterations
+    assert spans["stein.hessian_stack_from_context"]["calls"] == len(results) \
+        == iterations
+    for stack in results:
+        assert isinstance(stack, np.ndarray)
+        assert stack.shape == (n, dim, dim) and stack.dtype == float
+    assert tracer.counts["hessian_stack.out_bytes"] == \
+        iterations * n * dim * dim * 8
+
+
 def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
     """`cg_steihaug` stays bound, the traced `solve_subproblems` span gets a
     statuses list of one entry per particle at result[1], and the tracer's

@@ -1,15 +1,23 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
-from oracles import pair_loop_hessian_stack, per_edge_snlp_hessian_batch
+from oracles import (
+    dense_global_hessian_stack,
+    pair_loop_hessian_stack,
+    per_edge_snlp_hessian_batch,
+)
 from targets import (
     GaussianTarget,
     fully_connected_layout,
     global_hessians,
     local_hessians,
+    partial_blanket_layout,
 )
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import (
+    BayesNetConfig,
     BayesNetModel,
     BayesNetSpec,
     BayesNode,
@@ -17,9 +25,11 @@ from trsvi.model import (
     SnlpConfig,
     SnlpModel,
     build_snlp,
+    generate_bayes_net,
 )
 from trsvi.stein import (
     ParticleSet,
+    global_context,
     global_stein_gradient,
     graphical_stein_gradient,
     hessian_stack_from_context,
@@ -282,13 +292,12 @@ class TestHessianApply:
             solve_subproblems(field, list(stack), 1.0)
 
 
-def _partial_blanket_layout():
-    # factor 1 = dims 2..4 sits only partly in blanket 0 and factor 2 only
-    # partly in blanket 1, so several pair masks are not all ones
-    factors = (np.arange(0, 2), np.arange(2, 5), np.arange(5, 7))
-    blankets = (np.array([0, 1, 3]), np.array([1, 2, 3, 4, 6]),
-                np.array([4, 5, 6]))
-    return FactorLayout(factors=factors, blankets=blankets, total_dim=7)
+@cache
+def _snlp50():
+    """The instance of configs/snlp_large.yaml (d = 100, 50 factors)."""
+    return SnlpModel(build_snlp(SnlpConfig(
+        unknowns=50, anchors=12, side=20.0, radius=3.0, noise_variance=0.01,
+        seed=0)))
 
 
 def _assembly_cases(mixed_bn, small_snlp):
@@ -296,12 +305,9 @@ def _assembly_cases(mixed_bn, small_snlp):
     yield "mixed_bn", mixed_bn, rng.normal(size=(9, 6)), 1.0
     base = small_snlp.problem.true_positions.reshape(-1)
     yield "small snlp", small_snlp, base + rng.normal(scale=0.5, size=(11, 12)), 1.0
-    snlp50 = SnlpModel(build_snlp(SnlpConfig(
-        unknowns=50, anchors=12, side=20.0, radius=3.0, noise_variance=0.01,
-        seed=0)))
     X = 10.0 + 5.0 * rng.standard_normal((40, 100))
-    yield "snlp50", snlp50, X, 3.0
-    layout = _partial_blanket_layout()
+    yield "snlp50", _snlp50(), X, 3.0
+    layout = partial_blanket_layout()
     A = rng.normal(size=(7, 7))
     cov = A @ A.T + 7.0 * np.eye(7)
     yield "partial blankets", GaussianTarget(np.ones(7), cov, layout), \
@@ -312,7 +318,7 @@ class TestStackAssembly:
     """The moment-GEMM assembly against the per-pair difference-tensor loop."""
 
     def test_partial_blanket_masks_are_not_all_ones(self):
-        groups = _partial_blanket_layout().pair_groups()
+        groups = partial_blanket_layout().pair_groups()
         assert any(0.0 < m.mean() < 1.0 for g in groups for m in g.mask)
 
     def test_matches_pair_loop_oracle(self, mixed_bn, small_snlp):
@@ -336,3 +342,64 @@ class TestStackAssembly:
             batch = model.hessian_batch(X)
             assert np.abs(batch - oracle).max() <= 1e-12 * np.abs(oracle).max()
             np.testing.assert_array_equal(batch, batch.transpose(0, 2, 1))
+
+
+def _global_cases(mixed_bn, small_snlp):
+    rng = np.random.default_rng(24)
+    yield "mixed_bn", mixed_bn, rng.normal(size=(30, 6))
+    base = small_snlp.problem.true_positions.reshape(-1)
+    yield "small snlp", small_snlp, base + rng.normal(scale=0.5, size=(40, 12))
+    # snlp50's default particle initialisation (centre side/2, scale side/4)
+    yield "snlp50", _snlp50(), 10.0 + 5.0 * rng.standard_normal((60, 100))
+
+
+class TestGlobalStack:
+    """The pattern-column, per-particle global assembly against the dense
+    tensordot form."""
+
+    @pytest.mark.parametrize("lengthscale", [0.5, 3.0])
+    def test_matches_dense_oracle(self, mixed_bn, small_snlp, lengthscale):
+        for name, target, X in _global_cases(mixed_bn, small_snlp):
+            ctx = global_context(X, target.layout, KernelSpec(lengthscale))
+            stack = hessian_stack_from_context(ctx, target)
+            oracle = dense_global_hessian_stack(ctx, target)
+            assert stack.shape == oracle.shape, name
+            np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
+            err = np.abs(stack - oracle).max(axis=(1, 2))
+            bound = 1e-12 * np.abs(oracle).max(axis=(1, 2))
+            assert np.all(err <= bound), name
+
+    def test_snlp50_weights_include_subnormals(self, mixed_bn, small_snlp):
+        """The oracle comparison covers K * K with subnormal entries (at
+        lengthscale 3.0) and a diagonal kernel (at 0.5)."""
+        *_, (_, target, X) = _global_cases(mixed_bn, small_snlp)
+        W = global_context(X, target.layout, KernelSpec(3.0)).kmats[0] ** 2
+        assert np.mean((W > 0.0) & (W < np.finfo(float).tiny)) > 0.005
+        K = global_context(X, target.layout, KernelSpec(0.5)).kmats[0]
+        np.testing.assert_array_equal(K, np.diag(np.diag(K)))
+
+    def test_model_hessians_vanish_outside_the_pattern(self, mixed_bn,
+                                                       small_snlp, noisy_snlp):
+        """The premise of the pattern-column product: every model Hessian
+        is exactly zero off the layout's pattern and its mirror."""
+        rng = np.random.default_rng(25)
+        nets = [
+            BayesNetModel(generate_bayes_net(BayesNetConfig(
+                layer_sizes=sizes, max_parents=3, gmm_nodes=gmm, seed=seed)))
+            for sizes, gmm, seed in (((5, 5), 2, 7), ((10, 10, 10), 6, 0))
+        ]
+        for model in [mixed_bn, *nets]:
+            self._check_pattern(model, rng.normal(size=(20, model.layout.total_dim)))
+        for model in (small_snlp, noisy_snlp, _snlp50()):
+            base = model.problem.true_positions.reshape(-1)
+            self._check_pattern(model, base + rng.normal(size=(20, base.size)))
+
+    @staticmethod
+    def _check_pattern(model, X):
+        dim = model.layout.total_dim
+        rows, cols = np.divmod(model.layout.upper_pattern(), dim)
+        inside = np.zeros((dim, dim), dtype=bool)
+        inside[rows, cols] = inside[cols, rows] = True
+        hessians = model.hessian_batch(X)
+        assert np.all(hessians[:, ~inside] == 0.0)
+        assert np.all(np.any(hessians[:, rows, cols] != 0.0, axis=0))
