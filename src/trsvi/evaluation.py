@@ -12,25 +12,73 @@ from .kernels import KernelSpec, squared_distances
 from .model.layout import TargetModel
 from .stein import SteinGradientField
 
-_MMD_BLOCK_ROWS = 2048
+# Rows per strip of the kernel sums. A strip against m rows makes a few
+# (256, m) temporaries, so memory is O(256 m) for any sample size. Every
+# bundled particle count (100-200) fits in one strip, so a cross term
+# against the reference is one plain sum, as before strips.
+_MMD_STRIP_ROWS = 256
+
+
+def _strip_sum(block: np.ndarray, Y: np.ndarray, inv: float) -> float:
+    """Sum of exp(-inv * |x - y|^2) over the rows x of block and y of Y."""
+    terms = squared_distances(block, Y)
+    terms *= -inv
+    np.exp(terms, out=terms)
+    return float(terms.sum())
 
 
 def _kernel_sum(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
-    """Sum of k(x_i, y_j) over all pairs, reduced block by block in fixed order."""
+    """Sum of k(x_i, y_j) over all pairs, reduced strip by strip in fixed order."""
     inv = 0.5 / lengthscale**2
     total = 0.0
-    for start in range(0, X.shape[0], _MMD_BLOCK_ROWS):
-        block = X[start:start + _MMD_BLOCK_ROWS]
-        total += float(np.exp(-inv * squared_distances(block, Y)).sum())
+    for start in range(0, X.shape[0], _MMD_STRIP_ROWS):
+        total += _strip_sum(X[start:start + _MMD_STRIP_ROWS], Y, inv)
     return total
+
+
+def _self_sum(X: np.ndarray, lengthscale: float) -> float:
+    """Sum of k(x_i, x_j) over all ordered pairs, read from the upper
+    triangle: each diagonal strip once plus twice the strip against the
+    later rows, in fixed order. Up to 256 rows this is _kernel_sum(X, X)."""
+    inv = 0.5 / lengthscale**2
+    total = 0.0
+    for start in range(0, X.shape[0], _MMD_STRIP_ROWS):
+        stop = start + _MMD_STRIP_ROWS
+        block = X[start:stop]
+        total += _strip_sum(block, block, inv)
+        if stop < X.shape[0]:
+            total += 2.0 * _strip_sum(block, X[stop:], inv)
+    return total
+
+
+def _mmd_from_self_sums(X: np.ndarray, sxx: float, Y: np.ndarray, syy: float,
+                        lengthscale: float) -> float:
+    """Squared MMD from both self-sums and the cross term.
+
+    The arguments are put in a canonical order (fewer rows first, then the
+    smaller bytes) before the cross term is summed and the three terms are
+    combined, so the value does not depend on which sample is X. Byte-equal
+    samples take the cross term from the self-sum, which makes it exactly 0.
+    """
+    n, m = X.shape[0], Y.shape[0]
+    swap = m < n
+    if m == n:
+        xb, yb = X.tobytes(), Y.tobytes()
+        if xb == yb:
+            return sxx / n**2 - 2.0 * sxx / (n * m) + syy / m**2
+        swap = yb < xb
+    if swap:
+        X, sxx, Y, syy, n, m = Y, syy, X, sxx, m, n
+    sxy = _kernel_sum(X, Y, lengthscale)
+    return sxx / n**2 - 2.0 * sxy / (n * m) + syy / m**2
 
 
 def mmd(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
     """Biased squared-MMD estimate with all pair terms included.
 
-    The cross term is accumulated in a canonical argument order, so the value
-    is exactly symmetric in (X, Y) and exactly zero when X and Y are the same
-    matrix up to row order.
+    The value is exactly symmetric in (X, Y) and exactly zero when X and Y
+    are the same matrix; for a row permutation of the same matrix it is zero
+    within rounding, as the pair sums then run in another order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -38,42 +86,30 @@ def mmd(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
         raise ValueError("samples must share a column count")
     if X.shape[0] < 1 or Y.shape[0] < 1:
         raise ValueError("samples must be nonempty")
-    n, m = X.shape[0], Y.shape[0]
-    first, second = X, Y
-    if (m, Y.tobytes()) < (n, X.tobytes()):
-        first, second = Y, X
-    sxx = _kernel_sum(X, X, kernel.lengthscale)
-    syy = _kernel_sum(Y, Y, kernel.lengthscale)
-    sxy = _kernel_sum(first, second, kernel.lengthscale)
-    return sxx / n**2 - 2.0 * sxy / (n * m) + syy / m**2
+    ell = kernel.lengthscale
+    return _mmd_from_self_sums(X, _self_sum(X, ell), Y, _self_sum(Y, ell), ell)
 
 
 class MmdReference:
     """Repeated MMD evaluations against one fixed reference sample.
 
     Precomputes the reference self-term once; values are identical to
-    mmd(X, reference, kernel) because the same pair-sum helper and argument
+    mmd(X, reference, kernel) because the same sums and the same argument
     canonicalization are used.
     """
 
     def __init__(self, reference: np.ndarray, kernel: KernelSpec):
         self.reference = np.atleast_2d(np.asarray(reference, dtype=float))
         self.kernel = kernel
-        self._self_sum = _kernel_sum(self.reference, self.reference,
-                                     kernel.lengthscale)
+        self._self_sum = _self_sum(self.reference, kernel.lengthscale)
 
     def value(self, X: np.ndarray) -> float:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = self.reference
-        if X.shape[1] != Y.shape[1]:
+        if X.shape[1] != self.reference.shape[1]:
             raise ValueError("samples must share a column count")
-        n, m = X.shape[0], Y.shape[0]
-        first, second = X, Y
-        if (m, Y.tobytes()) < (n, X.tobytes()):
-            first, second = Y, X
-        sxx = _kernel_sum(X, X, self.kernel.lengthscale)
-        sxy = _kernel_sum(first, second, self.kernel.lengthscale)
-        return sxx / n**2 - 2.0 * sxy / (n * m) + self._self_sum / m**2
+        ell = self.kernel.lengthscale
+        return _mmd_from_self_sums(X, _self_sum(X, ell), self.reference,
+                                   self._self_sum, ell)
 
 
 def gradient_magnitude(field: SteinGradientField) -> float:

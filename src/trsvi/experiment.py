@@ -387,14 +387,32 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
     return out
 
 
+def _read_artifact_file(path: Path, read):
+    """read(path), with a missing or malformed file raised as a one-line
+    ConfigError naming it."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: "
+                          + " ".join(str(exc).split())) from None
+    except ValueError as exc:
+        # the sample loaders' messages already name the path
+        raise ConfigError(str(exc)) from None
+
+
 def evaluate_artifact(artifact_dir) -> dict:
     """(Re)compute the MMD report for every run in an artifact directory."""
     out = Path(artifact_dir)
-    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    manifest = _read_artifact_file(out / "manifest.yaml",
+                                   lambda p: yaml.safe_load(p.read_text()))
     if (out / "ground_truth.bin").exists():
-        ground_truth = load_samples_binary(out / "ground_truth.bin")
+        ground_truth = _read_artifact_file(out / "ground_truth.bin",
+                                           load_samples_binary)
     elif (out / "ground_truth.csv").exists():
-        ground_truth, _ = load_samples_csv(out / "ground_truth.csv")
+        ground_truth, _ = _read_artifact_file(out / "ground_truth.csv",
+                                              load_samples_csv)
     else:
         raise ConfigError(
             f"artifact {out} has no ground-truth sample; rerun with "
@@ -422,7 +440,9 @@ def evaluate_artifact(artifact_dir) -> dict:
         label = method["label"]
         values = []
         for seed in manifest["run"]["seeds"]:
-            final, _ = load_samples_csv(out / "runs" / label / f"seed_{seed}" / "final.csv")
+            final, _ = _read_artifact_file(
+                out / "runs" / label / f"seed_{seed}" / "final.csv",
+                load_samples_csv)
             values.append(scorer.value(final))
         report["methods"][label] = {
             "per_seed": [float(v) for v in values],

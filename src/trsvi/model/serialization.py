@@ -9,7 +9,9 @@ little-endian float64 values.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,14 +104,17 @@ def load_problem(path):
 
 
 def save_samples_csv(path, samples: np.ndarray, names: list[str]) -> None:
+    """One header row of names, then one row per sample of repr() values,
+    each line ended by CR LF as csv.writer ends it."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != len(names):
         raise ValueError("samples must be (rows, len(names))")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(names)
+        # repr of a float never holds a comma, quote or line break, so the
+        # body needs no csv quoting
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in samples.tolist())
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -121,15 +126,42 @@ def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
         names = next(reader, None)
         if not names:
             raise ValueError(f"{path}: no header row of column names")
+        body = fh.read()
+    lines = body.splitlines()
+    # csv.reader ends a record at \r, \n or \r\n, and after an unterminated
+    # last line; splitlines also breaks at a few characters float() takes
+    # for whitespace, so equal counts mean the lines are the records
+    rows = body.count("\n") + body.count("\r") - body.count("\r\n")
+    rows += bool(body) and body[-1] not in "\r\n"
+    samples = None
+    if len(lines) == rows:
         try:
-            rows = [[float(v) for v in row] for row in reader]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            with warnings.catch_warnings():
+                # a body of blank lines only is "no data" to loadtxt
+                warnings.simplefilter("ignore")
+                samples = np.loadtxt(lines, delimiter=",", comments=None,
+                                     ndmin=2)
+        except ValueError:
+            pass
+    # loadtxt skips blank lines, which are a defect here, so its row count
+    # must match too; anything else is read row by row, which names the defect
+    if samples is None or samples.shape != (rows, len(names)):
+        samples = _read_rows(path, body, len(names), reader.line_num)
+    return samples, names
+
+
+def _read_rows(path, body: str, width: int, header_lines: int) -> np.ndarray:
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        rows = [[float(v) for v in row] for row in reader]
+    except ValueError as exc:
+        line = header_lines + reader.line_num
+        raise ValueError(f"{path}: line {line}: {exc}") from None
     for k, row in enumerate(rows):
-        if len(row) != len(names):
+        if len(row) != width:
             raise ValueError(f"{path}: data row {k + 1} has {len(row)} values, "
-                             f"the header names {len(names)}")
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(names)), names
+                             f"the header names {width}")
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
 
 
 def save_samples_binary(path, samples: np.ndarray) -> None:

@@ -6,6 +6,7 @@ eigendecompositions, explicit double loops, and finite differences.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from trsvi.kernels import (
     DegenerateSampleError,
     KernelSpec,
     median_heuristic,
+    squared_distances,
 )
 from trsvi.stein import (
     ParticleSet,
@@ -142,6 +144,45 @@ def naive_mmd(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
     n, m = X.shape[0], Y.shape[0]
     return pair_sum(X, X) / n**2 - 2.0 * pair_sum(X, Y) / (n * m) \
         + pair_sum(Y, Y) / m**2
+
+
+def block_kernel_sum(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
+    """Sum of k(x_i, y_j) over all pairs, reduced over 2048-row blocks of X
+    against the whole of Y (the package's pair sum before strips and the
+    upper triangle)."""
+    inv = 0.5 / lengthscale**2
+    total = 0.0
+    for start in range(0, X.shape[0], 2048):
+        block = X[start:start + 2048]
+        total += float(np.exp(-inv * squared_distances(block, Y)).sum())
+    return total
+
+
+def csv_writer_save_samples(path, samples: np.ndarray, names) -> None:
+    """Sample CSV written one csv.writer row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in np.asarray(samples, dtype=float):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def csv_reader_load_samples(path) -> tuple[np.ndarray, list[str]]:
+    """Sample CSV read one csv.reader row at a time with float()."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if not names:
+            raise ValueError(f"{path}: no header row of column names")
+        try:
+            rows = [[float(v) for v in row] for row in reader]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    for k, row in enumerate(rows):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: data row {k + 1} has {len(row)} values, "
+                             f"the header names {len(names)}")
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(names)), names
 
 
 def pdist_median_heuristic(samples: np.ndarray, seed: int = 0) -> float:

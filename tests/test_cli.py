@@ -1,4 +1,5 @@
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -435,6 +436,30 @@ class TestCliVerbs:
         assert rc == 0
         assert (tmp_path / "marg" / "factor_0.csv").exists()
         assert (tmp_path / "marg" / "factor_2.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["missing manifest", "manifest yaml",
+                                        "non-numeric final sample"])
+    def test_evaluate_defective_artifact_exits_2(self, artifact, tmp_path,
+                                                 capsys, defect):
+        """A missing or corrupt artifact file gives exit status 2 and one
+        stderr line naming the file, not a traceback."""
+        copy = shutil.copytree(artifact, tmp_path / "art")
+        if defect == "missing manifest":
+            path = copy / "manifest.yaml"
+            path.unlink()
+        elif defect == "manifest yaml":
+            path = copy / "manifest.yaml"
+            path.write_text("method: [\n  - {label: x\n")
+        else:
+            path = copy / "runs" / "mp-svgd-dlr" / "seed_1" / "final.csv"
+            lines = path.read_bytes().split(b"\r\n")
+            lines[2] = b",".join(b"abc" for _ in lines[2].split(b","))
+            path.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        rc = main(["evaluate", "--artifact", str(copy)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and str(path) in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_mmd
+from oracles import block_kernel_sum, naive_mmd
 from trsvi import evaluation as ev
 from trsvi.kernels import KernelSpec
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
@@ -19,7 +23,9 @@ class TestMmd:
     def test_identical_samples_zero(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 3))
-        assert abs(ev.mmd(X, X, KernelSpec(1.0))) < 1e-12
+        assert ev.mmd(X, X, KernelSpec(1.0)) == 0.0
+        Y = rng.normal(size=(700, 3))
+        assert ev.mmd(Y, Y.copy(), KernelSpec(1.0)) == 0.0
 
     def test_permuted_copy_zero_nonidentical_positive(self):
         rng = np.random.default_rng(1)
@@ -77,6 +83,72 @@ class TestMmd:
         for _ in range(5):
             X = rng.normal(size=(rng.integers(2, 60), 3))
             assert scorer.value(X) == ev.mmd(X, Y, kernel)
+
+
+# row counts around the strip edges
+STRIP_ROWS = st.sampled_from([1, 2, 17, 255, 256, 257, 511, 512, 513, 700])
+LENGTHSCALES = st.floats(0.2, 5.0)
+
+
+@st.composite
+def sample_pair(draw):
+    """Two samples with one column count, drawn from seeds at a scale."""
+    cols = draw(st.integers(1, 6))
+
+    def sample():
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+        return scale * rng.normal(size=(draw(STRIP_ROWS), cols))
+
+    return sample(), sample()
+
+
+class TestMmdStrips:
+    """The strip and upper-triangle sums against the 2048-row-block sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sample_pair(), ell=LENGTHSCALES)
+    def test_self_sum_within_1e12_of_block_sum(self, pair, ell):
+        X, _ = pair
+        old = block_kernel_sum(X, X, ell)
+        assert abs(ev._self_sum(X, ell) - old) <= 1e-12 * abs(old)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sample_pair(), ell=LENGTHSCALES)
+    def test_cross_sum_bitwise_when_first_fits_one_strip(self, pair, ell):
+        X, Y = pair
+        old = block_kernel_sum(X, Y, ell)
+        new = ev._kernel_sum(X, Y, ell)
+        if X.shape[0] <= ev._MMD_STRIP_ROWS:
+            assert new == old
+        else:
+            assert abs(new - old) <= 1e-12 * abs(old)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sample_pair(), ell=LENGTHSCALES)
+    def test_exact_identities(self, pair, ell):
+        X, Y = pair
+        kernel = KernelSpec(ell)
+        value = ev.mmd(X, Y, kernel)
+        assert ev.MmdReference(Y, kernel).value(X) == value
+        assert ev.mmd(Y, X, kernel) == value
+        assert ev.mmd(X, X.copy(), kernel) == 0.0
+        assert ev.MmdReference(X, kernel).value(X.copy()) == 0.0
+
+    def test_reference_memory_stays_within_strips(self):
+        """A reference of m rows makes a few (256, m) temporaries at a time;
+        one (2048, m) block of the pair sum is already over the bound."""
+        m, d = 8000, 3
+        Y = np.random.default_rng(7).normal(size=(m, d))
+        bound = 4 * ev._MMD_STRIP_ROWS * m * 8
+        assert 2048 * m * 8 > bound
+        tracemalloc.start()
+        try:
+            ev.MmdReference(Y, KernelSpec(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestGradientMagnitude:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trsvi import baselines, experiment, stein, trustregion
+from trsvi import baselines, evaluation, experiment, stein, trustregion
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, SnlpModel
 from trsvi.stein import ParticleSet
@@ -24,6 +24,11 @@ HOOKS = [
     (ns, "median_heuristic") for ns in (trustregion, experiment)
 ] + [
     (cls, "hessian_batch") for cls in (BayesNetModel, SnlpModel)
+] + [
+    (experiment, name) for name in ("save_samples_csv", "load_samples_csv",
+                                    "metropolis_reference")
+] + [
+    (evaluation.MmdReference, name) for name in ("__init__", "value")
 ]
 
 
@@ -188,8 +193,9 @@ def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
 
 
 def test_evaluate_records_one_median_heuristic_span(tracing, tmp_path):
-    """`trsvi evaluate` reaches the median heuristic through the name the
-    tracer wraps, once per artifact."""
+    """`trsvi evaluate` reaches the median heuristic and the MMD reference
+    through the names the tracer wraps, once per artifact, and loads the
+    ground truth and every final sample through the wrapped CSV loader."""
     config = {
         "problem": {"kind": "bayes_net", "layer_sizes": [2, 2],
                     "max_parents": 2, "gmm_nodes": 1, "seed": 5},
@@ -207,4 +213,6 @@ def test_evaluate_records_one_median_heuristic_span(tracing, tmp_path):
     finally:
         tracer.uninstall()
     assert spans["kernels.median_heuristic"]["calls"] == 1
+    assert spans["evaluation.mmd_reference_init"]["calls"] == 1
+    assert tracer.counts["load_samples_csv.rows"] == 300 + 6
     assert report["kernel_lengthscale"] > 0

@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from trsvi.model import (
     BayesNetConfig,
@@ -161,3 +165,80 @@ def test_negative_binary_shape_rejected(tmp_path_factory, shape):
     path = tmp_path_factory.mktemp("bin") / "negative.bin"
     path.write_bytes(np.asarray(shape, dtype="<i8").tobytes() + bytes(64))
     _raises_naming(path, load_samples_binary, "negative shape")
+
+
+# -- bulk CSV writer and loader against the row-by-row oracles --------------
+
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               -2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-4,
+               9.999999999999999e-05, 0.1, -1.5e300]
+CELLS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                  st.floats(allow_nan=True, allow_infinity=True))
+# header names, some of which csv.writer must quote
+NAMES = st.text(alphabet=list('ab é,"\r\n'), max_size=4)
+
+
+@st.composite
+def named_samples(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    cells = draw(st.lists(CELLS, min_size=rows * cols, max_size=rows * cols))
+    names = draw(st.lists(NAMES, min_size=cols, max_size=cols))
+    return np.array(cells, dtype=float).reshape(rows, cols), names
+
+
+def _outcome(loader, path):
+    """(samples bytes, shape, names) or the error a loader raises."""
+    try:
+        samples, names = loader(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return samples.dtype, samples.shape, samples.tobytes(), names
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=named_samples())
+def test_csv_writer_byte_identical_and_loader_bitwise(tmp_path_factory, case):
+    samples, names = case
+    folder = tmp_path_factory.mktemp("csv")
+    new, old = folder / "new.csv", folder / "old.csv"
+    save_samples_csv(new, samples, names)
+    oracles.csv_writer_save_samples(old, samples, names)
+    assert new.read_bytes() == old.read_bytes()
+    expected = _outcome(oracles.csv_reader_load_samples, new)
+    assert _outcome(load_samples_csv, new) == expected
+    if samples.shape[1] > 0:   # a file of no columns has no header
+        # repr writes every NaN as "nan", read back as the one quiet NaN
+        canonical = np.where(np.isnan(samples), np.nan, samples)
+        assert expected[1:3] == (samples.shape, canonical.tobytes())
+
+
+# body lines: numbers, non-numbers, blanks and whitespace (some of it a line
+# break to str.splitlines), with every line ending csv.reader knows and a
+# last line with or without one
+FIELDS = st.sampled_from(["0.5", "-1e-300", "nan", "-inf", " 2.0 ", "abc",
+                          "", "1_0", '"3.0"', "  ", "4\x0c", "5\x0c6",
+                          "\x85"])
+LINES = st.lists(FIELDS, min_size=0, max_size=4).map(",".join)
+ENDINGS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=st.integers(1, 3),
+       lines=st.lists(st.tuples(LINES, ENDINGS), max_size=6),
+       last_ending=st.booleans())
+def test_csv_loader_matches_oracle_on_malformed_bodies(tmp_path_factory, cols,
+                                                       lines, last_ending):
+    body = "".join(text + end for text, end in lines)
+    if lines and not last_ending:
+        body = body[:-len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("csv") / "body.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"x{j}" for j in range(cols)) + "\r\n" + body)
+    assert _outcome(load_samples_csv, path) == _outcome(
+        oracles.csv_reader_load_samples, path)
+
+
+def test_csv_blank_line_rejected(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"x0,x1\r\n1.0,2.0\r\n\r\n3.0,4.0\r\n")
+    _raises_naming(path, load_samples_csv, "data row 2")
