@@ -167,18 +167,30 @@ def rbf_matrix(
     lengthscale: float,
     dims: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(X[i], Y[j]), optionally over a coordinate subset."""
+    """Kernel matrix K[i, j] = k(X[i], Y[j]), optionally over a coordinate subset.
+
+    The kernel is computed in place in the squared distances' buffer.
+    """
     if dims is not None:
+        # two copies, even for Y = X: one shared array would send X @ X.T
+        # to syrk, whose result can differ in the last bit
         X = X[:, dims]
         Y = Y[:, dims]
-    sq = squared_distances(X, Y)
-    return np.exp(-0.5 * sq / lengthscale**2)
+    K = squared_distances(X, Y)
+    K *= -0.5
+    K /= lengthscale**2
+    return np.exp(K, out=K)
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped to be nonnegative."""
+    """Pairwise squared Euclidean distances, clipped to be nonnegative:
+    ||x||^2 + ||y||^2 - 2 x.y, formed in one output buffer besides the
+    product's."""
     xx = np.einsum("ij,ij->i", X, X)
     yy = np.einsum("ij,ij->i", Y, Y)
-    sq = xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T)
+    G = X @ Y.T
+    sq = np.add(xx[:, None], yy[None, :], out=np.empty_like(G))
+    G *= 2.0
+    sq -= G
     np.maximum(sq, 0.0, out=sq)
     return sq

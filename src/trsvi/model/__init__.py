@@ -14,9 +14,6 @@ from .layout import (
     FactorLayout,
     SingularityError,
     TargetModel,
-    eval_target,
-    markov_blanket,
-    target_hessian_block,
 )
 from .serialization import (
     load_problem,
@@ -45,17 +42,14 @@ __all__ = [
     "ancestral_sample",
     "bayes_net_layout",
     "build_snlp",
-    "eval_target",
     "generate_bayes_net",
     "load_problem",
     "load_samples_binary",
     "load_samples_csv",
-    "markov_blanket",
     "problem_from_dict",
     "problem_to_dict",
     "save_problem",
     "save_samples_binary",
     "save_samples_csv",
     "snlp_layout",
-    "target_hessian_block",
 ]

@@ -242,6 +242,14 @@ class BayesNetModel(TargetModel):
                     node.variance,
                 )
             )
+        # pattern positions of each node's (own, parents) x (own, parents)
+        # Hessian entries
+        pattern = self.layout.pattern()
+        self._families = [
+            pattern.index(idx[:, None], idx[None, :])
+            for idx in (np.concatenate(([j], parents))
+                        for j, _, parents, *_ in self._nodes)
+        ]
 
     def dimension_names(self) -> list[str]:
         return [f"x{j}" for j in range(self.spec.total_dim)]
@@ -256,10 +264,6 @@ class BayesNetModel(TargetModel):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
         return self.gradient_batch(x[None, :])[0]
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_point(x)
-        return self.hessian_batch(x[None, :])[0]
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -304,24 +308,25 @@ class BayesNetModel(TargetModel):
 
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        n, d = X.shape
-        out = np.zeros((n, d, d))
-        for j, kind, parents, weights, comp_w, mu, s2 in self._nodes:
+        n = X.shape[0]
+        out = np.zeros((n, self.layout.pattern().nnz))
+        for (j, kind, parents, weights, comp_w, mu, s2), family in zip(
+                self._nodes, self._families):
             if kind == ROOT:
-                out[:, j, j] -= 1.0 / s2
+                out[:, family[0, 0]] -= 1.0 / s2
             elif kind == LINEAR:
                 w = weights[0]
-                out[:, j, j] -= 1.0 / s2
-                out[:, j, parents] += w / s2
-                out[:, parents, j] += w / s2
-                out[np.ix_(np.arange(n), parents, parents)] -= np.outer(w, w) / s2
+                out[:, family[0, 0]] -= 1.0 / s2
+                out[:, family[0, 1:]] += w / s2
+                out[:, family[1:, 0]] += w / s2
+                out[:, family[1:, 1:]] -= np.outer(w, w) / s2
             else:
-                idx = np.concatenate(([j], parents))
+                k = family.shape[0]
                 resp, resid = self._responsibilities(X, j, parents, weights,
                                                      comp_w, s2)
                 # per-component gradient over (own, parents) coordinates
-                grads = np.empty((2, n, idx.size))
-                curv = np.empty((2, idx.size, idx.size))
+                grads = np.empty((2, n, k))
+                curv = np.empty((2, k, k))
                 for l in range(2):
                     e = resid[l] / s2
                     grads[l, :, 0] = -e
@@ -338,7 +343,7 @@ class BayesNetModel(TargetModel):
                 mix = np.einsum("ln,lkm->nkm", resp, curv)
                 mix += np.einsum("lnk,lnm->nkm", sg, sg)
                 mix -= np.einsum("nk,nm->nkm", gbar, gbar)
-                out[np.ix_(np.arange(n), idx, idx)] += mix
+                out[:, family] += mix
         return out
 
     @staticmethod

@@ -37,6 +37,9 @@ class PairGroup:
         mask: (P, |C_a|, |C_b|) 0/1 support of the kernel cross term: entry
             (p, q) is 1 iff C_a's dim p lies in blanket b and C_b's dim q lies
             in blanket a.
+        entries, twins: (P, |C_a|, |C_b|) and (P, |C_b|, |C_a|) positions in
+            the layout's `HessianPattern` of the block's entries and of its
+            transpose's.
     """
 
     a: np.ndarray
@@ -44,6 +47,81 @@ class PairGroup:
     rows: np.ndarray
     cols: np.ndarray
     mask: np.ndarray
+    entries: np.ndarray
+    twins: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class HessianPattern:
+    """Where a Hessian over a layout can be nonzero: both triangles of every
+    overlapping factor pair's block.  A stack of such Hessians is stored as
+    an (n, nnz) array of values whose columns follow `flat`.
+
+    Attributes:
+        dim: number of state dimensions.
+        flat: (nnz,) sorted flat (row * dim + col) indices of the entries.
+        rows, cols: (nnz,) row and column of each entry.
+        starts: (dim + 1,) where each row's entries begin, then nnz; every
+            row holds at least its diagonal entry.
+        upper: ascending positions of the entries with row <= col.
+        from_upper: (nnz,) for each entry, the index into `upper` of itself
+            or, below the diagonal, of its transpose.
+    """
+
+    dim: int
+    flat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    upper: np.ndarray
+    from_upper: np.ndarray
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dim: int) -> "HessianPattern":
+        rows, cols = np.divmod(flat, dim)
+        upper = np.flatnonzero(rows <= cols)
+        twin = np.searchsorted(flat, np.minimum(rows, cols) * dim
+                               + np.maximum(rows, cols))
+        return cls(dim=dim, flat=flat, rows=rows, cols=cols,
+                   starts=np.searchsorted(rows, np.arange(dim + 1)),
+                   upper=upper, from_upper=np.searchsorted(upper, twin))
+
+    @property
+    def nnz(self) -> int:
+        return self.flat.size
+
+    def index(self, rows, cols) -> np.ndarray:
+        """Positions of the entries (rows, cols), broadcast together; each
+        must lie in the pattern."""
+        flat = (np.asarray(rows, dtype=np.intp) * self.dim
+                + np.asarray(cols, dtype=np.intp))
+        pos = np.searchsorted(self.flat, flat)
+        if not np.array_equal(self.flat[np.minimum(pos, self.nnz - 1)], flat):
+            raise ValueError("entry outside the Hessian pattern")
+        return pos
+
+    def block_diagonal(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR column indices and row pointers of n Hessians' (n, nnz)
+        values laid along the diagonal of one (n * dim, n * dim) matrix.
+        Kept for the last n asked, in the index type scipy would convert
+        them to, so that building such a matrix copies nothing."""
+        cached = getattr(self, "_block_diagonal", None)
+        if cached is None or cached[0] != n:
+            dtype = np.int32 if n * self.nnz < 2**31 else np.int64
+            first = np.arange(n)[:, None]
+            indices = (first * self.dim + self.cols).ravel().astype(dtype)
+            indptr = np.append((first * self.nnz + self.starts[:-1]).ravel(),
+                               n * self.nnz).astype(dtype)
+            cached = (n, indices, indptr)
+            object.__setattr__(self, "_block_diagonal", cached)
+        return cached[1], cached[2]
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The (n, dim, dim) matrices of (n, nnz) pattern values, zero off
+        the pattern."""
+        out = np.zeros((values.shape[0], self.dim * self.dim))
+        out[:, self.flat] = values
+        return out.reshape(-1, self.dim, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +210,7 @@ class FactorLayout:
         """Overlapping pairs grouped by block shape, in pair order."""
         cached = getattr(self, "_pair_groups", None)
         if cached is None:
-            f, member = self.factors, self.membership()
+            f, member, pattern = self.factors, self.membership(), self.pattern()
             by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for a, b in self.overlapping_pairs():
                 by_shape.setdefault((f[a].size, f[b].size), []).append((a, b))
@@ -145,21 +223,24 @@ class FactorLayout:
                 in_b = member[b[:, None], rows]           # C_a's dims in blanket b
                 in_a = member[a[:, None], cols]           # C_b's dims in blanket a
                 mask = (in_b[:, :, None] & in_a[:, None, :]).astype(float)
-                cached.append(PairGroup(a=a, b=b, rows=rows, cols=cols, mask=mask))
+                cached.append(PairGroup(
+                    a=a, b=b, rows=rows, cols=cols, mask=mask,
+                    entries=pattern.index(rows[:, :, None], cols[:, None, :]),
+                    twins=pattern.index(cols[:, :, None], rows[:, None, :])))
             object.__setattr__(self, "_pair_groups", cached)
         return cached
 
-    def upper_pattern(self) -> np.ndarray:
-        """Sorted flat (row * total_dim + col) indices, row <= col, of the
-        entries that the blocks of overlapping factor pairs cover: where a
-        model Hessian's upper triangle can be nonzero."""
-        cached = getattr(self, "_upper_pattern", None)
+    def pattern(self) -> HessianPattern:
+        """The entries that the blocks of overlapping factor pairs cover,
+        in both triangles: where a model or Stein Hessian can be nonzero."""
+        cached = getattr(self, "_pattern", None)
         if cached is None:
             sizes = self._sizes()
             covered = np.repeat(np.repeat(self.overlap_matrix(), sizes, axis=0),
                                 sizes, axis=1)
-            cached = np.flatnonzero(np.triu(covered))
-            object.__setattr__(self, "_upper_pattern", cached)
+            cached = HessianPattern.from_flat(np.flatnonzero(covered),
+                                              self.total_dim)
+            object.__setattr__(self, "_pattern", cached)
         return cached
 
     @classmethod
@@ -189,7 +270,8 @@ class FactorLayout:
 
 
 class TargetModel(ABC):
-    """Evaluable log-density with analytic gradient and factor-pair Hessian blocks.
+    """Evaluable log-density with analytic gradient and Hessians over the
+    layout's pattern.
 
     Implementations must be pure functions of (model parameters, x): safe to
     call concurrently.  Derivatives are hand-coded, not autodiffed.
@@ -205,17 +287,15 @@ class TargetModel(ABC):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of log p at x."""
 
-    def hessian_block(self, a: int, b: int, x: np.ndarray) -> np.ndarray:
-        """Second-derivative block over (factor a, factor b) coordinates."""
-        layout = self.layout
-        if not (0 <= a < layout.n_factors and 0 <= b < layout.n_factors):
-            raise IndexError("factor index out of range")
-        hess = self.hessian(x)
-        return hess[np.ix_(layout.factors[a], layout.factors[b])]
-
     @abstractmethod
+    def hessian_batch(self, X: np.ndarray) -> np.ndarray:
+        """Hessians of log p at the rows of X, as (n, nnz) values over
+        `layout.pattern()`; every entry off the pattern is zero."""
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Dense Hessian of log p at x; blanket-sparse entries are exact zeros."""
+        """Dense Hessian of log p at x, scattered from `hessian_batch`."""
+        x = self._check_point(x)
+        return self.layout.pattern().dense(self.hessian_batch(x[None, :]))[0]
 
     # Batched evaluation over a particle matrix.  The defaults loop; models
     # override these with vectorized versions where it matters.
@@ -225,9 +305,6 @@ class TargetModel(ABC):
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         return np.stack([self.gradient(x) for x in X])
-
-    def hessian_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.hessian(x) for x in X])
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -239,24 +316,3 @@ class TargetModel(ABC):
         if not np.isfinite(x).all():
             raise ValueError("state vector must be finite")
         return x
-
-
-def eval_target(target: TargetModel, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-density and analytic gradient at a single point."""
-    x = target._check_point(x)
-    return target.log_density(x), target.gradient(x)
-
-
-def target_hessian_block(
-    target: TargetModel, a: int, b: int, x: np.ndarray
-) -> np.ndarray:
-    """|C_a| x |C_b| second-derivative block; zero when b is outside blanket a."""
-    x = target._check_point(x)
-    return target.hessian_block(a, b, x)
-
-
-def markov_blanket(target: TargetModel, a: int) -> np.ndarray:
-    """Dimension index set S_a: factor a's own dims plus its Markov blanket."""
-    if not 0 <= a < target.layout.n_factors:
-        raise IndexError("factor index out of range")
-    return target.layout.blankets[a].copy()

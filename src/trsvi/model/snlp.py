@@ -189,10 +189,6 @@ class SnlpModel(TargetModel):
         x = self._check_point(x)
         return self.gradient_batch(x[None, :])[0]
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_point(x)
-        return self.hessian_batch(x[None, :])[0]
-
     def _edge_geometry(self, P: np.ndarray, check_singular: bool = True):
         """Per-edge difference vectors and distances for a particle batch.
 
@@ -254,32 +250,30 @@ class SnlpModel(TargetModel):
 
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        n, dim = X.shape
+        n = X.shape[0]
         diffs, dists, meas = self._edge_geometry(X.reshape(n, -1, 2))
-        out = np.zeros((n, dim * dim))
-        if diffs:
-            d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
-            m = np.concatenate(meas)
-            u = d / dist[:, :, None]
-            uut = u[:, :, :, None] * u[:, :, None, :]
-            curv = (-uut + ((m - dist) / dist)[:, :, None, None]
-                    * (np.eye(2) - uut)) / self._s2
-            targets, scatter = self._hessian_scatter
-            out[:, targets] = (scatter @ curv.reshape(n, -1).T).T
-        return out.reshape(n, dim, dim)
+        if not diffs:
+            return np.zeros((n, self.layout.pattern().nnz))
+        d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
+        m = np.concatenate(meas)
+        u = d / dist[:, :, None]
+        uut = u[:, :, :, None] * u[:, :, None, :]
+        curv = (-uut + ((m - dist) / dist)[:, :, None, None]
+                * (np.eye(2) - uut)) / self._s2
+        return np.ascontiguousarray(
+            (self._hessian_scatter @ curv.reshape(n, -1).T).T)
 
     @cached_property
     def _hessian_scatter(self):
-        """Where each edge's 2x2 curvature block lands in the flat Hessian.
+        """Sparse +-1 matrix from the edges' stacked 2x2 curvature entries
+        to the layout's pattern; its rows sum edges in edge order.
 
         An edge term's curvature wrt its first endpoint, C, enters the
         Hessian as +C on both endpoints' diagonal blocks and -C on the two
         blocks joining them (anchor edges touch one diagonal block only).
-        Returns the flat (row * dim + col) entries that any edge touches and
-        a sparse +-1 matrix from the edges' stacked block entries to those
-        entries; its rows sum edges in edge order.
         """
-        dim = self.layout.total_dim
+        pattern = self.layout.pattern()
+        dim = pattern.dim
         # edge endpoints; an anchor edge's second entry is the anchor and
         # is never used
         ends = np.concatenate([self._uu[0], self._ua[0]])
@@ -296,8 +290,7 @@ class SnlpModel(TargetModel):
             cols.append((4 * k[:, None] + np.arange(4)).ravel())
             signs.append(np.full(r.size, sign))
         rows, cols, signs = (np.concatenate(v) for v in (rows, cols, signs))
-        targets, rows = np.unique(rows, return_inverse=True)
-        scatter = sparse.csr_matrix(
-            (signs, (rows, cols)), shape=(targets.size, 4 * len(ends))
+        rows = pattern.index(*np.divmod(rows, dim))
+        return sparse.csr_matrix(
+            (signs, (rows, cols)), shape=(pattern.nnz, 4 * len(ends))
         )
-        return targets, scatter

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .kernels import KernelSpec, LocalKernelFamily, rbf_matrix
-from .model.layout import FactorLayout, TargetModel
-
-# particles per batch of the global kernel term's symmetric products
-_GLOBAL_CHUNK = 16
+from .model.layout import FactorLayout, HessianPattern, TargetModel
 
 
 @dataclass
@@ -115,39 +113,99 @@ def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradie
     return SteinGradientField(layout, out)
 
 
-def hessian_stack_from_context(
-    ctx: AssemblyContext, target: TargetModel
-) -> np.ndarray:
-    """Every particle's second-variation Hessian as one dense (n, dim, dim)
-    stack, exactly symmetric.
+class PatternHessians:
+    """Every particle's symmetric Hessian as (n, nnz) values over a layout's
+    `HessianPattern`.  `apply` gathers each direction's entries, multiplies
+    and sums each row's segment, all particles in one block-diagonal sparse
+    product whose rows sum their entries in column order."""
 
-    Local kernels fill only the blocks of overlapping factor pairs.  With
+    def __init__(self, pattern: HessianPattern, values: np.ndarray):
+        n = values.shape[0]
+        self.shape = (n, pattern.dim)
+        self._matrix = sparse.csr_matrix(
+            (values.ravel(), *pattern.block_diagonal(n)),
+            shape=(n * pattern.dim, n * pattern.dim))
+
+    @property
+    def nbytes(self) -> int:
+        m = self._matrix
+        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """Row i of the result is H_i @ V[i]."""
+        return (self._matrix @ V.ravel()).reshape(V.shape)
+
+
+class GlobalHessians:
+    """Every particle's global-kernel Hessian, sum_j (G_ji G_ji^T
+    - K_ji^2 H_j) / n with kernel gradients G_ji = (x_j - x_i) K_ji / l^2.
+
+    The model term is stored over the pattern.  The kernel term is applied
+    from the positions and W = K * K, never formed:
+    sum_j W_ji (x_j - x_i) ((x_j - x_i) . v_i) / (n l^4) is, with
+    S_ji = x_j . v_i - x_i . v_i and A = W * S,
+    (A^T X - X * colsum(A)) / (n l^4): two (n, n, dim) products per apply.
+    Positions are centred first so that the expansion cancels little.
+    """
+
+    def __init__(self, model: PatternHessians, X: np.ndarray, W: np.ndarray,
+                 lengthscale: float):
+        self.shape = X.shape
+        self._model = model
+        self._X = X - X.mean(axis=0)
+        self._W = W
+        self._scale = 1.0 / (X.shape[0] * lengthscale**4)
+
+    @property
+    def nbytes(self) -> int:
+        return self._model.nbytes + self._X.nbytes + self._W.nbytes
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """Row i of the result is H_i @ V[i]."""
+        X = self._X
+        A = X @ V.T                                  # A[j, i] = x_j . v_i
+        A -= np.einsum("ij,ij->i", X, V)
+        A *= self._W
+        kernel = A.T @ X
+        kernel -= X * A.sum(axis=0)[:, None]
+        kernel *= self._scale
+        kernel += self._model.apply(V)
+        return kernel
+
+
+def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
+    """Every particle's second-variation Hessian, as an operator with
+    `apply(V)` (row i: H_i @ V[i]), `shape` (n, dim) and `nbytes`.
+
+    Model Hessians come as (n, nnz) values over the layout's pattern.
+    Local kernels give a `PatternHessians` over the same pattern.  With
     weights W = K_a * K_b, pair (a, b) takes one product
     W^T @ [H_ab | x_a x_b^T | x_a | x_b | 1]: the kernel-weighted model
     Hessians plus the moments that expand the kernel cross term
     sum_j W_ji (x_j - x_i)_a (x_j - x_i)_b^T.  Positions are centred first so
     the expansion cancels little.  Pairs whose blocks share a shape are
-    gathered, combined and scattered together; off-diagonal blocks are
-    written with their exact transpose and diagonal blocks mirrored from
-    their upper triangle.
+    computed together and written straight into their pattern entries;
+    off-diagonal blocks are written with their exact transpose and diagonal
+    blocks mirrored from their upper triangle, so every matrix is exactly
+    symmetric.  The global kernel gives a `GlobalHessians`.
     """
     X, layout = ctx.X, ctx.layout
-    n, dim = X.shape
-    model_hessians = target.hessian_batch(X)
-    inv_ls2 = 1.0 / ctx.lengthscale**2
+    n = X.shape[0]
+    pattern = layout.pattern()
+    model = target.hessian_batch(X)
     if ctx.is_global:
-        return _global_stack(X, ctx.kmats[0], model_hessians, layout, inv_ls2)
+        return _global_hessians(ctx, pattern, model)
 
+    inv_ls2 = 1.0 / ctx.lengthscale**2
     Xc = X - X.mean(axis=0)
-    stack = np.zeros((n, dim, dim))
+    values = np.empty((n, pattern.nnz))
     for g in layout.pair_groups():
-        rows, cols = g.rows[:, :, None], g.cols[:, None, :]
         P, ca, cb = g.mask.shape
         m = ca * cb
         xa, xb = Xc[:, g.rows], Xc[:, g.cols]             # (n, P, c)
         outer = xa[..., :, None] * xb[..., None, :]       # (n, P, ca, cb)
         rhs = np.concatenate(
-            [model_hessians[:, rows, cols].reshape(n, P, m),
+            [model[:, g.entries].reshape(n, P, m),
              outer.reshape(n, P, m), xa, xb, np.ones((n, P, 1))],
             axis=2,
         ).transpose(1, 0, 2).copy()                       # (P, n, 2m+ca+cb+1)
@@ -167,35 +225,22 @@ def hessian_stack_from_context(
         diag = g.a == g.b
         if diag.any():
             term[:, diag] = _mirror_upper(term[:, diag])
-        stack[:, rows, cols] = term
-        stack[:, g.cols[:, :, None], g.rows[:, None, :]] = term.swapaxes(2, 3)
-    return stack
+        values[:, g.entries] = term
+        values[:, g.twins] = term.swapaxes(2, 3)
+    return PatternHessians(pattern, values)
 
 
-def _global_stack(X, K, model_hessians, layout, inv_ls2) -> np.ndarray:
-    """Global-kernel stack: sum_j (G_ji G_ji^T - K_ji^2 H_j) / n, where
-    G_ji = (x_j - x_i) K_ji / l^2 is the kernel gradient.
-
-    The model term is one product over only the upper-triangle columns of
-    the layout's pattern, outside which every model Hessian is zero.  The
-    kernel term is one symmetric product G_i^T G_i per particle, formed a
-    few particles at a time so that no (n, n, dim) array is built.  Every
-    entry is then read from its upper-triangle twin, so both triangles come
-    from the same values.
-    """
-    n, dim = X.shape
-    pattern = layout.upper_pattern()
-    model = (K * K).T @ model_hessians.reshape(n, dim * dim)[:, pattern] / n
-    r, c = np.divmod(np.arange(dim * dim), dim)
-    upper_twin = np.minimum(r, c) * dim + np.maximum(r, c)
-    stack = np.empty((n, dim * dim))
-    for start in range(0, n, _GLOBAL_CHUNK):
-        i = slice(start, start + _GLOBAL_CHUNK)
-        G = (X[None, :, :] - X[i, None, :]) * (K[:, i].T * inv_ls2)[:, :, None]
-        prods = np.matmul(G.transpose(0, 2, 1), G).reshape(-1, dim * dim) / n
-        prods[:, pattern] -= model[i]
-        stack[i] = prods[:, upper_twin]
-    return stack.reshape(n, dim, dim)
+def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,
+                     model: np.ndarray) -> GlobalHessians:
+    """The model term -sum_j K_ji^2 H_j / n is one product over the
+    pattern's upper-triangle columns, each entry then read from its
+    upper-triangle twin, so both triangles come from the same values."""
+    n = ctx.X.shape[0]
+    W = ctx.kmats[0] * ctx.kmats[0]
+    upper = W.T @ model[:, pattern.upper] / n
+    values = np.negative(upper[:, pattern.from_upper])
+    return GlobalHessians(PatternHessians(pattern, values), ctx.X, W,
+                          ctx.lengthscale)
 
 
 def _mirror_upper(stack: np.ndarray) -> np.ndarray:

@@ -225,25 +225,24 @@ class Subproblems(NamedTuple):
         }
 
 
-def solve_subproblems(
-    field: SteinGradientField, hessians: np.ndarray, radius: float
-) -> Subproblems:
+def solve_subproblems(field: SteinGradientField, hessians,
+                      radius: float) -> Subproblems:
     """Solve every particle's subproblem at a shared radius.
 
-    `hessians` is the (n, dim, dim) stack of per-particle Hessians; one
-    batched CG runs over all particles.  Returns the stacked steps, the
-    per-particle termination statuses, the total predicted model decrease
-    and the per-particle CG iteration counts.  CG is forced to a relative
-    residual of min(0.1, sqrt(||g_i||)) and at most dim iterations per
-    particle.
+    `hessians` is the per-particle Hessian operator of
+    `hessian_stack_from_context`: `hessians.apply(V)` returns the rows
+    H_i @ V[i], and `hessians.shape` is (n, dim).  One batched CG runs over
+    all particles.  Returns the stacked steps, the per-particle termination
+    statuses, the total predicted model decrease and the per-particle CG
+    iteration counts.  CG is forced to a relative residual of
+    min(0.1, sqrt(||g_i||)) and at most dim iterations per particle.
     """
     n, dim = field.values.shape
-    if not isinstance(hessians, np.ndarray) or hessians.shape != (n, dim, dim):
-        raise ValueError(f"hessians must be an ({n}, {dim}, {dim}) stack")
-
-    def apply(V):
-        return np.matmul(hessians, V[..., None])[..., 0]
-
+    if not callable(getattr(hessians, "apply", None)) or tuple(
+            getattr(hessians, "shape", ())) != (n, dim):
+        raise ValueError(f"hessians must be a Hessian operator of shape "
+                         f"({n}, {dim})")
+    apply = hessians.apply
     G = field.values
     tol = np.minimum(0.1, np.sqrt(np.sqrt(_row_dot(G, G))))
     steps, status, iterations = cg_steihaug_rows(apply, G, radius, tol, dim)
@@ -411,19 +410,22 @@ def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
     """The trust-region loop of tr-svi-at, tr-svi-kl and svn-ctr.
 
     Each iteration builds the kernel context (`build_context(positions)`),
-    Stein field and Hessian stack at the current particles, solves the
+    Stein field and Hessian operator at the current particles, solves the
     subproblems at `controller.trial_radius()`, and lets
     `controller.judge(trial, target, field_at)` take or reject the proposal;
     `controller.begin(g0, warnings)` may end the run before it starts.  The
     three are kept with the positions array they were built at, so nothing is
     rebuilt after a rejection or at a proposal `field_at` already evaluated.
+    Only one context is held: the old one is dropped before the next is
+    built.  No rebuild comes of that, since tr-svi-at takes every proposal
+    it evaluates and tr-svi-kl evaluates none.
     """
     trace = RunTrace()
     built = {"X": None}
 
     def field_at(X):
         if X is not built["X"]:
-            built["hessians"] = None        # release the old stack first
+            built.update(X=None, ctx=None, field=None, hessians=None)
             ctx = build_context(X)
             built.update(X=X, ctx=ctx, field=field_from_context(ctx, target))
         return built["field"]

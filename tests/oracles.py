@@ -231,6 +231,39 @@ def linear_gaussian_moments(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, cov, precision
 
 
+class DenseHessians:
+    """A dense (n, dim, dim) stack in the Hessian-operator form that
+    `solve_subproblems` takes: `apply` is one batched matrix product."""
+
+    def __init__(self, stack):
+        self.stack = np.asarray(stack, dtype=float)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.stack.shape[:-1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.stack.nbytes
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        return np.matmul(self.stack, V[..., None])[..., 0]
+
+
+def operator_matrix(hessians) -> np.ndarray:
+    """The (n, dim, dim) matrices of a Hessian operator, one column per
+    apply to a unit direction."""
+    n, dim = hessians.shape
+    cols = [hessians.apply(np.broadcast_to(e, (n, dim)).copy())
+            for e in np.eye(dim)]
+    return np.stack(cols, axis=2)
+
+
+def dense_model_hessians(target, X) -> np.ndarray:
+    """The model Hessians of `target.hessian_batch` as a dense stack."""
+    return target.layout.pattern().dense(target.hessian_batch(X))
+
+
 def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
     """Local-kernel second-variation Hessians, one factor pair at a time with
     explicit (n, n, c) difference tensors and a batched matmul.
@@ -240,7 +273,7 @@ def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
     """
     layout = target.layout
     n, dim = X.shape
-    model_hessians = target.hessian_batch(X)
+    model_hessians = dense_model_hessians(target, X)
     inv_ls2 = 1.0 / lengthscale**2
     factors = layout.factors
     stack = np.zeros((n, dim, dim))
@@ -270,10 +303,74 @@ def dense_global_hessian_stack(ctx, target) -> np.ndarray:
     X, K = ctx.X, ctx.kmats[0]
     n = X.shape[0]
     inv_ls2 = 1.0 / ctx.lengthscale**2
-    stack = -np.tensordot(K * K, target.hessian_batch(X), axes=(0, 0)) / n
+    stack = -np.tensordot(K * K, dense_model_hessians(target, X),
+                          axes=(0, 0)) / n
     grads = -inv_ls2 * (X[:, None, :] - X[None, :, :]) * K[:, :, None]
     stack += np.matmul(grads.transpose(1, 2, 0), grads.transpose(1, 0, 2)) / n
     return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
+
+
+def moment_hessian_stack(ctx, target) -> np.ndarray:
+    """Every particle's second-variation Hessian as one dense
+    (n, dim, dim) stack, as the package built it before it kept Hessians
+    over the layout's pattern: local kernels take one moment GEMM per
+    overlapping factor pair, gathered from and scattered into dense
+    arrays; the global kernel takes the pattern-column model term and one
+    symmetric kernel-gradient product per particle, each entry read from
+    its upper-triangle twin."""
+    X, layout = ctx.X, ctx.layout
+    n, dim = X.shape
+    model_hessians = dense_model_hessians(target, X)
+    inv_ls2 = 1.0 / ctx.lengthscale**2
+    if ctx.is_global:
+        K = ctx.kmats[0]
+        pattern = layout.pattern()
+        upper = pattern.flat[pattern.upper]
+        model = (K * K).T @ model_hessians.reshape(n, dim * dim)[:, upper] / n
+        r, c = np.divmod(np.arange(dim * dim), dim)
+        upper_twin = np.minimum(r, c) * dim + np.maximum(r, c)
+        stack = np.empty((n, dim * dim))
+        for start in range(0, n, 16):
+            i = slice(start, start + 16)
+            G = (X[None, :, :] - X[i, None, :]) * (K[:, i].T * inv_ls2)[:, :, None]
+            prods = np.matmul(G.transpose(0, 2, 1), G).reshape(-1, dim * dim) / n
+            prods[:, upper] -= model[i]
+            stack[i] = prods[:, upper_twin]
+        return stack.reshape(n, dim, dim)
+
+    Xc = X - X.mean(axis=0)
+    stack = np.zeros((n, dim, dim))
+    for g in layout.pair_groups():
+        rows, cols = g.rows[:, :, None], g.cols[:, None, :]
+        P, ca, cb = g.mask.shape
+        m = ca * cb
+        xa, xb = Xc[:, g.rows], Xc[:, g.cols]
+        outer = xa[..., :, None] * xb[..., None, :]
+        rhs = np.concatenate(
+            [model_hessians[:, rows, cols].reshape(n, P, m),
+             outer.reshape(n, P, m), xa, xb, np.ones((n, P, 1))],
+            axis=2,
+        ).transpose(1, 0, 2).copy()
+        mom = np.empty_like(rhs)
+        for p, (a, b) in enumerate(zip(g.a, g.b)):
+            np.matmul((ctx.kmats[a] * ctx.kmats[b]).T, rhs[p], out=mom[p])
+        mom = mom.transpose(1, 0, 2)
+        ma, mb = mom[..., 2 * m:2 * m + ca], mom[..., 2 * m + ca:-1]
+        cross = (
+            mom[..., m:2 * m].reshape(n, P, ca, cb)
+            - xa[..., :, None] * mb[..., None, :]
+            - ma[..., :, None] * xb[..., None, :]
+            + outer * mom[..., -1, None, None]
+        )
+        term = (inv_ls2**2 * g.mask * cross
+                - mom[..., :m].reshape(n, P, ca, cb)) / n
+        diag = g.a == g.b
+        if diag.any():
+            d = term[:, diag]
+            term[:, diag] = np.triu(d) + np.triu(d, 1).swapaxes(-1, -2)
+        stack[:, rows, cols] = term
+        stack[:, g.cols[:, :, None], g.rows[:, None, :]] = term.swapaxes(2, 3)
+    return stack
 
 
 def isin_overlap_matrix(layout) -> np.ndarray:
@@ -293,13 +390,13 @@ def isin_pair_mask(layout, a: int, b: int) -> np.ndarray:
     return np.outer(np.isin(f[a], bl[b]), np.isin(f[b], bl[a])).astype(float)
 
 
-def loop_upper_pattern(layout) -> np.ndarray:
-    """Sorted flat upper-triangle entries of every overlapping pair's block,
-    entry by entry."""
+def loop_pattern(layout) -> np.ndarray:
+    """Sorted flat entries, both triangles, of every overlapping pair's
+    block, entry by entry."""
     dim, f = layout.total_dim, layout.factors
     overlap = isin_overlap_matrix(layout)
     entries = {
-        min(r, c) * dim + max(r, c)
+        r * dim + c
         for a in range(layout.n_factors)
         for b in range(layout.n_factors)
         if overlap[a, b]
@@ -341,6 +438,87 @@ def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
             bi = 2 * i
             out[:, bi:bi + 2, bi:bi + 2] += blocks[:, k]
     return out
+
+
+def dense_bayesnet_hessian_batch(model, X) -> np.ndarray:
+    """Bayes-net log-density Hessians accumulated node by node into a dense
+    (n, dim, dim) stack, as the model built them before it wrote pattern
+    values."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    out = np.zeros((n, d, d))
+    for j, kind, parents, weights, comp_w, mu, s2 in model._nodes:
+        if kind == "root":
+            out[:, j, j] -= 1.0 / s2
+        elif kind == "linear":
+            w = weights[0]
+            out[:, j, j] -= 1.0 / s2
+            out[:, j, parents] += w / s2
+            out[:, parents, j] += w / s2
+            out[np.ix_(np.arange(n), parents, parents)] -= np.outer(w, w) / s2
+        else:
+            idx = np.concatenate(([j], parents))
+            resp, resid = model._responsibilities(X, j, parents, weights,
+                                                  comp_w, s2)
+            grads = np.empty((2, n, idx.size))
+            curv = np.empty((2, idx.size, idx.size))
+            for l in range(2):
+                e = resid[l] / s2
+                grads[l, :, 0] = -e
+                grads[l, :, 1:] = e[:, None] * weights[l]
+                wl = weights[l]
+                curv[l, 0, 0] = -1.0 / s2
+                curv[l, 0, 1:] = wl / s2
+                curv[l, 1:, 0] = wl / s2
+                curv[l, 1:, 1:] = -np.outer(wl, wl) / s2
+            gbar = np.einsum("ln,lnk->nk", resp, grads)
+            sg = np.sqrt(resp)[:, :, None] * grads
+            mix = np.einsum("ln,lkm->nkm", resp, curv)
+            mix += np.einsum("lnk,lnm->nkm", sg, sg)
+            mix -= np.einsum("nk,nm->nkm", gbar, gbar)
+            out[np.ix_(np.arange(n), idx, idx)] += mix
+    return out
+
+
+def squared_distances_oracle(X, Y) -> np.ndarray:
+    """Pairwise squared distances as one broadcast expression, with fresh
+    temporaries for the norm sum, 2 x.y and their difference."""
+    xx = np.einsum("ij,ij->i", X, X)
+    yy = np.einsum("ij,ij->i", Y, Y)
+    sq = xx[:, None] + yy[None, :] - 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def rbf_matrix_oracle(X, Y, lengthscale: float, dims=None) -> np.ndarray:
+    """The RBF kernel matrix as one expression over the oracle distances."""
+    if dims is not None:
+        X = X[:, dims]
+        Y = Y[:, dims]
+    return np.exp(-0.5 * squared_distances_oracle(X, Y) / lengthscale**2)
+
+
+def eval_target(target, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-density and analytic gradient at a single point."""
+    x = target._check_point(x)
+    return target.log_density(x), target.gradient(x)
+
+
+def target_hessian_block(target, a: int, b: int, x: np.ndarray) -> np.ndarray:
+    """|C_a| x |C_b| second-derivative block of the dense Hessian; zero when
+    b is outside blanket a."""
+    layout = target.layout
+    if not (0 <= a < layout.n_factors and 0 <= b < layout.n_factors):
+        raise IndexError("factor index out of range")
+    x = target._check_point(x)
+    return target.hessian(x)[np.ix_(layout.factors[a], layout.factors[b])]
+
+
+def markov_blanket(target, a: int) -> np.ndarray:
+    """Dimension index set S_a: factor a's own dims plus its Markov blanket."""
+    if not 0 <= a < target.layout.n_factors:
+        raise IndexError("factor index out of range")
+    return target.layout.blankets[a].copy()
 
 
 def rbf_eval(x, y, lengthscale: float):

@@ -1,11 +1,12 @@
 """Toy targets implementing the evaluable-distribution contract for tests,
 and every particle's Stein Hessian built the way the trust-region loop
-builds it."""
+builds it, as a dense stack."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from oracles import operator_matrix
 from trsvi.model.layout import FactorLayout, TargetModel
 from trsvi.stein import global_context, hessian_stack_from_context, local_context
 
@@ -13,13 +14,13 @@ from trsvi.stein import global_context, hessian_stack_from_context, local_contex
 def local_hessians(particles, target, family) -> np.ndarray:
     """(n, dim, dim) local-kernel Stein Hessians of a particle set."""
     ctx = local_context(particles.positions, family)
-    return hessian_stack_from_context(ctx, target)
+    return operator_matrix(hessian_stack_from_context(ctx, target))
 
 
 def global_hessians(particles, target, kernel) -> np.ndarray:
     """(n, dim, dim) global-kernel Stein Hessians of a particle set."""
     ctx = global_context(particles.positions, target.layout, kernel)
-    return hessian_stack_from_context(ctx, target)
+    return operator_matrix(hessian_stack_from_context(ctx, target))
 
 
 def fully_connected_layout(dims_per_factor: list[int]) -> FactorLayout:
@@ -64,10 +65,6 @@ class GaussianTarget(TargetModel):
         x = self._check_point(x)
         return -self.precision @ (x - self.mean)
 
-    def hessian(self, x):
-        self._check_point(x)
-        return -self.precision.copy()
-
     def log_density_batch(self, X):
         diff = np.asarray(X, dtype=float) - self.mean
         return self._const - 0.5 * np.einsum("ni,ij,nj->n", diff, self.precision, diff)
@@ -77,8 +74,11 @@ class GaussianTarget(TargetModel):
         return -diff @ self.precision
 
     def hessian_batch(self, X):
+        """The precision's entries on the layout's pattern; those off it
+        are taken as zero."""
         n = np.asarray(X).shape[0]
-        return np.broadcast_to(-self.precision, (n, *self.precision.shape)).copy()
+        values = -self.precision.ravel()[self.layout.pattern().flat]
+        return np.broadcast_to(values, (n, values.size)).copy()
 
     def dimension_names(self):
         return [f"x{j}" for j in range(self.mean.size)]

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, fd_jacobian, linear_gaussian_moments
+from oracles import (eval_target, fd_gradient, fd_jacobian, linear_gaussian_moments,
+                     target_hessian_block)
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
     BayesNetSpec,
     BayesNode,
     ancestral_sample,
-    eval_target,
     generate_bayes_net,
-    target_hessian_block,
 )
 
 PAPER_30DIM_CONFIG = BayesNetConfig(

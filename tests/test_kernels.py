@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from oracles import fd_gradient, local_kernel_eval, pdist_median_heuristic, rbf_eval
+from oracles import (fd_gradient, local_kernel_eval, pdist_median_heuristic,
+                     rbf_eval, rbf_matrix_oracle, squared_distances_oracle)
 from trsvi import kernels
-from trsvi.experiment import build_problem, ground_truth_sample
+from trsvi.config import validate_config
+from trsvi.experiment import (build_problem, ground_truth_sample,
+                              initialize_particles, make_model)
 from trsvi.kernels import (
     MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
@@ -19,6 +22,7 @@ from trsvi.kernels import (
     LocalKernelFamily,
     median_heuristic,
     rbf_matrix,
+    squared_distances,
 )
 from trsvi.model import FactorLayout
 
@@ -290,3 +294,48 @@ class TestKernelMatrix:
         K = rbf_matrix(X, X, 1.1, dims=dims)
         ref = rbf_matrix(X[:, dims], X[:, dims], 1.1)
         np.testing.assert_array_equal(K, ref)
+
+
+@st.composite
+def point_sets(draw):
+    """Two point sets of one dimension, sometimes one and the same array."""
+    d = draw(st.integers(1, 6))
+    elements = st.floats(min_value=-50, max_value=50, allow_nan=False)
+    X = draw(arrays(float, (draw(st.integers(1, 12)), d), elements=elements))
+    if draw(st.booleans()):
+        return X, X
+    return X, draw(arrays(float, (draw(st.integers(1, 12)), d),
+                          elements=elements))
+
+
+class TestInPlaceKernels:
+    """`squared_distances` and `rbf_matrix` work in one output buffer; the
+    operations and their order are those of the former expressions, kept
+    in oracles.py, so every entry is bitwise the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(), st.floats(min_value=0.05, max_value=20.0),
+           st.booleans())
+    def test_bitwise_equal_to_expression_oracle(self, sets, lengthscale,
+                                                subset):
+        X, Y = sets
+        dims = np.arange(0, X.shape[1], 2) if subset else None
+        assert squared_distances(X, Y).tobytes() == \
+            squared_distances_oracle(X, Y).tobytes()
+        assert rbf_matrix(X, Y, lengthscale, dims=dims).tobytes() == \
+            rbf_matrix_oracle(X, Y, lengthscale, dims=dims).tobytes()
+
+    @pytest.mark.parametrize("config", ["bn10_desk", "snlp_large"])
+    def test_every_blanket_kernel_of_a_bundled_config(self, config):
+        """Each local kernel of a run's first iteration, where X and Y are
+        separate copies of the same blanket columns."""
+        cfg = yaml.safe_load(
+            (Path(__file__).parents[1] / "configs" / f"{config}.yaml").read_text())
+        cfg = validate_config(cfg)
+        problem = build_problem(cfg["problem"])
+        layout = make_model(problem).layout
+        X = initialize_particles(problem, cfg["run"], 0).positions
+        ls = cfg["kernel"]["lengthscale"]
+        for dims in layout.blankets:
+            assert rbf_matrix(X, X, ls, dims=dims).tobytes() == \
+                rbf_matrix_oracle(X, X, ls, dims=dims).tobytes()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import isin_overlap_matrix, isin_pair_mask, loop_upper_pattern
+from oracles import (eval_target, isin_overlap_matrix, isin_pair_mask,
+                     loop_pattern, markov_blanket)
 from targets import partial_blanket_layout
 from trsvi.model import (
     BayesNetConfig,
@@ -14,9 +15,7 @@ from trsvi.model import (
     SnlpConfig,
     SnlpModel,
     build_snlp,
-    eval_target,
     generate_bayes_net,
-    markov_blanket,
 )
 from trsvi.model.layout import TargetModel
 
@@ -126,8 +125,25 @@ def _assert_matches_isin_oracles(layout):
             pairs.append((a, b))
             np.testing.assert_array_equal(g.mask[p], isin_pair_mask(layout, a, b))
     assert sorted(pairs) == layout.overlapping_pairs()
-    np.testing.assert_array_equal(layout.upper_pattern(),
-                                  loop_upper_pattern(layout))
+    pattern = layout.pattern()
+    np.testing.assert_array_equal(pattern.flat, loop_pattern(layout))
+    dim = layout.total_dim
+    np.testing.assert_array_equal(pattern.flat, pattern.rows * dim + pattern.cols)
+    np.testing.assert_array_equal(pattern.upper,
+                                  np.flatnonzero(pattern.rows <= pattern.cols))
+    # each entry's upper-triangle twin, and each row's first entry
+    twin = pattern.flat[pattern.upper[pattern.from_upper]]
+    np.testing.assert_array_equal(
+        twin, np.minimum(pattern.rows, pattern.cols) * dim
+        + np.maximum(pattern.rows, pattern.cols))
+    np.testing.assert_array_equal(
+        pattern.starts, [np.searchsorted(pattern.rows, r) for r in range(dim + 1)])
+    assert np.all(np.diff(pattern.starts) > 0)
+    for g in layout.pair_groups():
+        np.testing.assert_array_equal(
+            pattern.flat[g.entries], g.rows[:, :, None] * dim + g.cols[:, None, :])
+        np.testing.assert_array_equal(
+            pattern.flat[g.twins], g.cols[:, :, None] * dim + g.rows[:, None, :])
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,3 +202,13 @@ def test_asymmetric_blankets_raise_the_symmetry_error():
                       np.array([2, 5])),
             total_dim=6,
         )
+
+
+def test_pattern_index_rejects_entries_off_the_pattern():
+    # factors 0 (dims 0, 1) and 2 (dims 5, 6) of the partial layout do not
+    # overlap, so their block is off the pattern; the last entry is past it
+    pattern = partial_blanket_layout().pattern()
+    assert pattern.flat[pattern.index(0, 1)] == 1
+    for rows, cols in ((0, 5), ([1, 6], [1, 0]), (6, 7)):
+        with pytest.raises(ValueError, match="outside the Hessian pattern"):
+            pattern.index(rows, cols)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from trsvi import baselines, evaluation, experiment, stein, trustregion
+from trsvi import baselines, cli, evaluation, experiment, stein, trustregion
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, SnlpModel
 from trsvi.stein import ParticleSet
@@ -51,7 +52,7 @@ def test_install_wraps_and_uninstall_restores(tracing, mixed_bn):
         ctx = stein.local_context(
             X, LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout))
         stack = trustregion.hessian_stack_from_context(ctx, mixed_bn)
-        assert isinstance(stack, np.ndarray)
+        assert stack.shape == X.shape and stack.nbytes > 0
         assert tracer.counts["hessian_stack.out_bytes"] == stack.nbytes
         spans = tracer.aggregate()
         assert spans["stein.hessian_stack_from_context"]["calls"] == 1
@@ -118,11 +119,12 @@ def test_trust_region_runs_record_their_spans(tracing, mixed_bn):
     assert spans["tr-svi-kl"]["stein.local_context"]["calls"] >= 1
 
 
-def test_svn_ctr_stack_spans_see_a_dense_stack(tracing, small_snlp):
-    """svn-ctr's global Hessian stack still reaches the tracer as one
-    `stein.hessian_stack_from_context` span per iteration whose result is a
-    dense (n, dim, dim) array, so the span's calls and out_bytes stay
-    comparable across versions."""
+def test_svn_ctr_stack_spans_see_one_operator_per_iteration(tracing,
+                                                            small_snlp):
+    """svn-ctr's global Hessians reach the tracer as one
+    `stein.hessian_stack_from_context` span per iteration whose result is an
+    (n, dim) operator, and the span's out_bytes sums the operators'
+    `nbytes`."""
     n, iterations = 12, 3
     dim = small_snlp.layout.total_dim
     run_cfg = {"particles": n, "init_center": None, "init_scale": None}
@@ -146,11 +148,47 @@ def test_svn_ctr_stack_spans_see_a_dense_stack(tracing, small_snlp):
     assert spans["stein.global_context"]["calls"] == iterations
     assert spans["stein.hessian_stack_from_context"]["calls"] == len(results) \
         == iterations
-    for stack in results:
-        assert isinstance(stack, np.ndarray)
-        assert stack.shape == (n, dim, dim) and stack.dtype == float
-    assert tracer.counts["hessian_stack.out_bytes"] == \
-        iterations * n * dim * dim * 8
+    for hessians in results:
+        assert hessians.shape == (n, dim)
+        assert hessians.apply(np.ones((n, dim))).shape == (n, dim)
+    assert tracer.counts["hessian_stack.out_bytes"] == sum(
+        h.nbytes for h in results) > 0
+
+
+def test_traced_cli_run_completes(tracing, tmp_path):
+    """A traced `trsvi run` of every method on a small SNLP config, as the
+    benchmark's traced repetitions run it, completes and records the Hessian
+    spans of all three trust-region methods."""
+    config = {
+        "problem": {"kind": "snlp", "unknowns": 4, "anchors": 3, "side": 6.0,
+                    "radius": 3.5, "noise_variance": 0.01, "seed": 3},
+        "kernel": {"lengthscale": 1.0},
+        "method": [
+            {"name": "tr-svi-at", "iterations": 3},
+            {"name": "tr-svi-kl", "iterations": 3, "initial_radius": 1.0},
+            {"name": "svn-ctr", "iterations": 3, "radius": 0.1},
+            {"name": "mp-svgd-dlr", "iterations": 3, "step": 0.05,
+             "decay": 0.99},
+        ],
+        "run": {"particles": 10, "seeds": [0]},
+        "output": {"ground_truth": {"samples": 200, "burn_in": 100}},
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        rc = cli.main(["run", "--config", str(path), "--output-dir",
+                       str(tmp_path / "out"), "--workers", "1"])
+        spans = tracer.aggregate()
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert (tmp_path / "out" / "metrics.yaml").exists()
+    assert spans["stein.hessian_stack_from_context"]["calls"] >= 3 + 1 + 3
+    assert spans["model.hessian_batch"]["calls"] == \
+        spans["stein.hessian_stack_from_context"]["calls"]
+    assert tracer.counts["hessian_stack.out_bytes"] > 0
 
 
 def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, fd_jacobian
+from oracles import eval_target, fd_gradient, fd_jacobian, markov_blanket
 from trsvi.model import (
     SingularityError,
     SnlpConfig,
@@ -9,8 +9,6 @@ from trsvi.model import (
     SnlpProblem,
     SnlpEdge,
     build_snlp,
-    eval_target,
-    markov_blanket,
 )
 
 

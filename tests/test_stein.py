@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    DenseHessians,
+    dense_bayesnet_hessian_batch,
     dense_global_hessian_stack,
+    moment_hessian_stack,
+    operator_matrix,
     pair_loop_hessian_stack,
     per_edge_snlp_hessian_batch,
 )
@@ -250,9 +254,14 @@ class TestHessianApply:
                 local_hessians(ps, mixed_bn, fam))
 
     def test_zero_vector(self, mixed_bn):
-        field, stack = self._field_and_stack(mixed_bn)
+        ps = ParticleSet(np.random.default_rng(0).normal(
+            size=(6, mixed_bn.layout.total_dim)))
+        fam = family_for(mixed_bn)
+        field = graphical_stein_gradient(ps, mixed_bn, fam)
+        hessians = hessian_stack_from_context(local_context(ps.positions, fam),
+                                              mixed_bn)
         field.values[:] = 0.0
-        steps, statuses, decrease, _ = solve_subproblems(field, stack, 1.0)
+        steps, statuses, decrease, _ = solve_subproblems(field, hessians, 1.0)
         np.testing.assert_array_equal(steps, np.zeros_like(steps))
         assert statuses == ["interior"] * 6 and decrease == 0.0
 
@@ -284,12 +293,13 @@ class TestHessianApply:
         field, stack = self._field_and_stack(mixed_bn)
         for bad in (stack[:, :5, :5], stack[:5], stack[0]):
             with pytest.raises(ValueError):
-                solve_subproblems(field, bad, 1.0)
+                solve_subproblems(field, DenseHessians(bad), 1.0)
 
     def test_non_stack_operand_rejected(self, mixed_bn):
         field, stack = self._field_and_stack(mixed_bn)
-        with pytest.raises(ValueError):
-            solve_subproblems(field, list(stack), 1.0)
+        for bad in (list(stack), stack):
+            with pytest.raises(ValueError, match="operator"):
+                solve_subproblems(field, bad, 1.0)
 
 
 @cache
@@ -325,12 +335,14 @@ class TestStackAssembly:
         for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
             fam = LocalKernelFamily(KernelSpec(ls), target.layout)
             ctx = local_context(X, fam)
-            stack = hessian_stack_from_context(ctx, target)
+            stack = operator_matrix(hessian_stack_from_context(ctx, target))
             oracle = pair_loop_hessian_stack(X, target, ctx.kmats, ls)
             assert stack.shape == oracle.shape
             scale = np.abs(oracle).max()
             assert np.abs(stack - oracle).max() <= 1e-12 * scale, name
             np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
+            # the pattern values are the former dense stack's entries
+            np.testing.assert_array_equal(stack, moment_hessian_stack(ctx, target))
 
     def test_snlp_hessian_batch_matches_per_edge_loop(self, small_snlp,
                                                       noisy_snlp):
@@ -339,13 +351,13 @@ class TestStackAssembly:
             base = model.problem.true_positions.reshape(-1)
             X = base + rng.normal(scale=0.5, size=(13, base.size))
             oracle = per_edge_snlp_hessian_batch(model, X)
-            batch = model.hessian_batch(X)
+            batch = model.layout.pattern().dense(model.hessian_batch(X))
             assert np.abs(batch - oracle).max() <= 1e-12 * np.abs(oracle).max()
             np.testing.assert_array_equal(batch, batch.transpose(0, 2, 1))
 
 
-def _global_cases(mixed_bn, small_snlp):
-    rng = np.random.default_rng(24)
+def _global_cases(mixed_bn, small_snlp, seed=24):
+    rng = np.random.default_rng(seed)
     yield "mixed_bn", mixed_bn, rng.normal(size=(30, 6))
     base = small_snlp.problem.true_positions.reshape(-1)
     yield "small snlp", small_snlp, base + rng.normal(scale=0.5, size=(40, 12))
@@ -354,20 +366,20 @@ def _global_cases(mixed_bn, small_snlp):
 
 
 class TestGlobalStack:
-    """The pattern-column, per-particle global assembly against the dense
-    tensordot form."""
+    """The matrix-free global operator against the dense tensordot form."""
 
     @pytest.mark.parametrize("lengthscale", [0.5, 3.0])
     def test_matches_dense_oracle(self, mixed_bn, small_snlp, lengthscale):
         for name, target, X in _global_cases(mixed_bn, small_snlp):
             ctx = global_context(X, target.layout, KernelSpec(lengthscale))
-            stack = hessian_stack_from_context(ctx, target)
+            stack = operator_matrix(hessian_stack_from_context(ctx, target))
             oracle = dense_global_hessian_stack(ctx, target)
             assert stack.shape == oracle.shape, name
-            np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
+            scale = np.abs(oracle).max(axis=(1, 2))
             err = np.abs(stack - oracle).max(axis=(1, 2))
-            bound = 1e-12 * np.abs(oracle).max(axis=(1, 2))
-            assert np.all(err <= bound), name
+            assert np.all(err <= 1e-12 * scale), name
+            asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+            assert np.all(asym <= OPERATOR_RTOL * scale), name
 
     def test_snlp50_weights_include_subnormals(self, mixed_bn, small_snlp):
         """The oracle comparison covers K * K with subnormal entries (at
@@ -380,8 +392,9 @@ class TestGlobalStack:
 
     def test_model_hessians_vanish_outside_the_pattern(self, mixed_bn,
                                                        small_snlp, noisy_snlp):
-        """The premise of the pattern-column product: every model Hessian
-        is exactly zero off the layout's pattern and its mirror."""
+        """The premise of storing model Hessians over the pattern: every
+        dense oracle Hessian is exactly zero off the layout's pattern, and
+        its pattern entries are bitwise the model's values."""
         rng = np.random.default_rng(25)
         nets = [
             BayesNetModel(generate_bayes_net(BayesNetConfig(
@@ -389,17 +402,85 @@ class TestGlobalStack:
             for sizes, gmm, seed in (((5, 5), 2, 7), ((10, 10, 10), 6, 0))
         ]
         for model in [mixed_bn, *nets]:
-            self._check_pattern(model, rng.normal(size=(20, model.layout.total_dim)))
+            X = rng.normal(size=(20, model.layout.total_dim))
+            self._check_pattern(model, X, dense_bayesnet_hessian_batch(model, X))
         for model in (small_snlp, noisy_snlp, _snlp50()):
             base = model.problem.true_positions.reshape(-1)
-            self._check_pattern(model, base + rng.normal(size=(20, base.size)))
+            X = base + rng.normal(size=(20, base.size))
+            # the per-edge loop sums in another order: compare within 1e-12
+            self._check_pattern(model, X, per_edge_snlp_hessian_batch(model, X),
+                                rtol=1e-12)
 
     @staticmethod
-    def _check_pattern(model, X):
-        dim = model.layout.total_dim
-        rows, cols = np.divmod(model.layout.upper_pattern(), dim)
-        inside = np.zeros((dim, dim), dtype=bool)
-        inside[rows, cols] = inside[cols, rows] = True
-        hessians = model.hessian_batch(X)
-        assert np.all(hessians[:, ~inside] == 0.0)
-        assert np.all(np.any(hessians[:, rows, cols] != 0.0, axis=0))
+    def _check_pattern(model, X, dense, rtol=0.0):
+        pattern = model.layout.pattern()
+        inside = np.zeros(pattern.dim**2, dtype=bool)
+        inside[pattern.flat] = True
+        flat = dense.reshape(X.shape[0], -1)
+        assert np.all(flat[:, ~inside] == 0.0)
+        assert np.all(np.any(flat[:, inside] != 0.0, axis=0))
+        values = model.hessian_batch(X)
+        assert values.shape == (X.shape[0], pattern.nnz)
+        err = np.abs(values - flat[:, inside]).max()
+        assert err <= rtol * np.abs(flat).max()
+
+
+# Measured worst case over _global_cases for seeds 0..49, lengthscales 0.5
+# and 3.0, and unit-normal directions.  Error of apply(V) against the dense
+# oracle's product, relative to the largest entry of that particle's
+# product: 1.6e-15 for the local operator (its values are the former dense
+# stack's, bit for bit; only the order of each row's sum differs) and
+# 6.6e-16 for the global one (the kernel term's expansion into two GEMMs).
+# Asymmetry |u.Hv - v.Hu| relative to ||u|| ||Hv||: 4.3e-16 and 4.1e-16.
+# The bound is the worst case rounded up to the next power of ten.
+OPERATOR_RTOL = 1e-14
+
+
+def _check_operator(hessians, oracle, rng):
+    """apply(V) against the oracle's product, and the operator's symmetry:
+    u.H v against v.H u, both relative to max|H_i v_i| per particle."""
+    n, dim = hessians.shape
+    U, V = rng.normal(size=(2, n, dim))
+    HV, HU = hessians.apply(V), hessians.apply(U)
+    ref = np.matmul(oracle, V[..., None])[..., 0]
+    scale = np.abs(ref).max(axis=1)
+    err = np.abs(HV - ref).max(axis=1)
+    asym = np.abs(np.einsum("ij,ij->i", U, HV) - np.einsum("ij,ij->i", V, HU))
+    asym_scale = np.linalg.norm(U, axis=1) * np.linalg.norm(ref, axis=1)
+    assert np.all(err <= OPERATOR_RTOL * scale)
+    assert np.all(asym <= OPERATOR_RTOL * asym_scale)
+    return (err / scale).max()
+
+
+class TestHessianOperators:
+    """The operators the trust-region loop applies, against the dense
+    stacks they replace (`moment_hessian_stack`, kept as the oracle)."""
+
+    @pytest.mark.parametrize("lengthscale", [0.5, 3.0])
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_apply_matches_dense_oracle(self, mixed_bn, small_snlp, kind,
+                                        lengthscale):
+        rng = np.random.default_rng(31)
+        for name, target, X in _global_cases(mixed_bn, small_snlp, 30):
+            kernel = KernelSpec(lengthscale)
+            ctx = (local_context(X, LocalKernelFamily(kernel, target.layout))
+                   if kind == "local" else
+                   global_context(X, target.layout, kernel))
+            hessians = hessian_stack_from_context(ctx, target)
+            assert hessians.shape == X.shape, name
+            _check_operator(hessians, moment_hessian_stack(ctx, target), rng)
+
+    def test_operators_store_pattern_values(self, small_snlp):
+        """Memory is O(n * nnz): at snlp50 the local operator holds 768
+        values per particle where the dense stack held 10,000."""
+        X = 10.0 + 5.0 * np.random.default_rng(32).standard_normal((40, 100))
+        target = _snlp50()
+        assert target.layout.pattern().nnz == 768
+        kernel = KernelSpec(3.0)
+        local = hessian_stack_from_context(
+            local_context(X, LocalKernelFamily(kernel, target.layout)), target)
+        glob = hessian_stack_from_context(
+            global_context(X, target.layout, kernel), target)
+        dense = 40 * 100 * 100 * 8
+        assert local.nbytes < dense / 5
+        assert glob.nbytes < dense / 3

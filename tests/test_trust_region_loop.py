@@ -3,6 +3,8 @@ three loops it replaced, kept in oracles.py: bitwise equal final particles
 and equal trace records, on the paths every step takes and on the rare ones
 (rejections, a model predicting no decrease, zero gradients)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from trsvi import trustregion as tr
 from trsvi.experiment import execute_method, initialize_particles
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
-from trsvi.stein import ParticleSet
+from trsvi.stein import ParticleSet, local_context
 
 METHODS = [
     {"name": "tr-svi-at"},
@@ -195,3 +197,26 @@ def test_constant_radius_must_be_positive():
     for radius in (0.0, -1.0):
         with pytest.raises(ValueError, match="radius"):
             tr.ConstantRadius(radius)
+
+
+@pytest.mark.parametrize("controller", [
+    lambda: tr.AdaTrustState(),
+    lambda: tr.TrustRegionKLState(radius=1.0, nystrom_size=2, seed=3),
+    lambda: tr.ConstantRadius(0.5),
+], ids=["tr-svi-at", "tr-svi-kl", "svn-ctr"])
+def test_one_kernel_context_at_a_time(controller):
+    """The loop drops the previous context, and everything built from it,
+    before it builds the next one."""
+    target = chain_target()
+    fam = family_of(target)
+    ps = ParticleSet(np.random.default_rng(5).normal(size=(10, 2)), seed=5)
+    built = []
+
+    def build_context(X):
+        assert all(ref() is None for ref in built)
+        ctx = local_context(X, fam)
+        built.append(weakref.ref(ctx))
+        return ctx
+
+    tr.trust_region_run(ps, target, build_context, controller(), 6)
+    assert len(built) > 1

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from oracles import (
+    DenseHessians,
     exact_trust_region,
     model_value,
     per_particle_solve_subproblems,
@@ -429,8 +430,8 @@ class TestSolveSubproblems:
         field = graphical_stein_gradient(ps, mixed_bn, fam)
         hessians = local_hessians(ps, mixed_bn, fam)
         radius = 0.5
-        steps, statuses, decrease, _ = tr.solve_subproblems(field, hessians,
-                                                            radius)
+        steps, statuses, decrease, _ = tr.solve_subproblems(
+            field, DenseHessians(hessians), radius)
         assert decrease <= 0
         norms = np.linalg.norm(steps, axis=1)
         assert np.all(norms <= radius * (1 + 1e-10))
@@ -532,7 +533,7 @@ def field_of(G):
 
 def assert_matches_oracle(G, H, radius):
     field = field_of(G)
-    got = tr.solve_subproblems(field, H, radius)
+    got = tr.solve_subproblems(field, DenseHessians(H), radius)
     steps, statuses, decrease, iterations = per_particle_solve_subproblems(
         G, H, radius)
     assert got.statuses == statuses
@@ -584,12 +585,13 @@ class TestBatchedMatchesOracle:
         field = field_of(G)
         for radius in (0.0, -1.0):
             with pytest.raises(ValueError, match="radius"):
-                tr.solve_subproblems(field, H, radius)
-        for bad in (H[0], H[:, :1], H[:2], list(H)):
-            with pytest.raises(ValueError, match="stack"):
+                tr.solve_subproblems(field, DenseHessians(H), radius)
+        for bad in (DenseHessians(H[0]), DenseHessians(H[:, :1]),
+                    DenseHessians(H[:2]), list(H), H):
+            with pytest.raises(ValueError, match="operator"):
                 tr.solve_subproblems(field, bad, 1.0)
         # the field checks finiteness itself; the solver checks again for
         # values changed after construction
         field.values[1, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            tr.solve_subproblems(field, H, 1.0)
+            tr.solve_subproblems(field, DenseHessians(H), 1.0)
