@@ -113,8 +113,13 @@ class MmdReference:
 
 
 def gradient_magnitude(field: SteinGradientField) -> float:
-    """Root of the summed squared per-particle gradient norms."""
-    return float(np.linalg.norm(field.values))
+    """Root of the summed squared per-particle gradient norms.
+
+    The sum is numpy's own, not a BLAS dot, whose threaded reduction order
+    would make the value depend on the BLAS thread count.
+    """
+    v = field.values
+    return float(np.sqrt(np.einsum("ij,ij->", v, v)))
 
 
 @dataclass

@@ -4,6 +4,11 @@ The RBF convention throughout is k(x, y) = exp(-||x - y||^2 / (2 l^2)); all
 bundled default lengthscales are interpreted under it.  A local kernel k_a is
 the same RBF restricted to the coordinates of blanket S_a, so it is invariant
 to every coordinate outside the blanket.
+
+A kernel matrix's exponent is one matrix product of centred, augmented rows,
+clipped at 0 and exponentiated in place; `rbf_matrix` gives the form and its
+error bound.  `squared_distances`, which the MMD sums use, keeps the
+uncentred ||x||^2 + ||y||^2 - 2 x.y form.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ _MEDIAN_BLOCK_ROWS = 256
 # pairs drawn to bracket the median; at most four times as many pairs in
 # all are scanned with the whole real line as their bracket
 _MEDIAN_SAMPLE_PAIRS = 16_384
+# sampled pairs differenced at a time, which bounds the (pairs, d) temporaries
+_MEDIAN_SAMPLE_CHUNK = 2048
 # bracket half-width, in standard deviations of the sample median's rank
 _MEDIAN_BRACKET_SIGMAS = 5.0
 
@@ -116,13 +123,19 @@ def _median_pair_distance(X: np.ndarray, seed: int) -> float:
 
 
 def _sample_pair_distances(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sorted distances of _MEDIAN_SAMPLE_PAIRS uniform draws of i != j."""
+    """Sorted distances of _MEDIAN_SAMPLE_PAIRS uniform draws of i != j,
+    differenced _MEDIAN_SAMPLE_CHUNK pairs at a time; each distance depends
+    on its own pair only, so the chunking changes no bit."""
     n = X.shape[0]
     i = rng.integers(0, n, size=_MEDIAN_SAMPLE_PAIRS)
     j = rng.integers(0, n - 1, size=_MEDIAN_SAMPLE_PAIRS)
     j += j >= i
-    diff = X[i] - X[j]
-    return np.sort(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    sq = np.empty(_MEDIAN_SAMPLE_PAIRS)
+    for start in range(0, _MEDIAN_SAMPLE_PAIRS, _MEDIAN_SAMPLE_CHUNK):
+        pairs = slice(start, start + _MEDIAN_SAMPLE_CHUNK)
+        diff = X[i[pairs]] - X[j[pairs]]
+        np.einsum("ij,ij->i", diff, diff, out=sq[pairs])
+    return np.sort(np.sqrt(sq))
 
 
 def _bracket(sample: np.ndarray, sigmas_lo: float,
@@ -169,17 +182,40 @@ def rbf_matrix(
 ) -> np.ndarray:
     """Kernel matrix K[i, j] = k(X[i], Y[j]), optionally over a coordinate subset.
 
-    The kernel is computed in place in the squared distances' buffer.
+    Both sets are shifted by the column means of X over `dims` (so no other
+    coordinate can change a bit of the result), and the exponent is one
+    product, E = [x, |x|^2, 1] . [y / l^2, -1 / (2 l^2), -|y|^2 / (2 l^2)]
+    = -|x - y|^2 / (2 l^2); E is clipped at 0 and exponentiated in place,
+    three passes over the output in all.  With x and y the shifted rows and
+    d coordinates, each entry is within (d + 5) eps (1 + (|x|^2 + |y|^2) / l^2)
+    of the exact kernel value: the exponent is a sum of d + 2 rounded
+    products, and exp(E) <= 1 passes its error on at most unchanged.  The
+    shift makes the bound independent of any offset the two sets share.
     """
+    same = Y is X
     if dims is not None:
-        # two copies, even for Y = X: one shared array would send X @ X.T
-        # to syrk, whose result can differ in the last bit
         X = X[:, dims]
-        Y = Y[:, dims]
-    K = squared_distances(X, Y)
-    K *= -0.5
-    K /= lengthscale**2
-    return np.exp(K, out=K)
+    shift = X.mean(axis=0)
+    X = X - shift
+    xx = np.einsum("ij,ij->i", X, X)
+    if same:
+        Y, yy = X, xx
+    else:
+        Y = (Y if dims is None else Y[:, dims]) - shift
+        yy = np.einsum("ij,ij->i", Y, Y)
+    d = X.shape[1]
+    inv_ls2 = 1.0 / lengthscale**2
+    left = np.empty((X.shape[0], d + 2))
+    left[:, :d] = X
+    left[:, d] = xx
+    left[:, d + 1] = 1.0
+    right = np.empty((Y.shape[0], d + 2))
+    np.multiply(Y, inv_ls2, out=right[:, :d])
+    right[:, d] = -0.5 * inv_ls2
+    np.multiply(yy, -0.5 * inv_ls2, out=right[:, d + 1])
+    E = left @ right.T
+    np.minimum(E, 0.0, out=E)
+    return np.exp(E, out=E)
 
 
 def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ this structure.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class PairGroup:
     mask: np.ndarray
     entries: np.ndarray
     twins: np.ndarray
+
+    def chunk(self, pairs: slice) -> "PairGroup":
+        """The group restricted to a slice of its pairs."""
+        return PairGroup(*(getattr(self, f.name)[pairs] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,10 @@ from scipy import sparse
 from .kernels import KernelSpec, LocalKernelFamily, rbf_matrix
 from .model.layout import FactorLayout, HessianPattern, TargetModel
 
+# pairs of one pair group assembled at a time, which bounds the temporaries:
+# all of snlp50's 121 pairs at once take 11.8 MB at n = 200
+_PAIRS_PER_CHUNK = 32
+
 
 @dataclass
 class ParticleSet:
@@ -184,7 +188,9 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     Hessians plus the moments that expand the kernel cross term
     sum_j W_ji (x_j - x_i)_a (x_j - x_i)_b^T.  Positions are centred first so
     the expansion cancels little.  Pairs whose blocks share a shape are
-    computed together and written straight into their pattern entries;
+    computed together, _PAIRS_PER_CHUNK at a time so that the temporaries
+    stay bounded (every pair's terms are its own, so the chunking changes
+    no bit), and written straight into their pattern entries;
     off-diagonal blocks are written with their exact transpose and diagonal
     blocks mirrored from their upper triangle, so every matrix is exactly
     symmetric.  The global kernel gives a `GlobalHessians`.
@@ -199,7 +205,7 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     inv_ls2 = 1.0 / ctx.lengthscale**2
     Xc = X - X.mean(axis=0)
     values = np.empty((n, pattern.nnz))
-    for g in layout.pair_groups():
+    for g in _pair_chunks(layout):
         P, ca, cb = g.mask.shape
         m = ca * cb
         xa, xb = Xc[:, g.rows], Xc[:, g.cols]             # (n, P, c)
@@ -228,6 +234,13 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
         values[:, g.entries] = term
         values[:, g.twins] = term.swapaxes(2, 3)
     return PatternHessians(pattern, values)
+
+
+def _pair_chunks(layout: FactorLayout):
+    """Each pair group's pairs, _PAIRS_PER_CHUNK at a time."""
+    for group in layout.pair_groups():
+        for start in range(0, group.a.size, _PAIRS_PER_CHUNK):
+            yield group.chunk(slice(start, start + _PAIRS_PER_CHUNK))
 
 
 def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,

@@ -16,6 +16,7 @@ from scipy.spatial.distance import pdist
 from trsvi import trustregion as tr
 from trsvi.evaluation import gradient_magnitude
 from trsvi.kernels import (
+    _MEDIAN_SAMPLE_PAIRS,
     MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
     KernelSpec,
@@ -491,11 +492,40 @@ def squared_distances_oracle(X, Y) -> np.ndarray:
 
 
 def rbf_matrix_oracle(X, Y, lengthscale: float, dims=None) -> np.ndarray:
-    """The RBF kernel matrix as one expression over the oracle distances."""
+    """The RBF kernel matrix as one expression over the oracle distances:
+    bitwise the package's kernel before it formed the exponent as one
+    centred, augmented product."""
     if dims is not None:
         X = X[:, dims]
         Y = Y[:, dims]
     return np.exp(-0.5 * squared_distances_oracle(X, Y) / lengthscale**2)
+
+
+def rbf_matrix_longdouble(X, Y, lengthscale: float, dims=None) -> np.ndarray:
+    """The RBF kernel matrix from explicit differences in long double,
+    returned in long double: the reference for kernel rounding errors."""
+    if dims is not None:
+        X = X[:, dims]
+        Y = Y[:, dims]
+    X = np.asarray(X, dtype=np.longdouble)
+    Y = np.asarray(Y, dtype=np.longdouble)
+    sq = np.zeros((X.shape[0], Y.shape[0]), dtype=np.longdouble)
+    for k in range(X.shape[1]):
+        diff = X[:, k, None] - Y[None, :, k]
+        sq += diff * diff
+    ls2 = np.longdouble(lengthscale) ** 2
+    return np.exp(-sq / (2 * ls2))
+
+
+def sample_pair_distances_oracle(X: np.ndarray, rng) -> np.ndarray:
+    """`kernels._sample_pair_distances` with every sampled pair differenced
+    at once, as before it took them in chunks."""
+    n = X.shape[0]
+    i = rng.integers(0, n, size=_MEDIAN_SAMPLE_PAIRS)
+    j = rng.integers(0, n - 1, size=_MEDIAN_SAMPLE_PAIRS)
+    j += j >= i
+    diff = X[i] - X[j]
+    return np.sort(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
 
 def eval_target(target, x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,5 +1,9 @@
 import csv
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trsvi
 from trsvi.cli import main
 from trsvi.config import (
     METHODS,
@@ -355,6 +360,58 @@ class TestRunExperiment:
                     a = artifact / "runs" / label / f"seed_{seed}" / name
                     b = parallel / "runs" / label / f"seed_{seed}" / name
                     assert a.read_bytes() == b.read_bytes()
+
+
+def blas_thread_config():
+    """snlp_large's d = 100 problem at n = 200, five methods cut to a few
+    iterations, and a short Metropolis reference so that evaluate runs."""
+    return {
+        "problem": {"kind": "snlp", "unknowns": 50, "anchors": 12,
+                    "side": 20.0, "radius": 3.0, "noise_variance": 0.01,
+                    "seed": 0},
+        "kernel": {"lengthscale": 3.0},
+        "method": [
+            {"name": "tr-svi-at", "iterations": 5},
+            {"name": "tr-svi-kl", "iterations": 5, "initial_radius": 1.0},
+            {"name": "svn-ctr", "iterations": 3, "radius": 0.1},
+            {"name": "mp-svgd-dlr", "iterations": 5, "step": 0.1,
+             "decay": 0.99},
+            {"name": "svgd", "iterations": 5, "step": 0.1},
+        ],
+        "run": {"particles": 200, "seeds": [0]},
+        "output": {"ground_truth": {"samples": 400, "seed": 1000,
+                                    "proposal_scale": 0.01, "burn_in": 200}},
+    }
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    """`trsvi run` and `trsvi evaluate` at one and at two BLAS threads write
+    the same bytes to every file but timings.csv.  The thread count must be
+    set before numpy loads, so each runs in its own process."""
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(blas_thread_config()))
+    src = str(Path(trsvi.__file__).parents[1])
+    cli = "import sys; from trsvi.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for verb in (["run", "--config", str(config), "--output-dir",
+                      str(out), "--workers", "1"],
+                     ["evaluate", "--artifact", str(out)]):
+            subprocess.run([sys.executable, "-c", cli, *verb], env=env,
+                           check=True, capture_output=True, timeout=600)
+        outputs.append(out)
+    one, two = ({p.relative_to(out): p for p in out.rglob("*") if p.is_file()}
+                for out in outputs)
+    assert set(one) == set(two)
+    compared = sorted(set(one) - {Path("timings.csv")})
+    assert Path("metrics.yaml") in compared and len(compared) > 10
+    for name in compared:
+        assert one[name].read_bytes() == two[name].read_bytes(), name
 
 
 class TestMarginals:

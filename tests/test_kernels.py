@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
 from oracles import (fd_gradient, local_kernel_eval, pdist_median_heuristic,
-                     rbf_eval, rbf_matrix_oracle, squared_distances_oracle)
+                     rbf_eval, rbf_matrix_longdouble, rbf_matrix_oracle,
+                     sample_pair_distances_oracle, squared_distances_oracle)
 from trsvi import kernels
 from trsvi.config import validate_config
 from trsvi.experiment import (build_problem, ground_truth_sample,
@@ -249,15 +250,29 @@ class TestMedianHeuristicExact:
                 assert hi1 > hi0 and lo1 == lo0
 
     def test_peak_memory_is_a_few_row_blocks(self):
-        X = np.random.default_rng(10).normal(size=(6000, 10))
-        tracemalloc.start()
-        try:
-            median_heuristic(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the full pdist vector alone is 144 MB
-        assert peak < 48e6
+        # the full pdist vector alone is 144 MB for 6000 rows; for 2000 rows
+        # of 100 columns (the snlp50 ground truth's shape) differencing all
+        # 16,384 sampled pairs at once peaked at 26.5 MB, in chunks 5.3 MB
+        for (n, d), bound in [((6000, 10), 48e6), ((2000, 100), 16e6)]:
+            X = np.random.default_rng(10).normal(size=(n, d))
+            tracemalloc.start()
+            try:
+                median_heuristic(X)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, d, peak)
+
+    @pytest.mark.parametrize("n, d", [(400, 100), (3000, 2)])
+    def test_sampled_pairs_are_bitwise_the_unchunked_draws(self, n, d):
+        """The pair sample, differenced a chunk at a time, is bitwise the
+        one from all pairs at once, and so is the median it brackets (both
+        shapes have more than 65,536 pairs, so the sample is drawn)."""
+        X = np.random.default_rng(13).normal(size=(n, d))
+        chunked = kernels._sample_pair_distances(X, np.random.default_rng(14))
+        whole = sample_pair_distances_oracle(X, np.random.default_rng(14))
+        assert chunked.tobytes() == whole.tobytes()
+        _same_as_oracle(X)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_are_named(self, bad):
@@ -308,27 +323,87 @@ def point_sets(draw):
                           elements=elements))
 
 
+EPS = np.finfo(float).eps
+
+
+def kernel_error_bound(X, Y, lengthscale, dims=None, centred=True):
+    """The stated bound on |K - k| for `rbf_matrix`, entry by entry:
+    (d + 5) eps (1 + (|x~|^2 + |y~|^2) / l^2), with x~ and y~ the rows less
+    the column means of X over the kernel's d coordinates.
+
+    The exponent is a sum of d + 2 products of rounded factors, so its error
+    is at most about (d + 3) u (|x~|^2 + |y~|^2) / l^2 (u = eps / 2, and
+    |x~ . y~| <= (|x~|^2 + |y~|^2) / 2); centring adds at most 2 u times the
+    same; exp(E) <= 1 passes an exponent error on at most unchanged and
+    rounds within a few u.  The uncentred expression of `rbf_matrix_oracle`
+    meets the same bound with the raw rows in place of x~ and y~
+    (centred=False), which is what a large common offset costs it."""
+    if dims is not None:
+        X, Y = X[:, dims], Y[:, dims]
+    shift = X.mean(axis=0) if centred else 0.0
+    xx = np.sum((X - shift) ** 2, axis=1)
+    yy = np.sum((Y - shift) ** 2, axis=1)
+    c = X.shape[1] + 5
+    return c * EPS * (1.0 + (xx[:, None] + yy[None, :]) / lengthscale**2)
+
+
+def kernel_error(K, X, Y, lengthscale, dims=None):
+    ref = rbf_matrix_longdouble(X, Y, lengthscale, dims=dims)
+    return np.abs(K.astype(np.longdouble) - ref).astype(float)
+
+
 class TestInPlaceKernels:
-    """`squared_distances` and `rbf_matrix` work in one output buffer; the
-    operations and their order are those of the former expressions, kept
-    in oracles.py, so every entry is bitwise the same."""
+    """`squared_distances` works in one output buffer with the operations
+    and order of the former expression, kept in oracles.py, so every entry
+    is bitwise the same.  `rbf_matrix` forms its exponent as one centred,
+    augmented product, which rounds differently from the former expression
+    (`rbf_matrix_oracle`): both are held to the stated bound against a
+    long-double reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_bitwise_equal_to_expression_oracle(self, sets):
+        X, Y = sets
+        assert squared_distances(X, Y).tobytes() == \
+            squared_distances_oracle(X, Y).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets(), st.floats(min_value=0.05, max_value=20.0),
-           st.booleans())
-    def test_bitwise_equal_to_expression_oracle(self, sets, lengthscale,
-                                                subset):
+           st.booleans(),
+           st.sampled_from([0.0, 1e3, -1e6]))
+    @example(sets=(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, -4.0]]),) * 2,
+             lengthscale=0.7, subset=False, offset=0.0)   # coincident rows
+    @example(sets=(np.array([[0.0], [500.0]]), np.array([[0.0], [-500.0]])),
+             lengthscale=1.0, subset=False, offset=1e3)   # exact zeros
+    @example(sets=(np.array([[0.3, -1.2], [1.7, 0.4], [-0.8, 2.1]]),) * 2,
+             lengthscale=1.0, subset=False, offset=-1e6)  # common offset
+    @example(sets=(np.full((3, 4), 49.0),) * 2, lengthscale=0.05,
+             subset=True, offset=-1e6)
+    def test_within_bound_of_long_double_and_oracle(self, sets, lengthscale,
+                                                    subset, offset):
         X, Y = sets
+        same = X is Y
+        X = X + offset
+        Y = X if same else Y + offset
         dims = np.arange(0, X.shape[1], 2) if subset else None
-        assert squared_distances(X, Y).tobytes() == \
-            squared_distances_oracle(X, Y).tobytes()
-        assert rbf_matrix(X, Y, lengthscale, dims=dims).tobytes() == \
-            rbf_matrix_oracle(X, Y, lengthscale, dims=dims).tobytes()
+        K = rbf_matrix(X, Y, lengthscale, dims=dims)
+        bound = kernel_error_bound(X, Y, lengthscale, dims)
+        ref = rbf_matrix_longdouble(X, Y, lengthscale, dims=dims)
+        assert np.all(np.abs(K - ref) <= bound)
+        assert np.all((K >= 0.0) & (K <= 1.0))
+        # far below exp's underflow the kernel is exactly 0
+        assert np.all(K[ref < np.exp(np.longdouble(-800.0))] == 0.0)
+        oracle = rbf_matrix_oracle(X, Y, lengthscale, dims=dims)
+        slack = bound + kernel_error_bound(X, Y, lengthscale, dims,
+                                           centred=False)
+        assert np.all(np.abs(K - oracle) <= slack)
 
-    @pytest.mark.parametrize("config", ["bn10_desk", "snlp_large"])
+    @pytest.mark.parametrize("config", ["bn10_desk", "bn30_paper",
+                                        "snlp_small", "snlp_large"])
     def test_every_blanket_kernel_of_a_bundled_config(self, config):
-        """Each local kernel of a run's first iteration, where X and Y are
-        separate copies of the same blanket columns."""
+        """Each local kernel of a run's first iteration is within the stated
+        bound of the long-double reference, and its worst error is at most
+        the former expression's worst error plus one ulp of 1."""
         cfg = yaml.safe_load(
             (Path(__file__).parents[1] / "configs" / f"{config}.yaml").read_text())
         cfg = validate_config(cfg)
@@ -337,5 +412,8 @@ class TestInPlaceKernels:
         X = initialize_particles(problem, cfg["run"], 0).positions
         ls = cfg["kernel"]["lengthscale"]
         for dims in layout.blankets:
-            assert rbf_matrix(X, X, ls, dims=dims).tobytes() == \
-                rbf_matrix_oracle(X, X, ls, dims=dims).tobytes()
+            err = kernel_error(rbf_matrix(X, X, ls, dims=dims), X, X, ls, dims)
+            assert np.all(err <= kernel_error_bound(X, X, ls, dims))
+            old = kernel_error(rbf_matrix_oracle(X, X, ls, dims=dims),
+                               X, X, ls, dims)
+            assert err.max() <= old.max() + EPS

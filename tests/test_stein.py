@@ -19,6 +19,7 @@ from targets import (
     local_hessians,
     partial_blanket_layout,
 )
+from trsvi import stein
 from trsvi.kernels import KernelSpec, LocalKernelFamily
 from trsvi.model import (
     BayesNetConfig,
@@ -343,6 +344,22 @@ class TestStackAssembly:
             np.testing.assert_array_equal(stack, stack.transpose(0, 2, 1))
             # the pattern values are the former dense stack's entries
             np.testing.assert_array_equal(stack, moment_hessian_stack(ctx, target))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    def test_pair_chunks_change_no_bit(self, mixed_bn, small_snlp,
+                                       monkeypatch, chunk):
+        """Pairs of one group taken a chunk at a time, from one pair to the
+        whole group (snlp50's 121 pairs form one group, more than the
+        default chunk), give bitwise the unchunked assembly."""
+        assert max(g.a.size for g in _snlp50().layout.pair_groups()) > \
+            stein._PAIRS_PER_CHUNK
+        monkeypatch.setattr(stein, "_PAIRS_PER_CHUNK", chunk)
+        for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
+            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
+                                                     target.layout))
+            stack = operator_matrix(hessian_stack_from_context(ctx, target))
+            assert stack.tobytes() == \
+                moment_hessian_stack(ctx, target).tobytes(), name
 
     def test_snlp_hessian_batch_matches_per_edge_loop(self, small_snlp,
                                                       noisy_snlp):
