@@ -128,6 +128,15 @@ class MetropolisResult:
     acceptance_rate: float
 
 
+# Proposals that metropolis_reference evaluates per log_density_batch call.
+# A call on a few rows costs little more than a call on one, and the rows
+# after the first acceptance are wasted.  Over whole chains (2 vCPUs, 2 to
+# 8 rows tried), 6 was within 5% of the best on the snlp50 benchmark chain
+# (acceptance 0.51) and 10-20% faster than 4 on the snlp_small chain (0.27)
+# and on a one-dimensional normal chain (0.44).
+_PREFETCH = 6
+
+
 def metropolis_reference(
     target: TargetModel,
     chain_length: int,
@@ -140,7 +149,14 @@ def metropolis_reference(
     """Random-walk Metropolis with isotropic Gaussian proposals.
 
     A stand-in reference sampler for problems whose ground truth cannot be
-    drawn directly; inherently sequential, deterministic given the seed.
+    drawn directly; deterministic given the seed.  The increments and
+    uniforms are drawn up front, so the chain prefetches (Brockwell, 2006):
+    it evaluates the next few proposals from the current state in one
+    `log_density_batch` call and takes them up to the first acceptance.
+    By the row contract of `TargetModel.log_density_batch`, the samples and
+    the acceptance rate are bitwise those of the one-step-at-a-time chain.
+    A proposal that is not finite gets log density -inf, as the
+    `ValueError` of the one-point `log_density` would give.
     """
     if proposal_scale <= 0:
         raise ValueError("proposal scale must be positive")
@@ -159,21 +175,34 @@ def metropolis_reference(
     n_keep = (chain_length + thinning - 1) // thinning
     kept = np.empty((n_keep, dim))
     accepted = 0
-    out = 0
     increments = rng.normal(0.0, proposal_scale, size=(total, dim))
     log_uniforms = np.log(1.0 - rng.random(total))   # uniform over (0, 1]
-    log_density = target.log_density
-    for step in range(total):
-        proposal = x + increments[step]
-        try:
-            logp_prop = log_density(proposal)
-        except ValueError:
-            logp_prop = -np.inf
-        if logp_prop - logp >= log_uniforms[step]:
-            x = proposal
-            logp = logp_prop
+    log_density_batch = target.log_density_batch
+    out = 0          # states kept so far: those of the kept steps before `step`
+    step = 0
+    while step < total:
+        stop = min(step + _PREFETCH, total)
+        proposals = x + increments[step:stop]
+        if np.isfinite(proposals).all():
+            logp_props = log_density_batch(proposals)
+        else:
+            finite = np.isfinite(proposals).all(axis=1)
+            logp_props = np.full(stop - step, -np.inf)
+            if finite.any():
+                logp_props[finite] = log_density_batch(proposals[finite])
+        accepts = (logp_props - logp >= log_uniforms[step:stop]).tolist()
+        k = accepts.index(True) if True in accepts else None
+        end = stop if k is None else step + k + 1
+        # the steps before `end` keep x, except an acceptance at end - 1;
+        # kept_end counts the kept steps before `end`
+        kept_end = max(0, -((burn_in - end) // thinning))
+        kept[out:kept_end] = x
+        if k is not None:
+            x = proposals[k]
+            logp = logp_props[k]
             accepted += 1
-        if step >= burn_in and (step - burn_in) % thinning == 0:
-            kept[out] = x
-            out += 1
+            if end > burn_in and (end - 1 - burn_in) % thinning == 0:
+                kept[kept_end - 1] = x
+        out = kept_end
+        step = end
     return MetropolisResult(samples=kept, acceptance_rate=accepted / total)

@@ -223,6 +223,16 @@ def bayes_net_layout(spec: BayesNetSpec) -> FactorLayout:
     return FactorLayout.from_factor_neighbors([1] * d, neighbors)
 
 
+def _parent_sum(X: np.ndarray, parents: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_p w_p X[:, parents[p]], added in parent order.  Each row's value is
+    then the same whatever the other rows; a gemv's order can change with
+    the row count."""
+    out = X[:, parents[0]] * w[0]
+    for p, wp in zip(parents[1:], w[1:]):
+        out += X[:, p] * wp
+    return out
+
+
 class BayesNetModel(TargetModel):
     """Joint density of a layered net with hand-coded derivatives."""
 
@@ -273,13 +283,14 @@ class BayesNetModel(TargetModel):
             if kind == ROOT:
                 total += const - 0.5 * (X[:, j] - mu) ** 2 / s2
             elif kind == LINEAR:
-                mean = X[:, parents] @ weights[0]
+                mean = _parent_sum(X, parents, weights[0])
                 total += const - 0.5 * (X[:, j] - mean) ** 2 / s2
             else:
                 comp = np.stack(
                     [
                         np.log(comp_w[l]) + const
-                        - 0.5 * (X[:, j] - X[:, parents] @ weights[l]) ** 2 / s2
+                        - 0.5 * (X[:, j] - _parent_sum(X, parents, weights[l]))
+                        ** 2 / s2
                         for l in range(2)
                     ]
                 )

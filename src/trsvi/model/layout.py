@@ -305,6 +305,14 @@ class TargetModel(ABC):
     # override these with vectorized versions where it matters.
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
+        """Log p at each row of X.
+
+        Row contract: for finite rows, row k equals `log_density(X[k])`
+        bitwise, whatever the other rows and however many there are.  A
+        vectorized form must fix each row's order of operations (a gemv or
+        a strided sum can change it with the row count).
+        `metropolis_reference` relies on this to prefetch proposals.
+        """
         return np.array([self.log_density(x) for x in X])
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:

@@ -157,22 +157,24 @@ class SnlpModel(TargetModel):
         self.problem = problem
         self.layout = snlp_layout(problem)
         s = problem.n_unknowns
-        # split edges into unknown-unknown and unknown-anchor groups
+        # unknown-unknown edges first, then unknown-anchor edges; node ids
+        # place unknowns first, then anchors
         uu, ua = [], []
         for e in problem.edges:
             i, j = sorted((e.i, e.j))
             if j < s:
                 uu.append((i, j, e.measured))
             elif i < s:
-                ua.append((i, j - s, e.measured))
-        self._uu = (
-            np.array([(i, j) for i, j, _ in uu], dtype=np.intp).reshape(-1, 2),
-            np.array([m for _, _, m in uu]),
-        )
-        self._ua = (
-            np.array([(i, a) for i, a, _ in ua], dtype=np.intp).reshape(-1, 2),
-            np.array([m for _, _, m in ua]),
-        )
+                ua.append((i, j, e.measured))
+        edges = uu + ua
+        self._ends = np.array([(i, j) for i, j, _ in edges],
+                              dtype=np.intp).reshape(-1, 2)
+        self._measured = np.array([m for *_, m in edges])
+        self._n_uu = len(uu)
+        # node k's (x, y) are columns 2k, 2k + 1 of [X | anchors]; these are
+        # the columns of each edge's first and second end, (2, E, 2)
+        self._columns = 2 * self._ends.T[:, :, None] + np.arange(2)
+        self._anchors = problem.anchor_positions.ravel()
         self._s2 = problem.noise_variance
         self._const_per_edge = -0.5 * (_LOG_2PI + np.log(self._s2))
 
@@ -189,79 +191,80 @@ class SnlpModel(TargetModel):
         x = self._check_point(x)
         return self.gradient_batch(x[None, :])[0]
 
-    def _edge_geometry(self, P: np.ndarray, check_singular: bool = True):
-        """Per-edge difference vectors and distances for a particle batch.
+    def _edge_geometry(self, X: np.ndarray, check_singular: bool = True):
+        """Each edge's first end minus its second, (n, E, 2), and length,
+        (n, E), for the rows of X, gathered in one `take` over [X | anchors].
 
-        P has shape (n, unknowns, 2).  With check_singular, zero distances
-        raise: derivatives are undefined there (the density itself is not).
+        Both arrays are C-contiguous, so a sum over a run of edges reads
+        each row's terms contiguously, in the same order for any row count.
+        With check_singular, zero lengths raise: derivatives are undefined
+        there (the density itself is not).
         """
-        (uu_idx, uu_meas), (ua_idx, ua_meas) = self._uu, self._ua
-        diffs, dists, meas = [], [], []
-        if len(uu_idx):
-            d = P[:, uu_idx[:, 0], :] - P[:, uu_idx[:, 1], :]
-            diffs.append(d)
-            dists.append(np.linalg.norm(d, axis=2))
-            meas.append(uu_meas)
-        if len(ua_idx):
-            anchors = self.problem.anchor_positions[ua_idx[:, 1]]
-            d = P[:, ua_idx[:, 0], :] - anchors[None, :, :]
-            diffs.append(d)
-            dists.append(np.linalg.norm(d, axis=2))
-            meas.append(ua_meas)
-        if check_singular:
-            for dist in dists:
-                if (dist == 0.0).any():
-                    raise SingularityError(
-                        "coincident positions on a measured edge"
-                    )
-        return diffs, dists, meas
+        n, d = X.shape
+        points = np.empty((n, d + self._anchors.size))
+        points[:, :d] = X
+        points[:, d:] = self._anchors
+        ends = points.take(self._columns, axis=1)
+        diff = ends[:, 0] - ends[:, 1]
+        dist = np.sqrt(diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2)
+        if check_singular and (dist == 0.0).any():
+            raise SingularityError("coincident positions on a measured edge")
+        return diff, dist
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        P = X.reshape(X.shape[0], -1, 2)
+        _, dist = self._edge_geometry(X, check_singular=False)
+        terms = (self._const_per_edge
+                 - 0.5 * (self._measured - dist) ** 2 / self._s2)
         out = np.zeros(X.shape[0])
-        _, dists, meas = self._edge_geometry(P, check_singular=False)
-        for dist, m in zip(dists, meas):
-            out += (
-                self._const_per_edge - 0.5 * (m[None, :] - dist) ** 2 / self._s2
-            ).sum(axis=1)
+        out += terms[:, :self._n_uu].sum(axis=1)
+        out += terms[:, self._n_uu:].sum(axis=1)
         return out
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
-        P = X.reshape(n, -1, 2)
-        grad = np.zeros_like(P)
-        diffs, dists, meas = self._edge_geometry(P)
-        (uu_idx, _), (ua_idx, _) = self._uu, self._ua
-        cursor = 0
-        if len(uu_idx):
-            d, dist, m = diffs[cursor], dists[cursor], meas[cursor]
-            coef = (m[None, :] - dist) / (self._s2 * dist)   # (n, E)
-            contrib = coef[:, :, None] * d
-            np.add.at(grad, (slice(None), uu_idx[:, 0]), contrib)
-            np.add.at(grad, (slice(None), uu_idx[:, 1]), -contrib)
-            cursor += 1
-        if len(ua_idx):
-            d, dist, m = diffs[cursor], dists[cursor], meas[cursor]
-            coef = (m[None, :] - dist) / (self._s2 * dist)
-            np.add.at(grad, (slice(None), ua_idx[:, 0]), coef[:, :, None] * d)
-        return grad.reshape(n, -1)
+        diff, dist = self._edge_geometry(X)
+        coef = (self._measured - dist) / (self._s2 * dist)
+        terms = (coef[:, :, None] * diff).reshape(n, 2 * dist.shape[1])
+        return np.ascontiguousarray((self._gradient_scatter @ terms.T).T)
 
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
-        diffs, dists, meas = self._edge_geometry(X.reshape(n, -1, 2))
-        if not diffs:
-            return np.zeros((n, self.layout.pattern().nnz))
-        d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
-        m = np.concatenate(meas)
-        u = d / dist[:, :, None]
+        diff, dist = self._edge_geometry(X)
+        u = diff / dist[:, :, None]
         uut = u[:, :, :, None] * u[:, :, None, :]
-        curv = (-uut + ((m - dist) / dist)[:, :, None, None]
+        curv = (-uut + ((self._measured - dist) / dist)[:, :, None, None]
                 * (np.eye(2) - uut)) / self._s2
-        return np.ascontiguousarray(
-            (self._hessian_scatter @ curv.reshape(n, -1).T).T)
+        curv = curv.reshape(n, 4 * dist.shape[1])
+        return np.ascontiguousarray((self._hessian_scatter @ curv.T).T)
+
+    @cached_property
+    def _gradient_scatter(self):
+        """Sparse +-1 matrix from the edges' stacked (x, y) gradient terms
+        to the state coordinates.
+
+        An edge term g enters as +g at its first end and, for an
+        unknown-unknown edge, -g at its second.  Each row adds its terms in
+        a fixed order: the unknown-unknown edges at their first end, then at
+        their second end, then the anchor edges, each in edge order.
+        """
+        every = np.arange(len(self._ends))
+        uu = every[:self._n_uu]
+        edge = np.concatenate([uu, uu, every[self._n_uu:]])
+        end = np.repeat([0, 1, 0], [uu.size, uu.size, every.size - uu.size])
+        rows = (2 * self._ends[edge, end, None] + np.arange(2)).ravel()
+        cols = (2 * edge[:, None] + np.arange(2)).ravel()
+        signs = np.repeat(1.0 - 2.0 * end, 2)
+        # a stable sort by row keeps each row's terms in the order above
+        order = np.argsort(rows, kind="stable")
+        dim = self.layout.total_dim
+        return sparse.csr_matrix(
+            (signs[order], cols[order],
+             np.searchsorted(rows[order], np.arange(dim + 1))),
+            shape=(dim, 2 * every.size),
+        )
 
     @cached_property
     def _hessian_scatter(self):
@@ -274,11 +277,10 @@ class SnlpModel(TargetModel):
         """
         pattern = self.layout.pattern()
         dim = pattern.dim
-        # edge endpoints; an anchor edge's second entry is the anchor and
-        # is never used
-        ends = np.concatenate([self._uu[0], self._ua[0]])
+        # an anchor edge's second end is the anchor and is never used
+        ends = self._ends
         every = np.arange(len(ends))
-        uu = every[:len(self._uu[0])]
+        uu = every[:self._n_uu]
         p, q = np.divmod(np.arange(4), 2)
         rows, cols, signs = [], [], []
         for first, second, sign, k in (

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.spatial.distance import pdist
 
 from trsvi import trustregion as tr
-from trsvi.evaluation import gradient_magnitude
+from trsvi.evaluation import MetropolisResult, gradient_magnitude
 from trsvi.kernels import (
     _MEDIAN_SAMPLE_PAIRS,
     MEDIAN_SUBSAMPLE,
@@ -407,21 +407,126 @@ def loop_pattern(layout) -> np.ndarray:
     return np.array(sorted(entries), dtype=np.intp)
 
 
+def grouped_snlp_edges(problem):
+    """SNLP edges split into unknown-unknown pairs (i, j) and unknown-anchor
+    pairs (i, anchor index), each with its measurements."""
+    s = problem.n_unknowns
+    uu, ua = [], []
+    for e in problem.edges:
+        i, j = sorted((e.i, e.j))
+        if j < s:
+            uu.append((i, j, e.measured))
+        elif i < s:
+            ua.append((i, j - s, e.measured))
+    return tuple(
+        (np.array([(i, j) for i, j, _ in g], dtype=np.intp).reshape(-1, 2),
+         np.array([m for *_, m in g]))
+        for g in (uu, ua))
+
+
+def grouped_snlp_geometry(problem, P: np.ndarray):
+    """Per-group edge differences, distances and measurements for a
+    particle batch P of shape (n, unknowns, 2), formed by indexing P, as
+    `SnlpModel` did before it gathered every edge in one flat `take`."""
+    (uu_idx, uu_meas), (ua_idx, ua_meas) = grouped_snlp_edges(problem)
+    diffs, dists, meas = [], [], []
+    if len(uu_idx):
+        d = P[:, uu_idx[:, 0], :] - P[:, uu_idx[:, 1], :]
+        diffs.append(d)
+        dists.append(np.linalg.norm(d, axis=2))
+        meas.append(uu_meas)
+    if len(ua_idx):
+        anchors = problem.anchor_positions[ua_idx[:, 1]]
+        d = P[:, ua_idx[:, 0], :] - anchors[None, :, :]
+        diffs.append(d)
+        dists.append(np.linalg.norm(d, axis=2))
+        meas.append(ua_meas)
+    return diffs, dists, meas
+
+
+def grouped_snlp_terms(model, X) -> list[np.ndarray]:
+    """Each group's (n, E_g) per-edge log-likelihood terms at the rows of X."""
+    X = np.asarray(X, dtype=float)
+    problem = model.problem
+    s2 = problem.noise_variance
+    const = -0.5 * (float(np.log(2.0 * np.pi)) + np.log(s2))
+    _, dists, meas = grouped_snlp_geometry(
+        problem, X.reshape(X.shape[0], -1, 2))
+    return [const - 0.5 * (m[None, :] - dist) ** 2 / s2
+            for dist, m in zip(dists, meas)]
+
+
+def grouped_snlp_log_density_batch(model, X) -> np.ndarray:
+    """`SnlpModel.log_density_batch` as it was before it gathered every edge
+    in one flat `take`: its one-row values are the package's, but with two
+    or more rows the strided edge sums run in another order."""
+    out = np.zeros(np.shape(X)[0])
+    for terms in grouped_snlp_terms(model, X):
+        out += terms.sum(axis=1)
+    return out
+
+
+def add_at_snlp_gradient_batch(model, X) -> np.ndarray:
+    """`SnlpModel.gradient_batch` as it was before its precomputed scatter:
+    per-group geometry and three `np.add.at` calls."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    problem = model.problem
+    s2 = problem.noise_variance
+    P = X.reshape(n, -1, 2)
+    grad = np.zeros_like(P)
+    diffs, dists, meas = grouped_snlp_geometry(problem, P)
+    (uu_idx, _), (ua_idx, _) = grouped_snlp_edges(problem)
+    cursor = 0
+    if len(uu_idx):
+        d, dist, m = diffs[cursor], dists[cursor], meas[cursor]
+        contrib = ((m[None, :] - dist) / (s2 * dist))[:, :, None] * d
+        np.add.at(grad, (slice(None), uu_idx[:, 0]), contrib)
+        np.add.at(grad, (slice(None), uu_idx[:, 1]), -contrib)
+        cursor += 1
+    if len(ua_idx):
+        d, dist, m = diffs[cursor], dists[cursor], meas[cursor]
+        coef = (m[None, :] - dist) / (s2 * dist)
+        np.add.at(grad, (slice(None), ua_idx[:, 0]), coef[:, :, None] * d)
+    return grad.reshape(n, -1)
+
+
+def grouped_snlp_hessian_batch(model, X) -> np.ndarray:
+    """`SnlpModel.hessian_batch` as it was before it shared the flat edge
+    geometry: the groups' curvature concatenated, then the model's scatter
+    to pattern values."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    diffs, dists, meas = grouped_snlp_geometry(model.problem,
+                                               X.reshape(n, -1, 2))
+    if not diffs:
+        return np.zeros((n, model.layout.pattern().nnz))
+    d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
+    m = np.concatenate(meas)
+    u = d / dist[:, :, None]
+    uut = u[:, :, :, None] * u[:, :, None, :]
+    curv = (-uut + ((m - dist) / dist)[:, :, None, None]
+            * (np.eye(2) - uut)) / model.problem.noise_variance
+    return np.ascontiguousarray(
+        (model._hessian_scatter @ curv.reshape(n, -1).T).T)
+
+
 def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
     """SNLP log-likelihood Hessians accumulated edge by edge in a Python loop."""
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
-    P = X.reshape(n, -1, 2)
+    problem = model.problem
     out = np.zeros((n, dim, dim))
-    diffs, dists, meas = model._edge_geometry(P)
-    (uu_idx, _), (ua_idx, _) = model._uu, model._ua
+    diffs, dists, meas = grouped_snlp_geometry(problem, X.reshape(n, -1, 2))
+    (uu_idx, _), (ua_idx, _) = grouped_snlp_edges(problem)
     eye = np.eye(2)
 
     def edge_blocks(d, dist, m):
         u = d / dist[:, :, None]
         uut = u[:, :, :, None] * u[:, :, None, :]
         e = m[None, :] - dist
-        return (-uut + (e / dist)[:, :, None, None] * (eye - uut)) / model._s2
+        return (-uut + (e / dist)[:, :, None, None] * (eye - uut)) \
+            / problem.noise_variance
 
     cursor = 0
     if len(uu_idx):
@@ -818,3 +923,43 @@ def tr_svi_at_oracle(particles, target, local_kernels, iterations):
             t, g_new, radius_used, accepted=True, b=state.b,
             model_decrease=solution.decrease, **solution.trace_counts()))
     return current, trace
+
+
+def serial_metropolis_reference(
+    target,
+    chain_length: int,
+    proposal_scale: float,
+    burn_in: int = 0,
+    thinning: int = 1,
+    seed: int = 0,
+    initial: np.ndarray | None = None,
+) -> MetropolisResult:
+    """`evaluation.metropolis_reference` one step at a time, with one
+    `log_density` call per proposal, as it ran before it prefetched."""
+    dim = target.layout.total_dim
+    rng = np.random.default_rng(seed)
+    x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float)
+    logp = target.log_density(x)
+    if not np.isfinite(logp):
+        raise ValueError("log-density is not finite at the initial point")
+    total = burn_in + chain_length
+    n_keep = (chain_length + thinning - 1) // thinning
+    kept = np.empty((n_keep, dim))
+    accepted = 0
+    out = 0
+    increments = rng.normal(0.0, proposal_scale, size=(total, dim))
+    log_uniforms = np.log(1.0 - rng.random(total))   # uniform over (0, 1]
+    for step in range(total):
+        proposal = x + increments[step]
+        try:
+            logp_prop = target.log_density(proposal)
+        except ValueError:
+            logp_prop = -np.inf
+        if logp_prop - logp >= log_uniforms[step]:
+            x = proposal
+            logp = logp_prop
+            accepted += 1
+        if step >= burn_in and (step - burn_in) % thinning == 0:
+            kept[out] = x
+            out += 1
+    return MetropolisResult(samples=kept, acceptance_rate=accepted / total)

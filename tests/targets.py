@@ -1,14 +1,28 @@
 """Toy targets implementing the evaluable-distribution contract for tests,
-and every particle's Stein Hessian built the way the trust-region loop
-builds it, as a dense stack."""
+the bundled configs' models, and every particle's Stein Hessian built the
+way the trust-region loop builds it, as a dense stack."""
 
 from __future__ import annotations
+
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
 from oracles import operator_matrix
+from trsvi.config import load_config
+from trsvi.experiment import build_problem, initialize_particles, make_model
 from trsvi.model.layout import FactorLayout, TargetModel
 from trsvi.stein import global_context, hessian_stack_from_context, local_context
+
+
+@cache
+def bundled(name: str):
+    """The model of a bundled config and its first run's particles."""
+    cfg = load_config(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+    problem = build_problem(cfg["problem"])
+    return make_model(problem), initialize_particles(problem, cfg["run"],
+                                                     0).positions
 
 
 def local_hessians(particles, target, family) -> np.ndarray:
@@ -58,16 +72,19 @@ class GaussianTarget(TargetModel):
 
     def log_density(self, x):
         x = self._check_point(x)
-        diff = x - self.mean
-        return float(self._const - 0.5 * diff @ self.precision @ diff)
+        return float(self.log_density_batch(x[None, :])[0])
 
     def gradient(self, x):
         x = self._check_point(x)
         return -self.precision @ (x - self.mean)
 
     def log_density_batch(self, X):
+        """Each row's quadratic form is summed over that row's own d * d
+        contiguous products, so it does not depend on the other rows (a
+        three-operand einsum's order can)."""
         diff = np.asarray(X, dtype=float) - self.mean
-        return self._const - 0.5 * np.einsum("ni,ij,nj->n", diff, self.precision, diff)
+        terms = diff[:, :, None] * diff[:, None, :] * self.precision
+        return self._const - 0.5 * terms.reshape(diff.shape[0], -1).sum(axis=1)
 
     def gradient_batch(self, X):
         diff = np.asarray(X, dtype=float) - self.mean
@@ -82,3 +99,29 @@ class GaussianTarget(TargetModel):
 
     def dimension_names(self):
         return [f"x{j}" for j in range(self.mean.size)]
+
+
+class HeavyTailTarget(TargetModel):
+    """The one-dimensional density (1 + |x|)^-2 / 2.  Its log density is
+    finite at every finite point, however large, so a chain can sit near
+    the top of the float range, where proposals overflow."""
+
+    def __init__(self):
+        self.layout = FactorLayout.single_factor(1)
+
+    def log_density(self, x):
+        x = self._check_point(x)
+        return float(self.log_density_batch(x[None, :])[0])
+
+    def log_density_batch(self, X):
+        return -np.log(2.0) - 2.0 * np.log1p(np.abs(np.asarray(X)[:, 0]))
+
+    def gradient(self, x):
+        x = self._check_point(x)
+        return -2.0 * np.sign(x) / (1.0 + np.abs(x))
+
+    def hessian_batch(self, X):
+        return 2.0 / (1.0 + np.abs(np.asarray(X))) ** 2
+
+    def dimension_names(self):
+        return ["x0"]

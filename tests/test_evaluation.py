@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_kernel_sum, naive_mmd
+from oracles import block_kernel_sum, naive_mmd, serial_metropolis_reference
+from targets import GaussianTarget, HeavyTailTarget, bundled
 from trsvi import evaluation as ev
 from trsvi.kernels import KernelSpec
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
@@ -242,3 +243,64 @@ class TestMetropolis:
             ev.metropolis_reference(target, 10, proposal_scale=0.0)
         with pytest.raises(ValueError):
             ev.metropolis_reference(target, 0, proposal_scale=1.0)
+
+
+def assert_chains_equal(target, **kwargs):
+    result = ev.metropolis_reference(target, **kwargs)
+    oracle = serial_metropolis_reference(target, **kwargs)
+    np.testing.assert_array_equal(result.samples, oracle.samples)
+    assert result.acceptance_rate == oracle.acceptance_rate
+    return result
+
+
+class TestPrefetchedChain:
+    """The prefetching chain against the one-step-at-a-time oracle, bitwise
+    in samples and acceptance rate."""
+
+    @pytest.mark.parametrize("name, scale", [("snlp_small", 0.05),
+                                             ("snlp_large", 0.01),
+                                             ("bn10_desk", 0.05)])
+    def test_bundled_problems(self, name, scale):
+        model, particles = bundled(name)
+        initial = (model.problem.true_positions.reshape(-1)
+                   if name.startswith("snlp") else particles[0])
+        # 417 steps: not a multiple of the prefetch, and burn-in and
+        # thinning boundaries fall inside batches
+        result = assert_chains_equal(model, chain_length=400,
+                                     proposal_scale=scale, burn_in=17,
+                                     thinning=3, seed=4, initial=initial)
+        assert 0.05 < result.acceptance_rate < 0.95
+
+    def test_every_boundary_of_short_chains(self):
+        target = GaussianTarget(np.zeros(2), np.eye(2))
+        for chain_length in range(1, 12):
+            for burn_in in range(0, 6):
+                for thinning in (1, 2, 3, 5):
+                    assert_chains_equal(target, chain_length=chain_length,
+                                        proposal_scale=1.5, burn_in=burn_in,
+                                        thinning=thinning, seed=chain_length)
+
+    @pytest.mark.parametrize("scale, low, high", [(1e-3, 0.99, 1.0),
+                                                  (40.0, 0.0, 0.01)])
+    def test_acceptance_near_one_and_near_zero(self, scale, low, high):
+        target = GaussianTarget(np.zeros(3), np.diag([1.0, 2.0, 0.5]))
+        result = assert_chains_equal(target, chain_length=3001,
+                                     proposal_scale=scale, burn_in=2,
+                                     thinning=2, seed=6)
+        assert low <= result.acceptance_rate <= high
+
+    def test_overflowing_proposals_are_rejected(self):
+        """Proposals that overflow to +-inf take the -inf path: the
+        one-point log density raises ValueError on them."""
+        target = HeavyTailTarget()
+        kwargs = dict(chain_length=2000, proposal_scale=1e308, burn_in=3,
+                      thinning=2, seed=2, initial=np.array([1e308]))
+        with np.errstate(over="ignore"):
+            result = assert_chains_equal(target, **kwargs)
+        assert np.isfinite(result.samples).all()
+        assert 0.0 < result.acceptance_rate < 1.0
+        # many of the draws themselves overflow
+        rng = np.random.default_rng(2)
+        with np.errstate(over="ignore"):
+            increments = rng.normal(0.0, 1e308, size=2003)
+        assert np.isinf(increments).sum() > 50
