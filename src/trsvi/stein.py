@@ -10,6 +10,7 @@ order so results do not depend on how work is scheduled.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +75,24 @@ def _check_layouts(target: TargetModel, layout: FactorLayout) -> None:
 @dataclass
 class AssemblyContext:
     """Kernel matrices shared by gradient and Hessian assembly at one particle
-    configuration: one per factor, or the same global kernel for all."""
+    configuration: one per factor (views of one (n_factors, n, n) array), or
+    the same global kernel for all."""
 
     X: np.ndarray
     layout: FactorLayout
     lengthscale: float
-    kmats: list[np.ndarray]
+    kmats: Sequence[np.ndarray]
     is_global: bool = False
 
 
 def local_context(X: np.ndarray, family: LocalKernelFamily) -> AssemblyContext:
     layout = family.layout
     ls = family.kernel.lengthscale
-    kmats = [
-        rbf_matrix(X, X, ls, dims=layout.blankets[a])
-        for a in range(layout.n_factors)
-    ]
+    n = X.shape[0]
+    # one allocation for all blankets' kernels, not one n x n block each
+    kmats = np.empty((layout.n_factors, n, n))
+    for a in range(layout.n_factors):
+        rbf_matrix(X, X, ls, dims=layout.blankets[a], out=kmats[a])
     return AssemblyContext(X, layout, ls, kmats)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from oracles import (eval_target, fd_gradient, fd_jacobian, linear_gaussian_moments,
                      target_hessian_block)
@@ -11,6 +12,7 @@ from trsvi.model import (
     ancestral_sample,
     generate_bayes_net,
 )
+from trsvi.model.bayesnet import _logaddexp
 
 PAPER_30DIM_CONFIG = BayesNetConfig(
     layer_sizes=(10, 10, 10), max_parents=3, gmm_nodes=6,
@@ -212,3 +214,22 @@ class TestAncestralSampling:
         draws = ancestral_sample(spec, 200_000, seed=5)
         share_high = (draws[:, 1] > 0).mean()
         assert 0.47 < share_high < 0.53
+
+
+def test_two_term_logaddexp_is_bitwise_scipy_logsumexp():
+    """The mixture nodes' log(exp(c0) + exp(c1)) against
+    `scipy.special.logsumexp` of the stacked pair: ties, gaps from zero to
+    far past exp's underflow, either order, and both signs."""
+    rng = np.random.default_rng(0)
+    hi = rng.normal(scale=50.0, size=4000)
+    gaps = np.concatenate([
+        np.zeros(500),                                 # ties
+        rng.uniform(0.0, 1e-12, 500),                  # near-ties
+        rng.uniform(0.0, 40.0, 1000),
+        rng.uniform(700.0, 760.0, 1000),               # exp subnormal or 0
+        rng.uniform(1e3, 1e300, 1000),                 # exp underflows to 0
+    ])
+    lo = hi - gaps
+    for c0, c1 in [(hi, lo), (lo, hi), (-lo, -hi)]:
+        expected = logsumexp(np.stack([c0, c1]), axis=0)
+        assert _logaddexp(c0, c1).tobytes() == expected.tobytes()

@@ -7,7 +7,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from oracles import (fd_gradient, local_kernel_eval, pdist_median_heuristic,
                      rbf_eval, rbf_matrix_longdouble, rbf_matrix_oracle,
@@ -283,6 +283,137 @@ class TestMedianHeuristicExact:
         assert not isinstance(err.value, DegenerateSampleError)
         with pytest.raises(ValueError, match="row 17"):
             median_heuristic(X[:, 1])
+
+
+class CdistCounter:
+    """Wraps kernels.cdist, recording the number of distances per call."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        self._real = kernels.cdist
+        monkeypatch.setattr(kernels, "cdist", self)
+
+    def __call__(self, A, B):
+        self.sizes.append(A.shape[0] * B.shape[0])
+        return self._real(A, B)
+
+
+def _tile_area(n):
+    """Distances one cdist per tile of the scan would compute: every pair
+    once, plus the lower half and diagonal of each diagonal tile."""
+    scan = kernels._TileScan.of(np.arange(n, dtype=float)[:, None])
+    return sum((rows.stop - rows.start) * (cols.stop - cols.start)
+               for rows, cols in scan.tiles)
+
+
+class TestTileScan:
+    """The sampled path (more than 362 rows): approximate squared distances
+    from one product per tile, and the exact median through a window that
+    scipy recomputes."""
+
+    @pytest.mark.parametrize("offset, scale", [
+        (0.0, 1.0), (1e6, 1.0), (-1e6, 1e-3), (0.0, 1e-9), (3.0, 1e9)])
+    @pytest.mark.parametrize("d", [1, 7, 100])
+    def test_products_within_stated_bound(self, offset, scale, d):
+        """|q - s^2| <= delta for every pair: q the tile product, s scipy's
+        distance of the uncentred rows (`_squared_distance_error`)."""
+        rng = np.random.default_rng(d)
+        X = offset + scale * rng.standard_cauchy(size=(400, d))
+        scan = kernels._TileScan.of(X)
+        s = squareform(pdist(X))
+        worst = 0.0
+        for rows, cols in scan.tiles:
+            Q = scan._drop_lower(scan.left[rows] @ scan.right[:, cols], rows, cols)
+            err = np.abs(Q - s[rows, cols] ** 2)
+            worst = max(worst, np.nanmax(err))
+        assert worst <= scan.delta, (worst, scan.delta)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cauchy_rows(self, monkeypatch, seed):
+        """Heavy tails make delta large against the middle distances, so the
+        window spans several tiles; each is recomputed at most once."""
+        X = np.random.default_rng(seed).standard_cauchy(size=(3000, 10))
+        cdists = CdistCounter(monkeypatch)
+        _same_as_oracle(X)
+        assert sum(cdists.sizes) <= _tile_area(3000)
+
+    def test_far_outlier_takes_the_exact_pass(self, monkeypatch):
+        """One row at 1e7 makes delta about 1e3, wider than the bracket: the
+        scan would keep nearly every pair, so the exact block pass runs."""
+        X = np.random.default_rng(15).normal(size=(900, 3))
+        X[450] = 1e7
+        passes = []
+        real = kernels._count_and_keep
+        monkeypatch.setattr(kernels, "_count_and_keep",
+                            lambda *args: passes.append(args) or real(*args))
+        _same_as_oracle(X)
+        assert len(passes) == 1
+
+    def test_window_past_the_bracket_widens_it(self, monkeypatch):
+        """A lower edge 2 delta above the lower middle value keeps that
+        pair's product (the edge is widened by 3 delta) but leaves the
+        window of middle values past the bracket: the lower side is widened
+        and the pass repeated."""
+        real_delta = kernels._squared_distance_error
+        monkeypatch.setattr(kernels, "_squared_distance_error",
+                            lambda d, top: 1e6 * real_delta(d, top))
+        X = np.random.default_rng(21).normal(size=(600, 4))
+        delta = kernels._TileScan.of(X).delta
+        exact = np.sort(pdist(X))
+        middle = exact.size // 2 - 1
+        calls = []
+        real = kernels._bracket
+
+        def first_given(sample, sigmas_lo, sigmas_hi):
+            calls.append((sigmas_lo, sigmas_hi))
+            if len(calls) == 1:
+                return np.sqrt(exact[middle] ** 2 + 2 * delta), exact[middle + 4]
+            return real(sample, sigmas_lo, sigmas_hi)
+
+        monkeypatch.setattr(kernels, "_bracket", first_given)
+        _same_as_oracle(X)
+        (lo0, hi0), (lo1, hi1) = calls
+        assert lo1 > lo0 and hi1 == hi0
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6])
+    def test_common_offset(self, offset):
+        X = np.random.default_rng(16).normal(size=(1200, 5)) + offset
+        _same_as_oracle(X)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ties_across_tiles(self, monkeypatch, d):
+        """Rows on a 0/1 grid: the middle distance is shared by pairs in
+        every tile, which all hold window pairs."""
+        X = np.random.default_rng(17).integers(0, 2, size=(700, d)) * 1.0
+        cdists = CdistCounter(monkeypatch)
+        _same_as_oracle(X)
+        assert len(cdists.sizes) > 1
+
+    @pytest.mark.parametrize("n", [363, MEDIAN_SUBSAMPLE + 50])
+    def test_first_sampled_sizes(self, n):
+        """363 rows, the fewest the tile scan takes, and a sample reduced to
+        MEDIAN_SUBSAMPLE rows first."""
+        X = np.random.default_rng(18).normal(size=(n, 4))
+        _same_as_oracle(X, seed=3)
+
+    @pytest.mark.parametrize("factor", [1e9, 1e10])
+    def test_wide_delta_gives_a_multi_tile_window(self, monkeypatch, factor):
+        """A delta far above the stated bound widens the window over many
+        tiles; the value stays exact."""
+        real = kernels._squared_distance_error
+        monkeypatch.setattr(kernels, "_squared_distance_error",
+                            lambda d, top: factor * real(d, top))
+        X = np.random.default_rng(19).normal(size=(1000, 3))
+        cdists = CdistCounter(monkeypatch)
+        _same_as_oracle(X)
+        assert len(cdists.sizes) > 2
+
+    def test_norms_out_of_range_take_the_exact_pass(self):
+        """Centred squared norms beyond 2^900 could overflow the product:
+        such rows get the exact block pass, with the sampled bracket."""
+        X = np.random.default_rng(20).normal(size=(600, 2)) * 1e140
+        assert kernels._TileScan.of(X) is None
+        _same_as_oracle(X)
 
 
 class TestKernelMatrix:

@@ -20,7 +20,7 @@ from targets import (
     partial_blanket_layout,
 )
 from trsvi import stein
-from trsvi.kernels import KernelSpec, LocalKernelFamily
+from trsvi.kernels import KernelSpec, LocalKernelFamily, rbf_matrix
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
@@ -323,6 +323,21 @@ def _assembly_cases(mixed_bn, small_snlp):
     cov = A @ A.T + 7.0 * np.eye(7)
     yield "partial blankets", GaussianTarget(np.ones(7), cov, layout), \
         rng.normal(size=(12, 7)), 0.9
+
+
+def test_local_context_kernels_share_one_array(mixed_bn, small_snlp):
+    """A local context's kernels are views of one (n_factors, n, n) array,
+    each bitwise the blanket's own `rbf_matrix`."""
+    for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
+        layout = target.layout
+        ctx = local_context(X, LocalKernelFamily(KernelSpec(ls), layout))
+        base = ctx.kmats[0].base
+        assert base is not None
+        assert base.shape == (layout.n_factors, len(X), len(X))
+        for a in range(layout.n_factors):
+            assert ctx.kmats[a].base is base, (name, a)
+            separate = rbf_matrix(X, X, ls, dims=layout.blankets[a])
+            assert ctx.kmats[a].tobytes() == separate.tobytes(), (name, a)
 
 
 class TestStackAssembly:
