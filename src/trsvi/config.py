@@ -109,6 +109,9 @@ METHODS = {
     "svgd": {"step": (_positive_number, "dlr_step")},
     "svn-ctr": {"radius": (_positive_number, "svn_radius")},
 }
+# Methods that cannot run on one particle: tr-svi-kl takes the median
+# heuristic of its proposal, which needs two rows.
+MIN_PARTICLES = {"tr-svi-kl": 2}
 
 
 def load_config(path) -> dict:
@@ -209,6 +212,8 @@ def validate_config(raw: dict) -> dict:
             "expected a nonempty list of integers")
     for i, s in enumerate(seeds):
         _integer(s, f"run.seeds[{i}]")
+        _expect(s not in seeds[:i], f"run.seeds[{i}]",
+                f"repeats seed {s}; seeds must be distinct")
     center = run.setdefault("init_center", None)
     if isinstance(center, list):
         for i, v in enumerate(center):
@@ -220,6 +225,9 @@ def validate_config(raw: dict) -> dict:
         _positive_number(run["init_scale"], "run.init_scale")
     out["run"] = run
     for i, m in enumerate(methods):
+        need = MIN_PARTICLES.get(m["name"], 1)
+        _expect(run["particles"] >= need, "run.particles",
+                f"must be >= {need} for method[{i}] ({m['name']})")
         _expect(m.get("nystrom_size", 1) <= run["particles"],
                 f"method[{i}].nystrom_size", "must not exceed run.particles")
 

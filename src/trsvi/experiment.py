@@ -192,9 +192,12 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 
 def execute_method(problem, method_cfg: dict, lengthscale: float,
-                   run_cfg: dict, seed: int) -> tuple[ParticleSet, RunTrace]:
-    """Run one method from the shared per-seed initialization."""
-    model = make_model(problem)
+                   run_cfg: dict, seed: int,
+                   model=None) -> tuple[ParticleSet, RunTrace]:
+    """Run one method from the shared per-seed initialization, on the
+    problem's model (built here unless given)."""
+    if model is None:
+        model = make_model(problem)
     particles = initialize_particles(problem, run_cfg, seed)
     kernel = KernelSpec(lengthscale)
     family = LocalKernelFamily(kernel, model.layout)
@@ -242,7 +245,7 @@ def _run_task(payload: dict) -> dict:
     started = time.perf_counter()
     final, trace = execute_method(
         problem, payload["method"], payload["lengthscale"], payload["run"],
-        payload["seed"],
+        payload["seed"], model=model,
     )
     elapsed = time.perf_counter() - started
     run_dir = Path(payload["run_dir"])

@@ -56,6 +56,23 @@ class PairGroup:
 
 
 @dataclass(frozen=True, eq=False)
+class FactorGroup:
+    """Factors of one size, in factor order.
+
+    Attributes:
+        factors: (F,) ascending factor indices.
+        dims: (F, |C|) state dimensions of each factor.
+    """
+
+    factors: np.ndarray
+    dims: np.ndarray
+
+    def chunk(self, part: slice) -> "FactorGroup":
+        """The group restricted to a slice of its factors."""
+        return FactorGroup(self.factors[part], self.dims[part])
+
+
+@dataclass(frozen=True, eq=False)
 class HessianPattern:
     """Where a Hessian over a layout can be nonzero: both triangles of every
     overlapping factor pair's block.  A stack of such Hessians is stored as
@@ -208,6 +225,32 @@ class FactorLayout:
             upper = np.nonzero(np.triu(self.overlap_matrix()))
             cached = [(int(a), int(b)) for a, b in zip(*upper)]
             object.__setattr__(self, "_overlapping_pairs", cached)
+        return cached
+
+    def factor_groups(self) -> list[FactorGroup]:
+        """Factors grouped by size, in factor order."""
+        cached = getattr(self, "_factor_groups", None)
+        if cached is None:
+            by_size: dict[int, list[int]] = {}
+            for a, f in enumerate(self.factors):
+                by_size.setdefault(f.size, []).append(a)
+            cached = [FactorGroup(np.array(members, dtype=np.intp),
+                                  np.stack([self.factors[a] for a in members]))
+                      for members in by_size.values()]
+            object.__setattr__(self, "_factor_groups", cached)
+        return cached
+
+    def padded_blankets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every blanket as a row of one (D, w) index array, w the widest
+        blanket's size, each row padded past its blanket by repeating the
+        blanket's last index; and the (D,) blanket sizes."""
+        cached = getattr(self, "_padded_blankets", None)
+        if cached is None:
+            widths = np.array([b.size for b in self.blankets], dtype=np.intp)
+            index = np.stack([np.pad(b, (0, widths.max() - b.size), mode="edge")
+                              for b in self.blankets])
+            cached = (index, widths)
+            object.__setattr__(self, "_padded_blankets", cached)
         return cached
 
     def pair_groups(self) -> list[PairGroup]:

@@ -6,6 +6,14 @@ the global variants use a single kernel over full state vectors.  Every
 expectation over the particle distribution is the empirical mean over all
 particles, including the particle being updated, summed in ascending particle
 order so results do not depend on how work is scheduled.
+
+The per-factor layers are batched.  A local context's kernels are built a
+chunk of consecutive blankets at a time, by one batched product of the
+blankets zero-padded to the chunk's widest, bitwise each blanket's own
+`rbf_matrix`.  The field takes one product K^T @ [scores | x | 1] per chunk
+of equal-size factors (`FactorLayout.factor_groups`), and one for the global
+kernel.  A chunk holds as many factors as have n x n kernels within
+_CHUNK_BYTES, which bounds the temporaries.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ from .model.layout import FactorLayout, HessianPattern, TargetModel
 # pairs of one pair group assembled at a time, which bounds the temporaries:
 # all of snlp50's 121 pairs at once take 11.8 MB at n = 200
 _PAIRS_PER_CHUNK = 32
+# kernels built, and field products taken, for as many consecutive or
+# equal-size factors at a time as have n x n kernels within this many bytes
+_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -65,6 +76,8 @@ class SteinGradientField:
 
 def _check_layouts(target: TargetModel, layout: FactorLayout) -> None:
     t = target.layout
+    if t is layout:
+        return
     if t.total_dim != layout.total_dim or t.n_factors != layout.n_factors:
         raise ValueError("target and kernel layouts disagree")
     for fa, fb in zip(t.factors, layout.factors):
@@ -86,14 +99,53 @@ class AssemblyContext:
 
 
 def local_context(X: np.ndarray, family: LocalKernelFamily) -> AssemblyContext:
+    """Every blanket's kernel, bitwise its own
+    `rbf_matrix(X, X, l, dims=blanket)`, as views of one (n_factors, n, n)
+    array filled one chunk of consecutive factors at a time."""
     layout = family.layout
     ls = family.kernel.lengthscale
     n = X.shape[0]
-    # one allocation for all blankets' kernels, not one n x n block each
+    index, widths = layout.padded_blankets()
     kmats = np.empty((layout.n_factors, n, n))
-    for a in range(layout.n_factors):
-        rbf_matrix(X, X, ls, dims=layout.blankets[a], out=kmats[a])
+    step = _factors_per_chunk(n)
+    for start in range(0, layout.n_factors, step):
+        part = slice(start, start + step)
+        _blanket_kernels(X, index[part], widths[part], ls, kmats[part])
     return AssemblyContext(X, layout, ls, kmats)
+
+
+def _factors_per_chunk(n: int) -> int:
+    """How many factors' n x n kernels fit in _CHUNK_BYTES (at least one)."""
+    return max(1, _CHUNK_BYTES // (8 * n * n))
+
+
+def _blanket_kernels(X: np.ndarray, index: np.ndarray, widths: np.ndarray,
+                     lengthscale: float, out: np.ndarray) -> None:
+    """`rbf_matrix`'s product for F blankets at once, written into out
+    (F, n, n): one gather of the blankets padded to the widest (w), centred
+    by their column means, the padding then zeroed, and one batched product
+    (F, n, w + 2) @ (F, w + 2, n).  Each blanket's coordinates come first and
+    its squared norm and 1 last, so the padding adds exact zeros between
+    them.  Like `rbf_matrix`'s gathered blanket, the gather varies fastest
+    along the particles, so each squared norm is summed one coordinate after
+    another and the padding's trailing zeros change no bit of it either."""
+    w = widths.max()
+    G = X[:, index[:, :w]]                          # (n, F, w)
+    G -= G.mean(axis=0)
+    G[:, np.arange(w) >= widths[:, None]] = 0.0
+    F, n = index.shape[0], X.shape[0]
+    left = np.empty((F, n, w + 2))
+    left[..., :w] = G.transpose(1, 0, 2)
+    left[..., w] = np.einsum("ifk,ifk->fi", G, G)
+    left[..., w + 1] = 1.0
+    inv_ls2 = 1.0 / lengthscale**2
+    right = np.empty_like(left)
+    np.multiply(left[..., :w], inv_ls2, out=right[..., :w])
+    right[..., w] = -0.5 * inv_ls2
+    np.multiply(left[..., w], -0.5 * inv_ls2, out=right[..., w + 1])
+    np.matmul(left, right.transpose(0, 2, 1), out=out)
+    np.minimum(out, 0.0, out=out)
+    np.exp(out, out=out)
 
 
 def global_context(
@@ -106,18 +158,47 @@ def global_context(
 
 
 def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradientField:
+    """Every particle's functional gradient,
+    -sum_j [k(x_j, x_i) s_j + grad_j k(x_j, x_i)] / n over each factor's
+    coordinates, from one product K^T @ [s | x | 1] per kernel: the
+    kernel-weighted scores, the kernel-weighted positions and the column
+    sums that expand the kernel gradients' sum_j K_ji (x_j - x_i) / l^2.
+    Local kernels take the product for a chunk of equal-size factors at
+    once, the global kernel once over all coordinates."""
     X, layout = ctx.X, ctx.layout
     scores = target.gradient_batch(X)
-    n = X.shape[0]
+    if ctx.is_global:
+        rhs = np.concatenate([scores, X, np.ones((X.shape[0], 1))], axis=1)
+        return SteinGradientField(
+            layout, _field_terms(ctx.kmats[0].T @ rhs, rhs, ctx.lengthscale))
     out = np.empty_like(X)
-    inv_ls2 = 1.0 / ctx.lengthscale**2
-    for a, dims in enumerate(layout.factors):
-        Ka = ctx.kmats[a]                   # Ka[j, i] = k_a(x_j, x_i)
-        colsum = Ka.sum(axis=0)
-        term1 = Ka.T @ scores[:, dims]
-        term2 = -inv_ls2 * (Ka.T @ X[:, dims] - X[:, dims] * colsum[:, None])
-        out[:, dims] = -(term1 + term2) / n
+    step = _factors_per_chunk(X.shape[0])
+    for group in layout.factor_groups():
+        for start in range(0, group.factors.size, step):
+            g = group.chunk(slice(start, start + step))
+            first, last = g.factors[0], g.factors[-1]
+            # consecutive factors' kernels are a view; others are gathered
+            K = (ctx.kmats[first:last + 1] if last - first == g.factors.size - 1
+                 else ctx.kmats[g.factors])
+            rhs = np.concatenate(
+                [scores[:, g.dims], X[:, g.dims],
+                 np.ones((X.shape[0], g.factors.size, 1))], axis=2,
+            ).transpose(1, 0, 2)                    # (F, n, 2c + 1)
+            mom = np.matmul(K.transpose(0, 2, 1), rhs)
+            terms = _field_terms(mom, rhs, ctx.lengthscale)
+            out[:, g.dims] = terms.transpose(1, 0, 2)
     return SteinGradientField(layout, out)
+
+
+def _field_terms(mom: np.ndarray, rhs: np.ndarray,
+                 lengthscale: float) -> np.ndarray:
+    """-(K^T s - (K^T x - x * colsum(K)) / l^2) / n from the product
+    mom = K^T @ rhs of rhs = [s | x | 1], each (..., n, 2c + 1)."""
+    c = (rhs.shape[-1] - 1) // 2
+    n = rhs.shape[-2]
+    x = rhs[..., c:2 * c]
+    term2 = -(1.0 / lengthscale**2) * (mom[..., c:2 * c] - x * mom[..., -1:])
+    return -(mom[..., :c] + term2) / n
 
 
 class PatternHessians:

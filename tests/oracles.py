@@ -21,6 +21,7 @@ from trsvi.kernels import (
     DegenerateSampleError,
     KernelSpec,
     median_heuristic,
+    rbf_matrix,
     squared_distances,
 )
 from trsvi.stein import (
@@ -604,6 +605,35 @@ def rbf_matrix_oracle(X, Y, lengthscale: float, dims=None) -> np.ndarray:
         X = X[:, dims]
         Y = Y[:, dims]
     return np.exp(-0.5 * squared_distances_oracle(X, Y) / lengthscale**2)
+
+
+def blanket_loop_kmats(X, layout, lengthscale: float) -> np.ndarray:
+    """Every blanket's local kernel from its own `rbf_matrix` call, stacked
+    as (n_factors, n, n): the loop that built local contexts before the
+    blankets were batched."""
+    n = X.shape[0]
+    kmats = np.empty((layout.n_factors, n, n))
+    for a in range(layout.n_factors):
+        rbf_matrix(X, X, lengthscale, dims=layout.blankets[a], out=kmats[a])
+    return kmats
+
+
+def factor_loop_field(ctx, target) -> np.ndarray:
+    """The Stein field one factor at a time, two products and a column sum
+    each, with `ctx.kmats[a][j, i] = k_a(x_j, x_i)`: the loop that computed
+    local and global fields before factors were batched."""
+    X = ctx.X
+    scores = target.gradient_batch(X)
+    n = X.shape[0]
+    out = np.empty_like(X)
+    inv_ls2 = 1.0 / ctx.lengthscale**2
+    for a, dims in enumerate(ctx.layout.factors):
+        Ka = ctx.kmats[a]
+        colsum = Ka.sum(axis=0)
+        term1 = Ka.T @ scores[:, dims]
+        term2 = -inv_ls2 * (Ka.T @ X[:, dims] - X[:, dims] * colsum[:, None])
+        out[:, dims] = -(term1 + term2) / n
+    return out
 
 
 def rbf_matrix_longdouble(X, Y, lengthscale: float, dims=None) -> np.ndarray:

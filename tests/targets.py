@@ -53,6 +53,15 @@ def partial_blanket_layout() -> FactorLayout:
     return FactorLayout(factors=factors, blankets=blankets, total_dim=7)
 
 
+def mixed_size_layout() -> FactorLayout:
+    """A chain of one- and two-dimensional factors, interleaved so that
+    neither size's factors are consecutive."""
+    sizes = [1, 2, 1, 2, 2, 1, 1]
+    neighbors = [[b for b in (a - 1, a + 1) if 0 <= b < len(sizes)]
+                 for a in range(len(sizes))]
+    return FactorLayout.from_factor_neighbors(sizes, neighbors)
+
+
 class GaussianTarget(TargetModel):
     """Multivariate normal with an arbitrary factor layout."""
 

@@ -41,6 +41,21 @@ def tiny_config(**overrides):
 
 
 class TestConfigValidation:
+    def test_particle_minimum_only_where_a_method_needs_it(self):
+        cfg = tiny_config()
+        cfg["run"]["particles"] = 1
+        assert validate_config(cfg)["run"]["particles"] == 1
+        cfg["method"].append({"name": "tr-svi-kl"})
+        with pytest.raises(ConfigError, match=r"run\.particles: must be >= 2 "
+                                              r"for method\[2\] \(tr-svi-kl\)"):
+            validate_config(cfg)
+
+    def test_repeated_seed_names_its_position(self):
+        cfg = tiny_config()
+        cfg["run"]["seeds"] = [3, 1, 2, 1]
+        with pytest.raises(ConfigError, match=r"run\.seeds\[3\]: repeats seed 1"):
+            validate_config(cfg)
+
     def test_missing_problem_section(self):
         with pytest.raises(ConfigError, match="problem"):
             validate_config({"method": [{"name": "svgd"}]})
@@ -384,26 +399,49 @@ def blas_thread_config():
     }
 
 
+def net_blas_thread_config():
+    """A ten-node net at n = 200 with every local-kernel method: one-node
+    factors, where the batched field rounds differently from a per-factor
+    loop."""
+    return {
+        "problem": {"kind": "bayes_net", "layer_sizes": [5, 5],
+                    "max_parents": 2, "gmm_nodes": 2, "seed": 3},
+        "kernel": {"lengthscale": 1.0},
+        "method": [
+            {"name": "tr-svi-at", "iterations": 4},
+            {"name": "tr-svi-kl", "iterations": 4, "initial_radius": 1.0},
+            {"name": "mp-svgd-dlr", "iterations": 6, "step": 0.05,
+             "decay": 0.99},
+            {"name": "svn-ctr", "iterations": 3, "radius": 0.1},
+        ],
+        "run": {"particles": 200, "seeds": [0]},
+        "output": {"ground_truth": {"samples": 400, "seed": 1000}},
+    }
+
+
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
     """`trsvi run` and `trsvi evaluate` at one and at two BLAS threads write
     the same bytes to every file but timings.csv.  The thread count must be
     set before numpy loads, so each runs in its own process."""
+    assert_blas_threads_change_no_byte(tmp_path, blas_thread_config())
+
+
+def test_blas_thread_count_does_not_change_net_bytes(tmp_path):
+    assert_blas_threads_change_no_byte(tmp_path, net_blas_thread_config())
+
+
+def assert_blas_threads_change_no_byte(tmp_path, cfg):
     config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(blas_thread_config()))
-    src = str(Path(trsvi.__file__).parents[1])
-    cli = "import sys; from trsvi.cli import main; sys.exit(main(sys.argv[1:]))"
+    config.write_text(yaml.safe_dump(cfg))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
         for verb in (["run", "--config", str(config), "--output-dir",
                       str(out), "--workers", "1"],
                      ["evaluate", "--artifact", str(out)]):
-            subprocess.run([sys.executable, "-c", cli, *verb], env=env,
-                           check=True, capture_output=True, timeout=600)
+            run_cli(verb, env).check_returncode()
         outputs.append(out)
     one, two = ({p.relative_to(out): p for p in out.rglob("*") if p.is_file()}
                 for out in outputs)
@@ -412,6 +450,39 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
     assert Path("metrics.yaml") in compared and len(compared) > 10
     for name in compared:
         assert one[name].read_bytes() == two[name].read_bytes(), name
+
+
+def run_cli(argv, env=None) -> subprocess.CompletedProcess:
+    """`trsvi` with these arguments in a fresh process, output captured."""
+    src = str(Path(trsvi.__file__).parents[1])
+    cli = "import sys; from trsvi.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", cli, *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda cfg: cfg["run"].update(seeds=[4, 7, 4]), "run.seeds[2]"),
+    (lambda cfg: cfg["run"].update(particles=1), "run.particles"),
+])
+def test_config_that_cannot_run_exits_2_before_any_output(tmp_path, edit,
+                                                          field):
+    """A repeated seed, or one particle for a method that needs two
+    (tr-svi-kl's median heuristic), is a config error: `trsvi run` exits 2
+    with one stderr line naming the field, no traceback, and no output
+    directory."""
+    cfg = tiny_config()
+    cfg["method"].append({"name": "tr-svi-kl", "iterations": 2})
+    edit(cfg)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "art"
+    result = run_cli(["run", "--config", str(path), "--output-dir", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and field in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 class TestMarginals:

@@ -114,7 +114,23 @@ def test_target_model_is_abstract():
 
 def _assert_matches_isin_oracles(layout):
     """Overlap, pair masks and pattern equal their np.isin / loop oracles
-    bit for bit."""
+    bit for bit, and the factor groups and padded blankets list every
+    factor and blanket."""
+    grouped = []
+    for g in layout.factor_groups():
+        assert np.all(np.diff(g.factors) > 0)
+        for a, dims in zip(g.factors, g.dims):
+            grouped.append(a)
+            np.testing.assert_array_equal(dims, layout.factors[a])
+    assert sorted(grouped) == list(range(layout.n_factors))
+    sizes = [g.dims.shape[1] for g in layout.factor_groups()]
+    assert len(set(sizes)) == len(sizes)
+    index, widths = layout.padded_blankets()
+    assert index.shape == (layout.n_factors, max(widths))
+    for row, width, blanket in zip(index, widths, layout.blankets):
+        assert width == blanket.size
+        np.testing.assert_array_equal(row[:width], blanket)
+        assert np.all(row[width:] == blanket[-1])
     overlap = layout.overlap_matrix()
     assert overlap.dtype == bool
     np.testing.assert_array_equal(overlap, isin_overlap_matrix(layout))

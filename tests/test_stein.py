@@ -5,8 +5,10 @@ import pytest
 
 from oracles import (
     DenseHessians,
+    blanket_loop_kmats,
     dense_bayesnet_hessian_batch,
     dense_global_hessian_stack,
+    factor_loop_field,
     moment_hessian_stack,
     operator_matrix,
     pair_loop_hessian_stack,
@@ -14,9 +16,11 @@ from oracles import (
 )
 from targets import (
     GaussianTarget,
+    bundled,
     fully_connected_layout,
     global_hessians,
     local_hessians,
+    mixed_size_layout,
     partial_blanket_layout,
 )
 from trsvi import stein
@@ -34,6 +38,7 @@ from trsvi.model import (
 )
 from trsvi.stein import (
     ParticleSet,
+    field_from_context,
     global_context,
     global_stein_gradient,
     graphical_stein_gradient,
@@ -156,6 +161,18 @@ class TestGradient:
             dims = layout.factors[a]
             np.testing.assert_array_equal(field2.values[:, dims],
                                           field.values[:, dims])
+
+    def test_equal_layout_objects_accepted(self, mixed_bn):
+        """Layout agreement is checked in full only between distinct
+        objects; an equal copy passes, as the same object does."""
+        layout = mixed_bn.layout
+        copy = FactorLayout(factors=layout.factors, blankets=layout.blankets,
+                            total_dim=layout.total_dim)
+        X = np.random.default_rng(13).normal(size=(5, layout.total_dim))
+        fields = [graphical_stein_gradient(
+            ParticleSet(X), mixed_bn, LocalKernelFamily(KernelSpec(1.0), lay))
+            for lay in (layout, copy)]
+        assert fields[0].values.tobytes() == fields[1].values.tobytes()
 
     def test_layout_mismatch_rejected(self, mixed_bn):
         other = FactorLayout.single_factor(mixed_bn.layout.total_dim)
@@ -338,6 +355,120 @@ def test_local_context_kernels_share_one_array(mixed_bn, small_snlp):
             assert ctx.kmats[a].base is base, (name, a)
             separate = rbf_matrix(X, X, ls, dims=layout.blankets[a])
             assert ctx.kmats[a].tobytes() == separate.tobytes(), (name, a)
+
+
+BUNDLED = ["bn10_desk", "bn30_paper", "snlp_small", "snlp_large"]
+
+
+def _context(kind, X, target, lengthscale):
+    kernel = KernelSpec(lengthscale)
+    if kind == "local":
+        return local_context(X, LocalKernelFamily(kernel, target.layout))
+    return global_context(X, target.layout, kernel)
+
+
+def field_bound(ctx, target) -> np.ndarray:
+    """Per entry, how far the batched field may lie from the factor loop's:
+    2 (n + 4) eps (K^T |s| + (K^T |x| + |x| colsum(K)) / l^2) / n.  The two
+    form K^T s, K^T x and colsum(K), each a sum of n terms, in different
+    orders (the loop's one-column products are matrix-vector products);
+    each order is within (n - 1) eps of the exact sum relative to the sum
+    of its terms' magnitudes, and the five operations that combine the
+    three sums round each side once more.  Worst observed over the first
+    ten particle seeds of bn10_desk and bn30_paper, lengthscales 0.5-10,
+    local and global kernels: 0.041 of the bound (1.2e-15 relative to the
+    field's largest entry)."""
+    X = ctx.X
+    n = X.shape[0]
+    S, A = np.abs(target.gradient_batch(X)), np.abs(X)
+    scale = np.empty_like(X)
+    for a, dims in enumerate(ctx.layout.factors):
+        K = ctx.kmats[a]
+        scale[:, dims] = (K.T @ S[:, dims] + (
+            K.T @ A[:, dims] + A[:, dims] * K.sum(axis=0)[:, None]
+        ) / ctx.lengthscale**2) / n
+    return 2 * (n + 4) * np.finfo(float).eps * scale
+
+
+def _mixed_size_target():
+    layout = mixed_size_layout()
+    A = np.random.default_rng(26).normal(size=(layout.total_dim,) * 2)
+    cov = A @ A.T + layout.total_dim * np.eye(layout.total_dim)
+    return GaussianTarget(np.full(layout.total_dim, 0.5), cov, layout)
+
+
+class TestFactorBatching:
+    """Kernels built a chunk of blankets at a time, and the field a chunk of
+    equal-size factors at a time, against the per-blanket `rbf_matrix` and
+    per-factor loops they replace (`blanket_loop_kmats`,
+    `factor_loop_field`)."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_kernels_bitwise_at_bundled_sizes(self, name):
+        target, X = bundled(name)
+        for ls in (0.5, 3.0):
+            ctx = _context("local", X, target, ls)
+            assert ctx.kmats.tobytes() == \
+                blanket_loop_kmats(X, target.layout, ls).tobytes(), ls
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_field_against_factor_loop(self, name, kind):
+        """Bitwise on SNLP (two-coordinate factors: both sides take
+        matrix-matrix products); on the nets within `field_bound`."""
+        target, X = bundled(name)
+        for ls in (0.5, 3.0):
+            ctx = _context(kind, X, target, ls)
+            field = field_from_context(ctx, target).values
+            oracle = factor_loop_field(ctx, target)
+            if isinstance(target, SnlpModel):
+                assert field.tobytes() == oracle.tobytes(), ls
+            else:
+                assert np.all(np.abs(field - oracle) <= field_bound(ctx, target))
+
+    def test_mixed_factor_sizes_gather_their_kernels(self):
+        """Interleaved one- and two-dimensional factors: each size's group
+        is not consecutive, so its kernels are gathered."""
+        target = _mixed_size_target()
+        groups = target.layout.factor_groups()
+        assert [g.dims.shape[1] for g in groups] == [1, 2]
+        assert all(np.any(np.diff(g.factors) > 1) for g in groups)
+        X = np.random.default_rng(27).normal(size=(30, target.layout.total_dim))
+        for kind in ("local", "global"):
+            ctx = _context(kind, X, target, 1.2)
+            if kind == "local":
+                assert ctx.kmats.tobytes() == blanket_loop_kmats(
+                    X, target.layout, 1.2).tobytes()
+            field = field_from_context(ctx, target).values
+            oracle = factor_loop_field(ctx, target)
+            assert np.all(np.abs(field - oracle) <= field_bound(ctx, target))
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunks_change_no_bit(self, mixed_bn, small_snlp, monkeypatch,
+                                  per_chunk):
+        """Groups cut into chunks of one or three factors give bitwise the
+        kernels and field of whole groups (at these sizes every group fits
+        one chunk of the default budget; bn30 and snlp50 at n = 200 take
+        six factors a chunk, as the bundled cases above do)."""
+        cases = [(name, target, X, ls) for name, target, X, ls
+                 in _assembly_cases(mixed_bn, small_snlp)]
+        rng = np.random.default_rng(28)
+        cases.append(("mixed sizes", _mixed_size_target(),
+                      rng.normal(size=(30, 10)), 1.2))
+        assert stein._factors_per_chunk(200) == 6
+        whole = {}
+        for name, target, X, ls in cases:
+            assert stein._factors_per_chunk(X.shape[0]) >= target.layout.n_factors
+            ctx = _context("local", X, target, ls)
+            whole[name] = (ctx.kmats.tobytes(),
+                           field_from_context(ctx, target).values.tobytes())
+        for name, target, X, ls in cases:
+            monkeypatch.setattr(stein, "_CHUNK_BYTES",
+                                per_chunk * 8 * X.shape[0] ** 2)
+            ctx = _context("local", X, target, ls)
+            got = (ctx.kmats.tobytes(),
+                   field_from_context(ctx, target).values.tobytes())
+            assert got == whole[name], name
 
 
 class TestStackAssembly:
