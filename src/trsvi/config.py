@@ -15,6 +15,8 @@ from pathlib import Path
 
 import yaml
 
+from .trustregion import default_nystrom_size
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad field."""
@@ -258,8 +260,9 @@ def validate_config(raw: dict) -> dict:
 def resolve_method_defaults(config: dict, kind: str, total_dim: int) -> dict:
     """Fill every method's unset fields with their METHODS defaults, looking
     string defaults up in the bundled table of the problem family."""
+    particles = config["run"]["particles"]
     table = {**bundled_defaults(kind, total_dim),
-             TENTH_OF_PARTICLES: max(1, config["run"]["particles"] // 10)}
+             TENTH_OF_PARTICLES: default_nystrom_size(particles)}
     resolved = dict(config)
     resolved["method"] = [
         {**m, **{key: table[default] if isinstance(default, str) else default

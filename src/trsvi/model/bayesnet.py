@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .layout import FactorLayout, TargetModel
 
@@ -236,43 +237,89 @@ def bayes_net_layout(spec: BayesNetSpec) -> FactorLayout:
     return FactorLayout.from_factor_neighbors([1] * d, neighbors)
 
 
-def _parent_sum(X: np.ndarray, parents: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_p w_p X[:, parents[p]], added in parent order.  Each row's value is
-    then the same whatever the other rows; a gemv's order can change with
-    the row count."""
-    out = X[:, parents[0]] * w[0]
-    for p, wp in zip(parents[1:], w[1:]):
-        out += X[:, p] * wp
-    return out
+@dataclass(frozen=True, eq=False)
+class _Components:
+    """Gaussian components of the net's conditionals, one per column of the
+    (width, C) tables: component c's residual is x_owner[c] minus the sum
+    over slots k of weights[k, c] times row parents[k, c] of XT = [X^T; 1].
+    A root's mean is 1 times its mean offset; a padded slot adds 1 * 0."""
+
+    owner: np.ndarray
+    parents: np.ndarray
+    weights: np.ndarray
+
+    def residuals(self, XT: np.ndarray) -> np.ndarray:
+        """(C, n) residuals at the particles, the columns of XT; each mean
+        adds its slots in order, the same for any particle count."""
+        width, count = self.parents.shape
+        terms = XT.take(self.parents.ravel(), axis=0)
+        terms *= self.weights.reshape(-1, 1)
+        terms = terms.reshape(width, count, -1)
+        mean = terms[0]
+        for k in range(1, width):
+            mean += terms[k]
+        return np.subtract(XT.take(self.owner, axis=0), mean, out=mean)
+
+
+def _csr(values, rows, cols, shape) -> sparse.csr_matrix:
+    """A CSR matrix whose rows keep their entries in the order given."""
+    order = np.argsort(rows, kind="stable")
+    return sparse.csr_matrix(
+        (values[order], cols[order],
+         np.searchsorted(rows[order], np.arange(shape[0] + 1))),
+        shape=shape)
 
 
 class BayesNetModel(TargetModel):
-    """Joint density of a layered net with hand-coded derivatives."""
+    """Joint density of a layered net with hand-coded derivatives.
+
+    Every node has one Gaussian component in x_j - m(x_pa), a mixture node
+    a second one.  The batch methods work on all components at once, with
+    the particles along the last axis; the tables they use are built here.
+    """
 
     def __init__(self, spec: BayesNetSpec):
         self.spec = spec
         self.layout = bayes_net_layout(spec)
-        self._nodes = []
-        for j, node in enumerate(spec.nodes):
-            self._nodes.append(
-                (
-                    j,
-                    node.kind,
-                    np.asarray(node.parents, dtype=np.intp),
-                    [np.asarray(w, dtype=float) for w in node.weights],
-                    np.asarray(node.component_weights, dtype=float),
-                    node.mean_offset,
-                    node.variance,
-                )
-            )
-        # pattern positions of each node's (own, parents) x (own, parents)
-        # Hessian entries
-        pattern = self.layout.pattern()
-        self._families = [
-            pattern.index(idx[:, None], idx[None, :])
-            for idx in (np.concatenate(([j], parents))
-                        for j, _, parents, *_ in self._nodes)
-        ]
+        nodes = spec.nodes
+        d = len(nodes)
+        self._mixtures = np.array([j for j, node in enumerate(nodes)
+                                   if node.kind == GMM], dtype=np.intp)
+        # components: each node's first, in node order, then each mixture
+        # node's second
+        comps = ([(j, 0) for j in range(d)]
+                 + [(j, 1) for j in self._mixtures.tolist()])
+        width = max(len(node.parents) for node in nodes) or 1
+        parents = np.full((width, len(comps)), d, dtype=np.intp)
+        weights = np.zeros((width, len(comps)))
+        # log of the component's mixture weight plus its Gaussian constant
+        offset = np.empty((len(comps), 1))
+        variance = np.empty((len(comps), 1))
+        for c, (j, l) in enumerate(comps):
+            node = nodes[j]
+            const = -0.5 * (_LOG_2PI + np.log(node.variance))
+            k = len(node.parents)
+            if node.kind == ROOT:
+                weights[0, c] = node.mean_offset
+            else:
+                parents[:k, c] = node.parents
+                weights[:k, c] = node.weights[l]
+            if node.kind == GMM:
+                const = np.log(np.asarray(node.component_weights)[l]) + const
+            offset[c] = const
+            variance[c] = node.variance
+        owner = np.array([j for j, _ in comps], dtype=np.intp)
+        self._components = _Components(owner, parents, weights)
+        self._offset, self._variance = offset, variance
+        # the mixture nodes' first components, then their second ones
+        rows = np.concatenate([self._mixtures, np.arange(d, len(comps))])
+        self._mixture_rows = rows
+        self._mixture_components = _Components(owner[rows], parents[:, rows],
+                                               weights[:, rows])
+        self._mixture_offset = offset[rows].reshape(2, -1, 1)
+        self._mixture_variance = variance[d:]
+        self._gradient_scatter = self._build_gradient_scatter()
+        self._hessian_constant, self._hessian_scatter = self._build_hessian()
 
     def dimension_names(self) -> list[str]:
         return [f"x{j}" for j in range(self.spec.total_dim)]
@@ -289,93 +336,124 @@ class BayesNetModel(TargetModel):
         return self.gradient_batch(x[None, :])[0]
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        total = np.zeros(X.shape[0])
-        for j, kind, parents, weights, comp_w, mu, s2 in self._nodes:
-            const = -0.5 * (_LOG_2PI + np.log(s2))
-            if kind == ROOT:
-                total += const - 0.5 * (X[:, j] - mu) ** 2 / s2
-            elif kind == LINEAR:
-                mean = _parent_sum(X, parents, weights[0])
-                total += const - 0.5 * (X[:, j] - mean) ** 2 / s2
-            else:
-                c0, c1 = (
-                    np.log(comp_w[l]) + const
-                    - 0.5 * (X[:, j] - _parent_sum(X, parents, weights[l]))
-                    ** 2 / s2
-                    for l in range(2)
-                )
-                total += _logaddexp(c0, c1)
-        return total
+        """Each node's term as in a loop over nodes (a mixture node's by
+        `_logaddexp`), added to the total in node order by a sequential
+        cumsum."""
+        XT = self._stacked(X)
+        resid = self._components.residuals(XT)
+        logp = self._offset - 0.5 * resid**2 / self._variance
+        d = XT.shape[0] - 1
+        terms = logp[:d]
+        terms[self._mixtures] = _logaddexp(logp[self._mixtures], logp[d:])
+        return np.cumsum(terms, axis=0)[-1]
 
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros_like(X)
-        for j, kind, parents, weights, comp_w, mu, s2 in self._nodes:
-            if kind == ROOT:
-                out[:, j] -= (X[:, j] - mu) / s2
-            elif kind == LINEAR:
-                r = (X[:, j] - X[:, parents] @ weights[0]) / s2
-                out[:, j] -= r
-                out[:, parents] += r[:, None] * weights[0]
-            else:
-                resp, resid = self._responsibilities(X, j, parents, weights,
-                                                     comp_w, s2)
-                r = (resp * resid).sum(axis=0) / s2
-                out[:, j] -= r
-                out[:, parents] += np.einsum(
-                    "ln,lp->np", resp * resid / s2, np.stack(weights)
-                )
-        return out
+        """Each component's r (x_j - m) / s2, r its responsibility (1 outside
+        mixtures), scattered to -1 at x_j and +w_p at each parent."""
+        XT = self._stacked(X)
+        resid = self._components.residuals(XT)
+        terms = resid / self._variance
+        rows = self._mixture_rows
+        if rows.size:
+            n = resid.shape[1]
+            terms[rows] *= self._mixture_responsibilities(
+                resid[rows].reshape(2, -1, n)).reshape(rows.size, n)
+        return np.ascontiguousarray((self._gradient_scatter @ terms).T)
 
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        out = np.zeros((n, self.layout.pattern().nnz))
-        for (j, kind, parents, weights, comp_w, mu, s2), family in zip(
-                self._nodes, self._families):
-            if kind == ROOT:
-                out[:, family[0, 0]] -= 1.0 / s2
-            elif kind == LINEAR:
-                w = weights[0]
-                out[:, family[0, 0]] -= 1.0 / s2
-                out[:, family[0, 1:]] += w / s2
-                out[:, family[1:, 0]] += w / s2
-                out[:, family[1:, 1:]] -= np.outer(w, w) / s2
-            else:
-                k = family.shape[0]
-                resp, resid = self._responsibilities(X, j, parents, weights,
-                                                     comp_w, s2)
-                # per-component gradient over (own, parents) coordinates
-                grads = np.empty((2, n, k))
-                curv = np.empty((2, k, k))
-                for l in range(2):
-                    e = resid[l] / s2
-                    grads[l, :, 0] = -e
-                    grads[l, :, 1:] = e[:, None] * weights[l]
-                    wl = weights[l]
-                    curv[l, 0, 0] = -1.0 / s2
-                    curv[l, 0, 1:] = wl / s2
-                    curv[l, 1:, 0] = wl / s2
-                    curv[l, 1:, 1:] = -np.outer(wl, wl) / s2
-                gbar = np.einsum("ln,lnk->nk", resp, grads)
-                # sqrt-weighted gradients keep the second-moment term exactly
-                # transpose-symmetric in floating point
-                sg = np.sqrt(resp)[:, :, None] * grads
-                mix = np.einsum("ln,lkm->nkm", resp, curv)
-                mix += np.einsum("lnk,lnm->nkm", sg, sg)
-                mix -= np.einsum("nk,nm->nkm", gbar, gbar)
-                out[:, family] += mix
-        return out
+        """A constant row (roots and linear nodes) plus, per mixture node,
+        r_0 C_0 + r_1 C_1 + r_0 r_1 (g_0 - g_1)(g_0 - g_1)^T, with C_l and
+        g_l = -e_l u_l component l's curvature and gradient, u_l = (1, -w_l)
+        over (own, parents) and e_l = (x_j - m_l) / s2.  This equals
+        sum_l r_l g_l g_l^T - gbar gbar^T exactly, without its cancellation,
+        and enters as coefficients (r_0, r_1, r_0 r_1 e_l e_m) of constant
+        pattern entries."""
+        XT = self._stacked(X)
+        n = XT.shape[1]
+        if not self._mixtures.size:
+            return np.tile(self._hessian_constant, (n, 1))
+        resid = self._mixture_components.residuals(XT).reshape(2, -1, n)
+        r = self._mixture_responsibilities(resid)
+        e = resid / self._mixture_variance
+        coef = np.empty((5,) + r.shape[1:])
+        coef[:2] = r
+        coef[2:] = r[0] * r[1] * e[[0, 0, 1]] * e[[0, 1, 1]]
+        values = self._hessian_scatter @ coef.reshape(-1, n)
+        values += self._hessian_constant[:, None]
+        return np.ascontiguousarray(values.T)
+
+    def _mixture_responsibilities(self, resid: np.ndarray) -> np.ndarray:
+        """Responsibilities (2, G, n) of the mixture nodes' two components,
+        a softmax of the components' log terms at their residuals (2, G, n):
+        each exp is of a value <= 0, so any finite residuals give finite
+        responsibilities, a saturated component's exactly 0 or 1."""
+        logits = self._mixture_offset - 0.5 * resid**2 / self._mixture_variance
+        logits -= np.maximum(logits[0], logits[1])
+        np.exp(logits, out=logits)
+        logits /= logits[0] + logits[1]
+        return logits
 
     @staticmethod
-    def _responsibilities(X, j, parents, weights, comp_w, s2):
-        """Softmax weights of the two mixture components, in log space."""
-        resid = np.stack(
-            [X[:, j] - X[:, parents] @ weights[l] for l in range(2)]
-        )
-        logits = np.log(comp_w)[:, None] - 0.5 * resid**2 / s2
-        logits -= logits.max(axis=0, keepdims=True)
-        resp = np.exp(logits)
-        resp /= resp.sum(axis=0, keepdims=True)
-        return resp, resid
+    def _stacked(X: np.ndarray) -> np.ndarray:
+        """[X^T; 1]: one row per coordinate, then a row of ones."""
+        X = np.asarray(X, dtype=float)
+        XT = np.empty((X.shape[1] + 1, X.shape[0]))
+        XT[:-1] = X.T
+        XT[-1] = 1.0
+        return XT
+
+    def _build_gradient_scatter(self) -> sparse.csr_matrix:
+        """Sparse (dim, components) matrix: -1 at each component's own
+        coordinate, its weight at each parent; a row adds its terms in
+        component order."""
+        comps = self._components
+        d = self.layout.total_dim
+        # per component: its own coordinate, then its parents' rows of XT
+        rows = np.vstack([comps.owner, comps.parents]).T
+        values = np.vstack([-np.ones(comps.owner.size), comps.weights]).T
+        cols = np.broadcast_to(np.arange(comps.owner.size)[:, None], rows.shape)
+        keep = rows < d                     # the row of ones is no coordinate
+        return _csr(values[keep], rows[keep], cols[keep],
+                    (d, comps.owner.size))
+
+    def _build_hessian(self):
+        """The Hessian's x-independent pattern row, its roots' and linear
+        nodes' terms added in node order, and the sparse (nnz, 5 G) matrix
+        from each mixture node's coefficients (r_0, r_1, r_0 r_1 e_0^2,
+        r_0 r_1 e_0 e_1, r_0 r_1 e_1^2) to pattern entries; a row adds
+        them in mixture and coefficient order, so an entry and its
+        transpose take the same steps."""
+        pattern = self.layout.pattern()
+        constant = np.zeros(pattern.nnz)
+        g = self._mixtures.size
+        rows, cols, values = [], [], []
+        for j, node in enumerate(self.spec.nodes):
+            idx = np.array((j,) + node.parents, dtype=np.intp)
+            family = pattern.index(idx[:, None], idx[None, :])
+            s2 = node.variance
+            if node.kind == ROOT:
+                constant[family[0, 0]] -= 1.0 / s2
+            elif node.kind == LINEAR:
+                w = np.asarray(node.weights[0])
+                constant[family[0, 0]] -= 1.0 / s2
+                constant[family[0, 1:]] += w / s2
+                constant[family[1:, 0]] += w / s2
+                constant[family[1:, 1:]] -= np.outer(w, w) / s2
+            else:
+                u0, u1 = (np.concatenate(([1.0], -np.asarray(w)))
+                          for w in node.weights)
+                blocks = (-np.outer(u0, u0) / s2, -np.outer(u1, u1) / s2,
+                          np.outer(u0, u0),
+                          -(np.outer(u0, u1) + np.outer(u1, u0)),
+                          np.outer(u1, u1))
+                # coefficient t of mixture m is column t * G + m
+                m = np.searchsorted(self._mixtures, j)
+                for t, block in enumerate(blocks):
+                    rows.append(family.ravel())
+                    cols.append(np.full(family.size, t * g + m))
+                    values.append(block.ravel())
+        if not rows:
+            return constant, None
+        scatter = _csr(np.concatenate(values), np.concatenate(rows),
+                       np.concatenate(cols), (pattern.nnz, 5 * g))
+        return constant, scatter

@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluation import gradient_magnitude
-from .kernels import KernelSpec, LocalKernelFamily, median_heuristic, rbf_matrix
+from .kernels import (DegenerateSampleError, KernelSpec, LocalKernelFamily,
+                      median_heuristic, rbf_matrix)
 from .model.layout import TargetModel
 from .stein import (
     ParticleSet,
@@ -153,6 +154,12 @@ def cg_steihaug(
     return steps[0], STATUSES[status[0]]
 
 
+def default_nystrom_size(particles: int) -> int:
+    """The KL estimate's Nystrom subset size when none is set: a tenth of
+    the particles, at least one."""
+    return max(1, particles // 10)
+
+
 def approx_kl(
     particles: ParticleSet,
     target: TargetModel,
@@ -269,11 +276,20 @@ class Verdict(NamedTuple):
     stop: bool = False
 
 
+def _median_kernel(X: np.ndarray) -> KernelSpec | None:
+    """The median-heuristic kernel of X; None where over half of its row
+    pairs coincide."""
+    try:
+        return KernelSpec(median_heuristic(X))
+    except DegenerateSampleError:
+        return None
+
+
 @dataclass
 class TrustRegionKLState:
     """KL-ratio step control (tr-svi-kl): the shared radius, the Nystrom
-    subset size of the KL estimate (None: a tenth of the particles, at least
-    one) and the seed of the per-iteration subset seeds."""
+    subset size of the KL estimate (None: `default_nystrom_size`) and the
+    seed of the per-iteration subset seeds."""
 
     radius: float
     nystrom_size: int | None = None
@@ -307,20 +323,22 @@ class TrustRegionKLState:
 
     def judge(self, trial: Trial, target: TargetModel, field_at) -> Verdict:
         """rho = (u - o) / model, with KL estimates u of the proposal and o
-        of the current particles; a model predicting no decrease halves the
-        radius and keeps the particles, and one at a zero gradient stops."""
+        of the current particles; a model predicting no decrease, or a
+        proposal on which over half the particle pairs coincide (no median
+        lengthscale, so no u), halves the radius and keeps the particles,
+        and a zero model at a zero gradient stops."""
         gmag = gradient_magnitude(trial.field)
         model = trial.solution.decrease
         subset_seed = int(self._rng.integers(0, 2**63 - 1))
         if model == 0.0 and gmag == 0.0:
             return Verdict(False, {"gradient_magnitude": gmag}, stop=True)
-        if model >= 0.0:
+        kernel_u = _median_kernel(trial.proposal) if model < 0.0 else None
+        if kernel_u is None:
             self.radius /= 2.0
             return Verdict(False, {"gradient_magnitude": gmag})
         current = trial.particles
-        m = (max(1, current.n // 10) if self.nystrom_size is None
+        m = (default_nystrom_size(current.n) if self.nystrom_size is None
              else int(self.nystrom_size))
-        kernel_u = KernelSpec(median_heuristic(trial.proposal))
         u = approx_kl(ParticleSet(trial.proposal, current.iteration,
                                   current.seed), target, m, kernel_u, subset_seed)
         if self._kernel[0] is not current.positions:

@@ -24,6 +24,7 @@ from trsvi.kernels import (
     rbf_matrix,
     squared_distances,
 )
+from trsvi.model.bayesnet import _logaddexp
 from trsvi.stein import (
     ParticleSet,
     field_from_context,
@@ -547,6 +548,194 @@ def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:
     return out
 
 
+def _bayesnet_nodes(model):
+    """(j, kind, parents, weights, component weights, mean offset, variance)
+    of each node, in node order, as the model kept them before it batched its
+    derivatives over nodes."""
+    return [(j, node.kind, np.asarray(node.parents, dtype=np.intp),
+             [np.asarray(w, dtype=float) for w in node.weights],
+             np.asarray(node.component_weights, dtype=float),
+             node.mean_offset, node.variance)
+            for j, node in enumerate(model.spec.nodes)]
+
+
+def _bayesnet_responsibilities(X, j, parents, weights, comp_w, s2):
+    """Softmax weights of a mixture node's two components, in log space, and
+    the components' residuals."""
+    resid = np.stack(
+        [X[:, j] - X[:, parents] @ weights[l] for l in range(2)]
+    )
+    logits = np.log(comp_w)[:, None] - 0.5 * resid**2 / s2
+    logits -= logits.max(axis=0, keepdims=True)
+    resp = np.exp(logits)
+    resp /= resp.sum(axis=0, keepdims=True)
+    return resp, resid
+
+
+def _bayesnet_parent_sum(X, parents, w):
+    out = X[:, parents[0]] * w[0]
+    for p, wp in zip(parents[1:], w[1:]):
+        out += X[:, p] * wp
+    return out
+
+
+def node_loop_bayesnet_log_density_batch(model, X) -> np.ndarray:
+    """`BayesNetModel.log_density_batch` as a loop over nodes, each node's
+    term added to the running total in node order."""
+    X = np.asarray(X, dtype=float)
+    total = np.zeros(X.shape[0])
+    for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
+        const = -0.5 * (float(np.log(2.0 * np.pi)) + np.log(s2))
+        if kind == "root":
+            total += const - 0.5 * (X[:, j] - mu) ** 2 / s2
+        elif kind == "linear":
+            mean = _bayesnet_parent_sum(X, parents, weights[0])
+            total += const - 0.5 * (X[:, j] - mean) ** 2 / s2
+        else:
+            c0, c1 = (
+                np.log(comp_w[l]) + const
+                - 0.5 * (X[:, j] - _bayesnet_parent_sum(X, parents, weights[l]))
+                ** 2 / s2
+                for l in range(2)
+            )
+            total += _logaddexp(c0, c1)
+    return total
+
+
+def node_loop_bayesnet_gradient_batch(model, X) -> np.ndarray:
+    """`BayesNetModel.gradient_batch` as a loop over nodes, with a gemv per
+    parent sum."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros_like(X)
+    for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
+        if kind == "root":
+            out[:, j] -= (X[:, j] - mu) / s2
+        elif kind == "linear":
+            r = (X[:, j] - X[:, parents] @ weights[0]) / s2
+            out[:, j] -= r
+            out[:, parents] += r[:, None] * weights[0]
+        else:
+            resp, resid = _bayesnet_responsibilities(X, j, parents, weights,
+                                                     comp_w, s2)
+            r = (resp * resid).sum(axis=0) / s2
+            out[:, j] -= r
+            out[:, parents] += np.einsum(
+                "ln,lp->np", resp * resid / s2, np.stack(weights)
+            )
+    return out
+
+
+def node_loop_bayesnet_hessian_batch(model, X) -> np.ndarray:
+    """`BayesNetModel.hessian_batch` as a loop over nodes, writing pattern
+    values: a mixture node adds sum_l r_l C_l + sum_l r_l g_l g_l^T - gbar
+    gbar^T, which cancels when the components' gradients are large."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    pattern = model.layout.pattern()
+    out = np.zeros((n, pattern.nnz))
+    for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
+        idx = np.concatenate(([j], parents))
+        family = pattern.index(idx[:, None], idx[None, :])
+        if kind == "root":
+            out[:, family[0, 0]] -= 1.0 / s2
+        elif kind == "linear":
+            w = weights[0]
+            out[:, family[0, 0]] -= 1.0 / s2
+            out[:, family[0, 1:]] += w / s2
+            out[:, family[1:, 0]] += w / s2
+            out[:, family[1:, 1:]] -= np.outer(w, w) / s2
+        else:
+            out[:, family] += _loop_mixture_block(X, j, parents, weights,
+                                                  comp_w, s2)
+    return out
+
+
+def _loop_mixture_block(X, j, parents, weights, comp_w, s2):
+    """A mixture node's (n, k, k) Hessian over its (own, parents)
+    coordinates, in the loop's cancelling form."""
+    n, k = X.shape[0], 1 + parents.size
+    resp, resid = _bayesnet_responsibilities(X, j, parents, weights, comp_w,
+                                             s2)
+    grads = np.empty((2, n, k))
+    curv = np.empty((2, k, k))
+    for l in range(2):
+        e = resid[l] / s2
+        grads[l, :, 0] = -e
+        grads[l, :, 1:] = e[:, None] * weights[l]
+        wl = weights[l]
+        curv[l, 0, 0] = -1.0 / s2
+        curv[l, 0, 1:] = wl / s2
+        curv[l, 1:, 0] = wl / s2
+        curv[l, 1:, 1:] = -np.outer(wl, wl) / s2
+    gbar = np.einsum("ln,lnk->nk", resp, grads)
+    # sqrt-weighted gradients keep the second-moment term exactly
+    # transpose-symmetric in floating point
+    sg = np.sqrt(resp)[:, :, None] * grads
+    mix = np.einsum("ln,lkm->nkm", resp, curv)
+    mix += np.einsum("lnk,lnm->nkm", sg, sg)
+    mix -= np.einsum("nk,nm->nkm", gbar, gbar)
+    return mix
+
+
+# Each form rounds its residual, gradient and Hessian sums within a few eps
+# times `bayesnet_term_magnitudes`: the batched model and the node loop stay
+# within this multiple of eps times them of each other.  Measured worst
+# case: 2.4 (gradient) and 1.4 (Hessian) over the bn10_desk, bn30_paper and
+# (10, 10, 10) paper nets, at their particles moved by up to 100 sd.
+BAYESNET_ROUNDING_BOUND = 16
+
+
+def bayesnet_term_magnitudes(model, X) -> tuple[np.ndarray, np.ndarray]:
+    """Scales of the rounding errors of a net's gradient, (n, dim), and
+    Hessian pattern values, (n, nnz), node by node, for any order of the
+    sums.  Each error is a small multiple of eps times these.
+
+    A residual x_j - m_l carries an error of order eps a_l, with a_l =
+    |x_j| + sum_p |w_p x_p| (|x_j| + |mu| for a root), which can far exceed
+    the residual.  With A_l = a_l / s2, u_l = (1, |w_l|) over (own,
+    parents), responsibilities r_l (1 outside mixtures) and their
+    sensitivity to those errors S = r_0 r_1 (e_0 a_0 + e_1 a_1), e_l the
+    residual over s2 (0 outside mixtures):
+      - gradient: the sum over components of (r_l + S) A_l u_l;
+      - Hessian: the sum over components of (r_l + S) (u_l u_l^T / s2 +
+        A_l^2 u_l u_l^T), plus B B^T per mixture node, B = sum_l (r_l + S)
+        A_l u_l, which bounds both gbar gbar^T and r_0 r_1 e_l e_m u_l u_m^T.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    pattern = model.layout.pattern()
+    grad = np.zeros_like(X)
+    hess = np.zeros((n, pattern.nnz))
+    for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
+        idx = np.concatenate(([j], parents))
+        family = pattern.index(idx[:, None], idx[None, :])
+        us = [np.abs(np.concatenate(([1.0], w))) for w in weights]
+        if kind == "root":
+            grad[:, j] += (np.abs(X[:, j]) + abs(mu)) / s2
+            hess[:, family[0, 0]] += 1.0 / s2
+            continue
+        scales = [np.abs(X[:, j]) + np.abs(X[:, parents]) @ np.abs(w)
+                  for w in weights]
+        if kind == "linear":
+            resp, sens = np.ones((1, n)), 0.0
+        else:
+            resp, resid = _bayesnet_responsibilities(X, j, parents, weights,
+                                                     comp_w, s2)
+            sens = resp[0] * resp[1] * sum(np.abs(resid[l]) * scales[l]
+                                           for l in range(2)) / s2
+        B = np.zeros((n, idx.size))
+        for l, u in enumerate(us):
+            b = ((resp[l] + sens) * scales[l] / s2)[:, None] * u
+            B += b
+            hess[:, family] += (resp[l] + sens)[:, None, None] * (
+                np.outer(u, u) / s2
+                + (scales[l] / s2)[:, None, None] ** 2 * np.outer(u, u))
+        grad[:, idx] += B
+        if kind == "gmm":
+            hess[:, family] += B[:, :, None] * B[:, None, :]
+    return grad, hess
+
+
 def dense_bayesnet_hessian_batch(model, X) -> np.ndarray:
     """Bayes-net log-density Hessians accumulated node by node into a dense
     (n, dim, dim) stack, as the model built them before it wrote pattern
@@ -554,7 +743,7 @@ def dense_bayesnet_hessian_batch(model, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     out = np.zeros((n, d, d))
-    for j, kind, parents, weights, comp_w, mu, s2 in model._nodes:
+    for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
         if kind == "root":
             out[:, j, j] -= 1.0 / s2
         elif kind == "linear":
@@ -565,25 +754,59 @@ def dense_bayesnet_hessian_batch(model, X) -> np.ndarray:
             out[np.ix_(np.arange(n), parents, parents)] -= np.outer(w, w) / s2
         else:
             idx = np.concatenate(([j], parents))
-            resp, resid = model._responsibilities(X, j, parents, weights,
-                                                  comp_w, s2)
-            grads = np.empty((2, n, idx.size))
-            curv = np.empty((2, idx.size, idx.size))
-            for l in range(2):
-                e = resid[l] / s2
-                grads[l, :, 0] = -e
-                grads[l, :, 1:] = e[:, None] * weights[l]
-                wl = weights[l]
-                curv[l, 0, 0] = -1.0 / s2
-                curv[l, 0, 1:] = wl / s2
-                curv[l, 1:, 0] = wl / s2
-                curv[l, 1:, 1:] = -np.outer(wl, wl) / s2
-            gbar = np.einsum("ln,lnk->nk", resp, grads)
-            sg = np.sqrt(resp)[:, :, None] * grads
-            mix = np.einsum("ln,lkm->nkm", resp, curv)
-            mix += np.einsum("lnk,lnm->nkm", sg, sg)
-            mix -= np.einsum("nk,nm->nkm", gbar, gbar)
-            out[np.ix_(np.arange(n), idx, idx)] += mix
+            out[np.ix_(np.arange(n), idx, idx)] += _loop_mixture_block(
+                X, j, parents, weights, comp_w, s2)
+    return out
+
+
+def _gemv_parent_sum(X, parents, w):
+    return X[:, parents] @ w
+
+
+def longdouble_bayesnet_hessian_batch(model, X, gemv=False) -> np.ndarray:
+    """Bayes-net Hessians as (n, dim, dim) long doubles, each mixture node's
+    block sum_l r_l (C_l + g_l g_l^T) - gbar gbar^T from its responsibilities
+    r_l, component gradients g_l and curvatures C_l.
+
+    Only the mixture residuals x_j - m_l are float64: parent sums in slot
+    order, as the model forms them, or with gemv=True by a gemv, as the node
+    loop did.  Both forms inherit those residuals' rounding (amplified in
+    r_l at a far-out particle), so a reference from them measures the rest
+    of each form's rounding."""
+    parent_sum = _gemv_parent_sum if gemv else _bayesnet_parent_sum
+    n, d = np.shape(X)
+    out = np.zeros((n, d, d), dtype=np.longdouble)
+    rows = np.arange(n)
+    for j, node in enumerate(model.spec.nodes):
+        s2 = np.longdouble(node.variance)
+        idx = np.array((j,) + node.parents, dtype=np.intp)
+        us = [np.concatenate(([np.longdouble(1)],
+                              -np.asarray(w, dtype=np.longdouble)))
+              for w in node.weights]
+        if node.kind == "root":
+            out[:, j, j] -= 1 / s2
+            continue
+        if node.kind == "linear":
+            out[np.ix_(rows, idx, idx)] -= np.outer(us[0], us[0]) / s2
+            continue
+        resid = np.stack([
+            X[:, j] - parent_sum(X, np.asarray(node.parents), np.asarray(w))
+            for w in node.weights]).astype(np.longdouble)       # (2, n)
+        logits = (np.log(np.asarray(node.component_weights,
+                                    dtype=np.longdouble))[:, None]
+                  - resid**2 / (2 * s2))
+        logits -= logits.max(axis=0)
+        resp = np.exp(logits)
+        resp /= resp.sum(axis=0)
+        grads = np.stack([-(resid[l] / s2)[:, None] * us[l]
+                          for l in range(2)])                   # (2, n, k)
+        gbar = resp[0][:, None] * grads[0] + resp[1][:, None] * grads[1]
+        block = -gbar[:, :, None] * gbar[:, None, :]
+        for l in range(2):
+            block += resp[l][:, None, None] * (
+                grads[l][:, :, None] * grads[l][:, None, :]
+                - np.outer(us[l], us[l]) / s2)
+        out[np.ix_(rows, idx, idx)] += block
     return out
 
 

@@ -1,9 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from oracles import (eval_target, fd_gradient, fd_jacobian, linear_gaussian_moments,
-                     target_hessian_block)
+from oracles import (
+    BAYESNET_ROUNDING_BOUND,
+    bayesnet_term_magnitudes,
+    eval_target,
+    fd_gradient,
+    fd_jacobian,
+    linear_gaussian_moments,
+    longdouble_bayesnet_hessian_batch,
+    node_loop_bayesnet_gradient_batch,
+    node_loop_bayesnet_hessian_batch,
+    node_loop_bayesnet_log_density_batch,
+    target_hessian_block,
+)
+from targets import bundled
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
@@ -233,3 +247,105 @@ def test_two_term_logaddexp_is_bitwise_scipy_logsumexp():
     for c0, c1 in [(hi, lo), (lo, hi), (-lo, -hi)]:
         expected = logsumexp(np.stack([c0, c1]), axis=0)
         assert _logaddexp(c0, c1).tobytes() == expected.tobytes()
+
+
+def node_batching_cases():
+    for name in ("bn10_desk", "bn30_paper"):
+        yield pytest.param(lambda name=name: bundled(name), id=name)
+    yield pytest.param(lambda: (
+        BayesNetModel(generate_bayes_net(PAPER_30DIM_CONFIG)),
+        np.random.default_rng(0).normal(size=(100, 30))), id="paper 30-dim")
+
+
+def moved(X, scale, seed=1):
+    return X + scale * np.random.default_rng(seed).normal(size=X.shape)
+
+
+@pytest.mark.parametrize("make", list(node_batching_cases()))
+class TestNodeBatching:
+    """The derivatives batched over nodes against the loop over nodes they
+    replaced (`oracles.node_loop_bayesnet_*`), at the bundled particles and
+    at particles moved by 1, 3 and 100 standard deviations."""
+
+    def test_log_density_bitwise_node_loop(self, make):
+        model, X = make()
+        for Y in (X, moved(X, 1.0), moved(X, 100.0)):
+            np.testing.assert_array_equal(
+                model.log_density_batch(Y),
+                node_loop_bayesnet_log_density_batch(model, Y))
+
+    def test_derivatives_within_rounding_bound_of_node_loop(self, make):
+        """|batched - loop| <= BAYESNET_ROUNDING_BOUND eps M per entry, M
+        the sum of the magnitudes of the terms the entry adds up."""
+        model, X = make()
+        eps = np.finfo(float).eps
+        for scale in (0.0, 1.0, 3.0, 100.0):
+            Y = moved(X, scale)
+            grad_scale, hess_scale = bayesnet_term_magnitudes(model, Y)
+            for batch, loop, magnitude in (
+                    (model.gradient_batch, node_loop_bayesnet_gradient_batch,
+                     grad_scale),
+                    (model.hessian_batch, node_loop_bayesnet_hessian_batch,
+                     hess_scale)):
+                err = np.abs(batch(Y) - loop(model, Y))
+                assert np.all(err <= BAYESNET_ROUNDING_BOUND * eps * magnitude)
+
+    def test_mixture_hessian_no_less_accurate_than_node_loop(self, make):
+        """Against long-double Hessians from each form's own float64 mixture
+        residuals, the r_0 r_1 (g_0 - g_1)(g_0 - g_1)^T form errs no more
+        than the loop's cancelling sum_l r_l g_l g_l^T - gbar gbar^T."""
+        model, X = make()
+        flat = model.layout.pattern().flat
+        for scale in (0.0, 1.0, 3.0):
+            Y = moved(X, scale)
+            errors = [
+                np.abs(values - longdouble_bayesnet_hessian_batch(
+                    model, Y, gemv=gemv).reshape(len(Y), -1)[:, flat]).max()
+                for values, gemv in (
+                    (model.hessian_batch(Y), False),
+                    (node_loop_bayesnet_hessian_batch(model, Y), True))]
+            assert errors[0] <= errors[1]
+
+    def test_hessian_exactly_symmetric(self, make):
+        model, X = make()
+        pattern = model.layout.pattern()
+        twin = pattern.upper[pattern.from_upper]
+        for Y in (X, moved(X, 3.0)):
+            values = model.hessian_batch(Y)
+            np.testing.assert_array_equal(values, values[:, twin])
+
+
+def test_saturated_mixture_responsibilities_stay_finite_without_warnings():
+    """A mixture component whose logit trails the other's by far more than
+    710 (exp's overflow point) gets responsibility exactly 0: the node's
+    derivatives are those of the other component alone, finite, and no
+    RuntimeWarning is raised.  The same holds for bn30_paper's particles
+    moved 100 standard deviations out."""
+    s2 = 0.01
+    root = BayesNode("root", (), ((),), (1.0,), 0.0, 1.0)
+    child = BayesNode("gmm", (0,), ((1.0,), (-1.0,)), (0.5, 0.5), 0.0, s2)
+    model = BayesNetModel(BayesNetSpec(layers=((root,), (child,))))
+    # component 0 fits exactly; component 1's residual is 2 x0
+    X = np.array([[10.0, 10.0], [-30.0, -30.0], [3.0, 3.0]])
+    assert np.all(0.5 * (2.0 * X[:, 0]) ** 2 / s2 > 710.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = model.gradient_batch(X)
+        hess = model.layout.pattern().dense(model.hessian_batch(X))
+        logp = model.log_density_batch(X)
+        bn30, P = bundled("bn30_paper")
+        far = moved(P, 100.0)
+        far_values = [bn30.log_density_batch(far), bn30.gradient_batch(far),
+                      bn30.hessian_batch(far)]
+    for values in (grad, hess, logp, *far_values):
+        assert np.isfinite(values).all()
+    # log 0.5 + log N(0; 0, s2) + log N(x0; 0, 1), and component 0's
+    # derivatives: the child's residual is zero
+    expected_logp = (np.log(0.5) - 0.5 * np.log(2 * np.pi * s2)
+                     - 0.5 * np.log(2 * np.pi) - 0.5 * X[:, 0] ** 2)
+    np.testing.assert_allclose(logp, expected_logp, rtol=1e-13)
+    np.testing.assert_array_equal(grad, np.column_stack([-X[:, 0],
+                                                         np.zeros(3)]))
+    curvature = -np.array([[1.0 + 1.0 / s2, -1.0 / s2], [-1.0 / s2, 1.0 / s2]])
+    np.testing.assert_allclose(hess, np.broadcast_to(curvature, hess.shape),
+                               rtol=1e-15)

@@ -11,9 +11,11 @@ import pytest
 from oracles import baseline_loop_run, tr_svi_at_oracle, tr_svi_kl_oracle
 from trsvi import trustregion as tr
 from trsvi.experiment import execute_method, initialize_particles
-from trsvi.kernels import KernelSpec, LocalKernelFamily
+from trsvi.evaluation import gradient_magnitude
+from trsvi.kernels import (DegenerateSampleError, KernelSpec, LocalKernelFamily,
+                           median_heuristic)
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
-from trsvi.stein import ParticleSet, local_context
+from trsvi.stein import ParticleSet, SteinGradientField, local_context
 
 METHODS = [
     {"name": "tr-svi-at"},
@@ -155,6 +157,62 @@ class TestKLPaths:
         assert third.radius_or_step == second.radius_or_step / 2.0
         # the second iteration's re-solve reused the first one's stack
         assert stacks.calls == 1 + sum(r.accepted for r in got[1].records[:-1])
+
+    def test_degenerate_proposal_shrinks_and_keeps(self):
+        """A proposal on which over half the particle pairs coincide has no
+        median lengthscale, so no KL estimate: judge rejects it and halves
+        the radius, as for a model predicting no decrease, after drawing the
+        iteration's subset seed as every judged iteration does."""
+        target = chain_target()
+        X = np.random.default_rng(3).normal(size=(5, 2))
+        proposal = np.repeat(X[:1], 5, axis=0)
+        proposal[4] += 1.0                  # 6 of the 10 pairs coincide
+        with pytest.raises(DegenerateSampleError):
+            median_heuristic(proposal)
+        field = SteinGradientField(target.layout, -X)
+        solution = tr.Subproblems(proposal - X, [tr.INTERIOR] * 5, -1.0,
+                                  np.ones(5, dtype=int))
+        state = tr.TrustRegionKLState(radius=1.0, seed=7)
+        verdict = state.judge(tr.Trial(ParticleSet(X), field, solution,
+                                       proposal), target, None)
+        assert verdict == tr.Verdict(
+            False, {"gradient_magnitude": gradient_magnitude(field)})
+        assert state.radius == 0.5
+        fresh = np.random.default_rng(7)
+        fresh.integers(0, 2**63 - 1)
+        assert state._rng.integers(0, 2**63 - 1) == fresh.integers(0, 2**63 - 1)
+
+    def test_run_through_a_degenerate_proposal(self, monkeypatch):
+        """The loop carries on past a proposal that collapses the particles:
+        the iteration is rejected and the next one runs at half the radius
+        from the same particles."""
+        target = chain_target()
+        fam = family_of(target)
+        ps = ParticleSet(np.random.default_rng(1).normal(size=(10, 2)), seed=1)
+        real_solve = tr.solve_subproblems
+        calls = {"n": 0}
+
+        def second_collapses(field, hessians, radius):
+            out = real_solve(field, hessians, radius)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                return out._replace(steps=calls["X"][0] - calls["X"])
+            return out
+
+        real_context = tr.local_context
+
+        def context(X, family):
+            calls["X"] = X
+            return real_context(X, family)
+
+        monkeypatch.setattr(tr, "solve_subproblems", second_collapses)
+        monkeypatch.setattr(tr, "local_context", context)
+        final, trace = tr.tr_svi_kl_run(ps, target, fam, 1.0, 4, seed=2)
+        first, second, third = trace.records[:3]
+        assert first.accepted and not second.accepted
+        assert second.model_decrease < 0 and second.rho is None
+        assert third.radius_or_step == second.radius_or_step / 2.0
+        assert len(trace.records) == 4 and np.isfinite(final.positions).all()
 
     def test_zero_model_at_zero_gradient_stops(self):
         # a lone particle at the mode of a symmetric target has zero field
