@@ -247,7 +247,7 @@ def validate_config(raw: dict) -> dict:
             "requires output.ground_truth.samples > 0")
     _integer(output.setdefault("mmd_subsample_cap", 20_000),
              "output.mmd_subsample_cap", 1)
-    _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed")
+    _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed", 0)
     _boolean(output.setdefault("binary_samples", False), "output.binary_samples")
     out["output"] = output
 
@@ -255,6 +255,36 @@ def validate_config(raw: dict) -> dict:
         _expect(gt["samples"] > 0, "kernel.lengthscale",
                 '"median" requires output.ground_truth.samples > 0')
     return out
+
+
+def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
+    """The MMD subsample cap and seed, the method labels and the particle
+    seeds that `trsvi evaluate` reads from an artifact's manifest (loaded
+    from `path`); a missing or mistyped field is a ConfigError naming the
+    file and the field."""
+    _as_mapping(manifest, str(path))
+
+    def field(name):
+        node = manifest
+        for key in name.split("."):
+            _expect(isinstance(node, dict) and key in node, f"{path}: {name}",
+                    "missing")
+            node = node[key]
+        return node
+
+    cap = _integer(field("output.mmd_subsample_cap"),
+                   f"{path}: output.mmd_subsample_cap", 1)
+    mmd_seed = _integer(field("output.mmd_seed"), f"{path}: output.mmd_seed", 0)
+    methods = field("method")
+    _expect(isinstance(methods, list), f"{path}: method", "expected a list")
+    for i, method in enumerate(methods):
+        _expect(isinstance(method, dict) and isinstance(method.get("label"), str),
+                f"{path}: method[{i}].label", "expected a string")
+    seeds = field("run.seeds")
+    _expect(isinstance(seeds, list), f"{path}: run.seeds", "expected a list")
+    for i, seed in enumerate(seeds):
+        _integer(seed, f"{path}: run.seeds[{i}]")
+    return cap, mmd_seed, [m["label"] for m in methods], seeds
 
 
 def resolve_method_defaults(config: dict, kind: str, total_dim: int) -> dict:

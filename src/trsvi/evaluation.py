@@ -8,31 +8,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, squared_distances
+from .kernels import KernelSpec, rbf_matrix
 from .model.layout import TargetModel
 from .stein import SteinGradientField
 
-# Rows per strip of the kernel sums. A strip against m rows makes a few
-# (256, m) temporaries, so memory is O(256 m) for any sample size. Every
-# bundled particle count (100-200) fits in one strip, so a cross term
-# against the reference is one plain sum, as before strips.
+# Rows per strip of the kernel sums. A strip against m rows is one (256, m)
+# `rbf_matrix`, so memory is O(256 m) for any sample size. Every bundled
+# particle count (100-200) fits in one strip, so a cross term against the
+# reference is one plain sum.
 _MMD_STRIP_ROWS = 256
-
-
-def _strip_sum(block: np.ndarray, Y: np.ndarray, inv: float) -> float:
-    """Sum of exp(-inv * |x - y|^2) over the rows x of block and y of Y."""
-    terms = squared_distances(block, Y)
-    terms *= -inv
-    np.exp(terms, out=terms)
-    return float(terms.sum())
 
 
 def _kernel_sum(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
     """Sum of k(x_i, y_j) over all pairs, reduced strip by strip in fixed order."""
-    inv = 0.5 / lengthscale**2
     total = 0.0
     for start in range(0, X.shape[0], _MMD_STRIP_ROWS):
-        total += _strip_sum(X[start:start + _MMD_STRIP_ROWS], Y, inv)
+        block = X[start:start + _MMD_STRIP_ROWS]
+        total += float(rbf_matrix(block, Y, lengthscale).sum())
     return total
 
 
@@ -40,14 +32,13 @@ def _self_sum(X: np.ndarray, lengthscale: float) -> float:
     """Sum of k(x_i, x_j) over all ordered pairs, read from the upper
     triangle: each diagonal strip once plus twice the strip against the
     later rows, in fixed order. Up to 256 rows this is _kernel_sum(X, X)."""
-    inv = 0.5 / lengthscale**2
     total = 0.0
     for start in range(0, X.shape[0], _MMD_STRIP_ROWS):
         stop = start + _MMD_STRIP_ROWS
         block = X[start:stop]
-        total += _strip_sum(block, block, inv)
+        total += float(rbf_matrix(block, block, lengthscale).sum())
         if stop < X.shape[0]:
-            total += 2.0 * _strip_sum(block, X[stop:], inv)
+            total += 2.0 * float(rbf_matrix(block, X[stop:], lengthscale).sum())
     return total
 
 

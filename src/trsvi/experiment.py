@@ -36,6 +36,7 @@ from .config import (
     ConfigError,
     bundled_defaults,
     load_config,
+    manifest_fields,
     resolve_method_defaults,
     validate_config,
 )
@@ -408,8 +409,10 @@ def _read_artifact_file(path: Path, read):
 def evaluate_artifact(artifact_dir) -> dict:
     """(Re)compute the MMD report for every run in an artifact directory."""
     out = Path(artifact_dir)
-    manifest = _read_artifact_file(out / "manifest.yaml",
-                                   lambda p: yaml.safe_load(p.read_text()))
+    manifest = out / "manifest.yaml"
+    cap, mmd_seed, labels, seeds = manifest_fields(
+        _read_artifact_file(manifest, lambda p: yaml.safe_load(p.read_text())),
+        manifest)
     if (out / "ground_truth.bin").exists():
         ground_truth = _read_artifact_file(out / "ground_truth.bin",
                                            load_samples_binary)
@@ -421,8 +424,6 @@ def evaluate_artifact(artifact_dir) -> dict:
             f"artifact {out} has no ground-truth sample; rerun with "
             "output.ground_truth.samples > 0 to enable evaluation"
         )
-    cap = manifest["output"]["mmd_subsample_cap"]
-    mmd_seed = manifest["output"]["mmd_seed"]
     reference = ground_truth
     if reference.shape[0] > cap:
         rng = np.random.default_rng(mmd_seed)
@@ -439,13 +440,14 @@ def evaluate_artifact(artifact_dir) -> dict:
         "subsample_seed": int(mmd_seed),
         "methods": {},
     }
-    for method in manifest["method"]:
-        label = method["label"]
+    for label in labels:
         values = []
-        for seed in manifest["run"]["seeds"]:
-            final, _ = _read_artifact_file(
-                out / "runs" / label / f"seed_{seed}" / "final.csv",
-                load_samples_csv)
+        for seed in seeds:
+            path = out / "runs" / label / f"seed_{seed}" / "final.csv"
+            final, _ = _read_artifact_file(path, load_samples_csv)
+            if final.shape[1] != ground_truth.shape[1]:
+                raise ConfigError(f"{path}: {final.shape[1]} columns, the "
+                                  f"ground truth has {ground_truth.shape[1]}")
             values.append(scorer.value(final))
         report["methods"][label] = {
             "per_seed": [float(v) for v in values],

@@ -16,13 +16,11 @@ from scipy.spatial.distance import pdist
 from trsvi import trustregion as tr
 from trsvi.evaluation import MetropolisResult, gradient_magnitude
 from trsvi.kernels import (
-    _MEDIAN_SAMPLE_PAIRS,
     MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
     KernelSpec,
     median_heuristic,
     rbf_matrix,
-    squared_distances,
 )
 from trsvi.model.bayesnet import _logaddexp
 from trsvi.stein import (
@@ -149,15 +147,49 @@ def naive_mmd(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
         + pair_sum(Y, Y) / m**2
 
 
-def block_kernel_sum(X: np.ndarray, Y: np.ndarray, lengthscale: float) -> float:
-    """Sum of k(x_i, y_j) over all pairs, reduced over 2048-row blocks of X
-    against the whole of Y (the package's pair sum before strips and the
-    upper triangle)."""
+def _uncentred_strip_sum(block, Y, inv: float) -> float:
+    terms = squared_distances_oracle(block, Y)
+    terms *= -inv
+    np.exp(terms, out=terms)
+    return float(terms.sum())
+
+
+def uncentred_kernel_sum(X, Y, lengthscale: float, strip_rows: int = 256) -> float:
+    """The package's strip sum of k(x_i, y_j) before its strips came from
+    `rbf_matrix`: each strip from uncentred squared distances, negated,
+    scaled and exponentiated in place, bit for bit.  With 2048-row strips
+    it is the pair sum from before the strips and the upper triangle."""
     inv = 0.5 / lengthscale**2
     total = 0.0
-    for start in range(0, X.shape[0], 2048):
-        block = X[start:start + 2048]
-        total += float(np.exp(-inv * squared_distances(block, Y)).sum())
+    for start in range(0, X.shape[0], strip_rows):
+        total += _uncentred_strip_sum(X[start:start + strip_rows], Y, inv)
+    return total
+
+
+def uncentred_self_sum(X, lengthscale: float) -> float:
+    """`uncentred_kernel_sum`'s counterpart for the upper-triangle
+    self-sum: each diagonal strip once plus twice the strip against the
+    later rows."""
+    inv = 0.5 / lengthscale**2
+    total = 0.0
+    for start in range(0, X.shape[0], 256):
+        stop = start + 256
+        block = X[start:stop]
+        total += _uncentred_strip_sum(block, block, inv)
+        if stop < X.shape[0]:
+            total += 2.0 * _uncentred_strip_sum(block, X[stop:], inv)
+    return total
+
+
+def longdouble_kernel_sum(X, Y, lengthscale: float):
+    """Sum of k(x_i, y_j) over all pairs in long double, one row of X at a
+    time from explicit differences: the reference for summed kernels."""
+    Y = np.asarray(Y, dtype=np.longdouble)
+    inv = 1 / (2 * np.longdouble(lengthscale) ** 2)
+    total = np.longdouble(0)
+    for x in np.asarray(X, dtype=np.longdouble):
+        diff = Y - x
+        total += np.exp(-inv * np.einsum("ij,ij->i", diff, diff)).sum()
     return total
 
 
@@ -875,15 +907,25 @@ def rbf_matrix_longdouble(X, Y, lengthscale: float, dims=None) -> np.ndarray:
     return np.exp(-sq / (2 * ls2))
 
 
-def sample_pair_distances_oracle(X: np.ndarray, rng) -> np.ndarray:
-    """`kernels._sample_pair_distances` with every sampled pair differenced
-    at once, as before it took them in chunks."""
-    n = X.shape[0]
-    i = rng.integers(0, n, size=_MEDIAN_SAMPLE_PAIRS)
-    j = rng.integers(0, n - 1, size=_MEDIAN_SAMPLE_PAIRS)
-    j += j >= i
-    diff = X[i] - X[j]
-    return np.sort(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+def kernel_error_bound(X, Y, lengthscale, dims=None, centred=True):
+    """The stated bound on |K - k| for `rbf_matrix`, entry by entry:
+    (d + 5) eps (1 + (|x~|^2 + |y~|^2) / l^2), with x~ and y~ the rows less
+    the column means of X over the kernel's d coordinates.
+
+    The exponent is a sum of d + 2 products of rounded factors, so its error
+    is at most about (d + 3) u (|x~|^2 + |y~|^2) / l^2 (u = eps / 2, and
+    |x~ . y~| <= (|x~|^2 + |y~|^2) / 2); centring adds at most 2 u times the
+    same; exp(E) <= 1 passes an exponent error on at most unchanged and
+    rounds within a few u.  The uncentred expression of `rbf_matrix_oracle`
+    meets the same bound with the raw rows in place of x~ and y~
+    (centred=False), which is what a large common offset costs it."""
+    if dims is not None:
+        X, Y = X[:, dims], Y[:, dims]
+    shift = X.mean(axis=0) if centred else 0.0
+    xx = np.sum((X - shift) ** 2, axis=1)
+    yy = np.sum((Y - shift) ** 2, axis=1)
+    c = (X.shape[1] + 5) * np.finfo(float).eps
+    return c * (1.0 + (xx[:, None] + yy[None, :]) / lengthscale**2)
 
 
 def eval_target(target, x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -20,7 +20,7 @@ from trsvi.config import (
     validate_config,
 )
 from trsvi.experiment import TRACE_COLUMNS, export_marginals, run_experiment
-from trsvi.model import load_problem, load_samples_csv
+from trsvi.model import load_problem, load_samples_csv, save_samples_csv
 
 
 def tiny_config(**overrides):
@@ -94,6 +94,7 @@ class TestConfigValidation:
         ("run", "particles", "100"), ("problem", "max_parents", "3"),
         ("output", "mmd_subsample_cap", "x"), ("run", "particles", 2.5),
         ("run", "particles", True), ("problem", "mean_range", ["a", "b"]),
+        ("output", "mmd_seed", -1),
     ])
     def test_wrong_types_name_the_field(self, section, key, value):
         cfg = tiny_config()
@@ -300,7 +301,7 @@ class TestRunExperiment:
         assert manifest["run"]["seeds"] == [0, 1]
         assert manifest["run"]["resolved_init_scale"] == 1.0
         assert manifest["output"]["mmd_subsample_cap"] == 20_000
-        assert manifest["output"]["median_heuristic_subsample_cap"] == 10_000
+        assert manifest["output"]["median_heuristic_subsample_cap"] == 1_000
         dlr = next(m for m in manifest["method"] if m["name"] == "mp-svgd-dlr")
         assert dlr["step"] == 0.05 and dlr["decay"] == 0.99
         assert manifest["problem"]["total_dim"] == 4
@@ -588,6 +589,40 @@ class TestCliVerbs:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("defect, named", [
+        ("manifest without output.mmd_seed", "output.mmd_seed"),
+        ("manifest with a negative output.mmd_seed", "output.mmd_seed"),
+        ("manifest that is a list", "manifest.yaml"),
+        ("final sample narrower than the ground truth", "final.csv"),
+    ])
+    def test_evaluate_unusable_artifact_exits_2(self, artifact, tmp_path,
+                                                capsys, defect, named):
+        """A manifest that lacks a field evaluate reads, or is no mapping,
+        and a final sample whose width is not the ground truth's give exit
+        status 2, one stderr line naming the field or the file, and no
+        metrics.yaml."""
+        copy = shutil.copytree(artifact, tmp_path / "art")
+        (copy / "metrics.yaml").unlink()
+        manifest_path = copy / "manifest.yaml"
+        manifest = yaml.safe_load(manifest_path.read_text())
+        if defect == "manifest without output.mmd_seed":
+            del manifest["output"]["mmd_seed"]
+        elif defect == "manifest with a negative output.mmd_seed":
+            manifest["output"]["mmd_seed"] = -1
+        elif defect == "manifest that is a list":
+            manifest = [manifest]
+        else:
+            path = copy / "runs" / "mp-svgd-dlr" / "seed_1" / "final.csv"
+            samples, names = load_samples_csv(path)
+            save_samples_csv(path, samples[:, 1:], names[1:])
+        manifest_path.write_text(yaml.safe_dump(manifest))
+        capsys.readouterr()
+        rc = main(["evaluate", "--artifact", str(copy)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and named in err
+        assert not (copy / "metrics.yaml").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_kernel_sum, naive_mmd, serial_metropolis_reference
+from oracles import (kernel_error_bound, longdouble_kernel_sum, naive_mmd,
+                     serial_metropolis_reference, uncentred_kernel_sum,
+                     uncentred_self_sum)
 from targets import GaussianTarget, HeavyTailTarget, bundled
 from trsvi import evaluation as ev
 from trsvi.kernels import KernelSpec
@@ -104,26 +106,95 @@ def sample_pair(draw):
     return sample(), sample()
 
 
+EPS = np.finfo(float).eps
+
+
+def strips(X, Y, rows):
+    """The (strip, against) pairs a kernel sum builds, each with its
+    multiplicity: X's strips against Y, or for a self-sum (Y is None) each
+    diagonal strip once and its strip against the later rows twice."""
+    for start in range(0, X.shape[0], rows):
+        block = X[start:start + rows]
+        if Y is not None:
+            yield block, Y, 1.0
+            continue
+        yield block, block, 1.0
+        if start + rows < X.shape[0]:
+            yield block, X[start + rows:], 2.0
+
+
+def strip_sum_bound(X, Y, ell, total, centred=True,
+                    rows=ev._MMD_STRIP_ROWS):
+    """The stated bound on a strip sum's error: `rbf_matrix`'s per-entry
+    bound (`kernel_error_bound`, each strip centred on its own rows' means;
+    uncentred for the former form) summed over the pairs, plus the sum's
+    rounding.  Within a strip each term passes through at most
+    r + log2(r m) + 20 roundings (numpy's pairwise sum, or its row sums
+    added in turn, for an (r, m) strip), and through one more per strip in
+    the running total.  The former 2048-row block sum is the uncentred
+    form over strips of 2048 rows."""
+    entries = 0.0
+    roundings = 0
+    for block, against, times in strips(X, Y, rows):
+        entries += times * kernel_error_bound(block, against, ell,
+                                              centred=centred).sum()
+        r, m = block.shape[0], against.shape[0]
+        roundings = max(roundings, r + np.log2(r * m) + 20)
+    roundings += X.shape[0] // rows + 2
+    return entries + roundings * EPS * abs(total)
+
+
 class TestMmdStrips:
-    """The strip and upper-triangle sums against the 2048-row-block sum."""
+    """The strip and upper-triangle sums from `rbf_matrix` against a
+    long-double reference, the former uncentred strips and the 2048-row
+    block sum."""
 
     @settings(max_examples=40, deadline=None)
     @given(pair=sample_pair(), ell=LENGTHSCALES)
-    def test_self_sum_within_1e12_of_block_sum(self, pair, ell):
-        X, _ = pair
-        old = block_kernel_sum(X, X, ell)
-        assert abs(ev._self_sum(X, ell) - old) <= 1e-12 * abs(old)
-
-    @settings(max_examples=40, deadline=None)
-    @given(pair=sample_pair(), ell=LENGTHSCALES)
-    def test_cross_sum_bitwise_when_first_fits_one_strip(self, pair, ell):
+    def test_sums_within_stated_bound_of_long_double(self, pair, ell):
         X, Y = pair
-        old = block_kernel_sum(X, Y, ell)
+        exact = longdouble_kernel_sum(X, Y, ell)
         new = ev._kernel_sum(X, Y, ell)
-        if X.shape[0] <= ev._MMD_STRIP_ROWS:
-            assert new == old
-        else:
-            assert abs(new - old) <= 1e-12 * abs(old)
+        assert abs(new - exact) <= strip_sum_bound(X, Y, ell, new)
+        exact = longdouble_kernel_sum(X, X, ell)
+        new = ev._self_sum(X, ell)
+        assert abs(new - exact) <= strip_sum_bound(X, None, ell, new)
+
+    @pytest.mark.parametrize("offset", [10.0, 1000.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_offset_sums_no_less_accurate_than_uncentred(self, offset, seed):
+        """A common offset costs the former uncentred form its accuracy;
+        the centred strips keep theirs."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 3)) + offset
+        Y = rng.normal(size=(520, 3)) + offset + 0.5
+        for new, old, exact in [
+            (ev._kernel_sum(X, Y, 1.0), uncentred_kernel_sum(X, Y, 1.0),
+             longdouble_kernel_sum(X, Y, 1.0)),
+            (ev._self_sum(Y, 1.0), uncentred_self_sum(Y, 1.0),
+             longdouble_kernel_sum(Y, Y, 1.0)),
+        ]:
+            assert abs(new - exact) <= abs(old - exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sample_pair(), ell=LENGTHSCALES)
+    def test_self_sum_within_stated_bound_of_block_sum(self, pair, ell):
+        X, _ = pair
+        old = uncentred_kernel_sum(X, X, ell, strip_rows=2048)
+        new = ev._self_sum(X, ell)
+        bound = (strip_sum_bound(X, None, ell, new)
+                 + strip_sum_bound(X, X, ell, old, centred=False, rows=2048))
+        assert abs(new - old) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=sample_pair(), ell=LENGTHSCALES)
+    def test_cross_sum_within_stated_bound_of_block_sum(self, pair, ell):
+        X, Y = pair
+        old = uncentred_kernel_sum(X, Y, ell, strip_rows=2048)
+        new = ev._kernel_sum(X, Y, ell)
+        bound = (strip_sum_bound(X, Y, ell, new)
+                 + strip_sum_bound(X, Y, ell, old, centred=False, rows=2048))
+        assert abs(new - old) <= bound
 
     @settings(max_examples=40, deadline=None)
     @given(pair=sample_pair(), ell=LENGTHSCALES)

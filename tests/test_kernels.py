@@ -7,12 +7,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist, squareform
 
-from oracles import (fd_gradient, local_kernel_eval, pdist_median_heuristic,
-                     rbf_eval, rbf_matrix_longdouble, rbf_matrix_oracle,
-                     sample_pair_distances_oracle, squared_distances_oracle)
-from trsvi import kernels
+from oracles import (fd_gradient, kernel_error_bound, local_kernel_eval,
+                     pdist_median_heuristic, rbf_eval, rbf_matrix_longdouble,
+                     rbf_matrix_oracle)
 from trsvi.config import validate_config
 from trsvi.experiment import (build_problem, ground_truth_sample,
                               initialize_particles, make_model)
@@ -23,7 +21,6 @@ from trsvi.kernels import (
     LocalKernelFamily,
     median_heuristic,
     rbf_matrix,
-    squared_distances,
 )
 from trsvi.model import FactorLayout
 
@@ -163,27 +160,41 @@ def _same_as_oracle(X, seed=0):
     assert median_heuristic(X, seed=seed) == expected
 
 
-# the whole real line brackets up to 362 rows (65 341 pairs); blocks are
-# 256 rows, so the explicit examples sit on both sides of each switch
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(min_value=2, max_value=1500),
+@given(n=st.integers(min_value=2, max_value=2 * MEDIAN_SUBSAMPLE),
        d=st.integers(min_value=1, max_value=12),
        log_scale=st.integers(min_value=-6, max_value=6),
        rounded=st.booleans(),
+       duplicated=st.booleans(),
+       offset=st.sampled_from([0.0, 1e6, -1e6]),
        flat=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(n=362, d=3, log_scale=0, rounded=False, flat=False, seed=1)
-@example(n=363, d=3, log_scale=0, rounded=False, flat=False, seed=1)
-@example(n=256, d=2, log_scale=0, rounded=True, flat=False, seed=2)
-@example(n=257, d=2, log_scale=0, rounded=True, flat=False, seed=2)
-@example(n=1500, d=1, log_scale=6, rounded=True, flat=True, seed=3)
-@example(n=1025, d=12, log_scale=-6, rounded=False, flat=False, seed=4)
+@example(n=MEDIAN_SUBSAMPLE, d=3, log_scale=0, rounded=False,
+         duplicated=False, offset=0.0, flat=False, seed=1)
+@example(n=MEDIAN_SUBSAMPLE + 1, d=3, log_scale=0, rounded=False,
+         duplicated=False, offset=0.0, flat=False, seed=1)
+@example(n=3, d=2, log_scale=0, rounded=False, duplicated=False,
+         offset=0.0, flat=False, seed=2)     # odd pair count
+@example(n=700, d=2, log_scale=0, rounded=True, duplicated=False,
+         offset=0.0, flat=False, seed=2)     # ties at the middle
+@example(n=2 * MEDIAN_SUBSAMPLE, d=4, log_scale=0, rounded=False,
+         duplicated=True, offset=0.0, flat=False, seed=3)
+@example(n=1200, d=5, log_scale=0, rounded=False, duplicated=False,
+         offset=1e6, flat=False, seed=4)     # a large common offset
+@example(n=1500, d=1, log_scale=6, rounded=True, duplicated=False,
+         offset=-1e6, flat=True, seed=5)     # 1-D input
 def test_median_heuristic_is_bitwise_pdist_median(n, d, log_scale, rounded,
-                                                   flat, seed):
+                                                   duplicated, offset, flat,
+                                                   seed):
+    """Up to MEDIAN_SUBSAMPLE rows the sample itself, past it the seeded
+    subsample: with ties, duplicate rows (every odd row repeats the row
+    before it), a large common offset and 1-D input."""
     X = np.random.default_rng(seed).normal(size=(n, d))
     if rounded:
         X = np.round(X)   # tied and zero distances
-    X *= 10.0 ** log_scale
+    if duplicated:
+        X[1::2] = X[0:n - 1:2]
+    X = X * 10.0 ** log_scale + offset
     _same_as_oracle(X[:, 0] if flat else X)
 
 
@@ -200,60 +211,11 @@ class TestMedianHeuristicExact:
         X = np.random.default_rng(8).normal(size=(MEDIAN_SUBSAMPLE + 50, 3))
         _same_as_oracle(X, seed=5)
 
-    # first bracket edges: offsets from the lower (lo) and upper (hi) middle
-    # rank of the sorted exact distances, a fixed float, or None (open side)
-    @pytest.mark.parametrize("n", [40, 600, 602])
-    @pytest.mark.parametrize("edges, missed", [
-        ((-3, 3), None),
-        ((0, 0), None),        # edges on the middle values themselves
-        ((-3, None), None),
-        ((None, 3), None),
-        ((1, None), "lo"),     # the lower middle value lies below lo
-        ((None, -1), "hi"),    # the upper middle value lies above hi
-        ((np.inf, None), "lo"),
-        ((None, -np.inf), "hi"),
-    ])
-    def test_bracket_edges_on_pair_distances(self, monkeypatch, n, edges,
-                                             missed):
-        """Bracket edges that are themselves pair distances (ties at lo and
-        hi) give the exact value; a bracket that misses a middle rank is
-        widened on the missed side only and the pass repeated."""
-        X = np.random.default_rng(9).normal(size=(n, 4))
-        exact = np.sort(pdist(X))
-        pairs = exact.size
-        middle = (pairs // 2 - 1 + pairs % 2, pairs // 2)
-
-        def edge(k, offset, open_value):
-            if offset is None:
-                return open_value
-            if isinstance(offset, float):
-                return offset
-            return exact[middle[k] + offset]
-
-        calls = []
-        real = kernels._bracket
-
-        def first_given(sample, sigmas_lo, sigmas_hi):
-            calls.append((sigmas_lo, sigmas_hi))
-            if len(calls) == 1:
-                return edge(0, edges[0], -np.inf), edge(1, edges[1], np.inf)
-            return real(sample, sigmas_lo, sigmas_hi)
-
-        monkeypatch.setattr(kernels, "_bracket", first_given)
-        _same_as_oracle(X)
-        assert len(calls) == (1 if missed is None else 2)
-        if missed is not None:
-            (lo0, hi0), (lo1, hi1) = calls
-            if missed == "lo":
-                assert lo1 > lo0 and hi1 == hi0
-            else:
-                assert hi1 > hi0 and lo1 == lo0
-
-    def test_peak_memory_is_a_few_row_blocks(self):
-        # the full pdist vector alone is 144 MB for 6000 rows; for 2000 rows
-        # of 100 columns (the snlp50 ground truth's shape) differencing all
-        # 16,384 sampled pairs at once peaked at 26.5 MB, in chunks 5.3 MB
-        for (n, d), bound in [((6000, 10), 48e6), ((2000, 100), 16e6)]:
+    def test_peak_memory_within_two_pdist_vectors(self):
+        """The 1000-row subsample's pdist vector is 4 MB (499,500 pairs);
+        the peak stays within twice that, whatever the sample size."""
+        vector = MEDIAN_SUBSAMPLE * (MEDIAN_SUBSAMPLE - 1) // 2 * 8
+        for n, d in [(6000, 10), (2000, 100), (100_000, 2)]:
             X = np.random.default_rng(10).normal(size=(n, d))
             tracemalloc.start()
             try:
@@ -261,18 +223,7 @@ class TestMedianHeuristicExact:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < bound, (n, d, peak)
-
-    @pytest.mark.parametrize("n, d", [(400, 100), (3000, 2)])
-    def test_sampled_pairs_are_bitwise_the_unchunked_draws(self, n, d):
-        """The pair sample, differenced a chunk at a time, is bitwise the
-        one from all pairs at once, and so is the median it brackets (both
-        shapes have more than 65,536 pairs, so the sample is drawn)."""
-        X = np.random.default_rng(13).normal(size=(n, d))
-        chunked = kernels._sample_pair_distances(X, np.random.default_rng(14))
-        whole = sample_pair_distances_oracle(X, np.random.default_rng(14))
-        assert chunked.tobytes() == whole.tobytes()
-        _same_as_oracle(X)
+            assert peak < 2 * vector, (n, d, peak)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_are_named(self, bad):
@@ -283,137 +234,6 @@ class TestMedianHeuristicExact:
         assert not isinstance(err.value, DegenerateSampleError)
         with pytest.raises(ValueError, match="row 17"):
             median_heuristic(X[:, 1])
-
-
-class CdistCounter:
-    """Wraps kernels.cdist, recording the number of distances per call."""
-
-    def __init__(self, monkeypatch):
-        self.sizes = []
-        self._real = kernels.cdist
-        monkeypatch.setattr(kernels, "cdist", self)
-
-    def __call__(self, A, B):
-        self.sizes.append(A.shape[0] * B.shape[0])
-        return self._real(A, B)
-
-
-def _tile_area(n):
-    """Distances one cdist per tile of the scan would compute: every pair
-    once, plus the lower half and diagonal of each diagonal tile."""
-    scan = kernels._TileScan.of(np.arange(n, dtype=float)[:, None])
-    return sum((rows.stop - rows.start) * (cols.stop - cols.start)
-               for rows, cols in scan.tiles)
-
-
-class TestTileScan:
-    """The sampled path (more than 362 rows): approximate squared distances
-    from one product per tile, and the exact median through a window that
-    scipy recomputes."""
-
-    @pytest.mark.parametrize("offset, scale", [
-        (0.0, 1.0), (1e6, 1.0), (-1e6, 1e-3), (0.0, 1e-9), (3.0, 1e9)])
-    @pytest.mark.parametrize("d", [1, 7, 100])
-    def test_products_within_stated_bound(self, offset, scale, d):
-        """|q - s^2| <= delta for every pair: q the tile product, s scipy's
-        distance of the uncentred rows (`_squared_distance_error`)."""
-        rng = np.random.default_rng(d)
-        X = offset + scale * rng.standard_cauchy(size=(400, d))
-        scan = kernels._TileScan.of(X)
-        s = squareform(pdist(X))
-        worst = 0.0
-        for rows, cols in scan.tiles:
-            Q = scan._drop_lower(scan.left[rows] @ scan.right[:, cols], rows, cols)
-            err = np.abs(Q - s[rows, cols] ** 2)
-            worst = max(worst, np.nanmax(err))
-        assert worst <= scan.delta, (worst, scan.delta)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cauchy_rows(self, monkeypatch, seed):
-        """Heavy tails make delta large against the middle distances, so the
-        window spans several tiles; each is recomputed at most once."""
-        X = np.random.default_rng(seed).standard_cauchy(size=(3000, 10))
-        cdists = CdistCounter(monkeypatch)
-        _same_as_oracle(X)
-        assert sum(cdists.sizes) <= _tile_area(3000)
-
-    def test_far_outlier_takes_the_exact_pass(self, monkeypatch):
-        """One row at 1e7 makes delta about 1e3, wider than the bracket: the
-        scan would keep nearly every pair, so the exact block pass runs."""
-        X = np.random.default_rng(15).normal(size=(900, 3))
-        X[450] = 1e7
-        passes = []
-        real = kernels._count_and_keep
-        monkeypatch.setattr(kernels, "_count_and_keep",
-                            lambda *args: passes.append(args) or real(*args))
-        _same_as_oracle(X)
-        assert len(passes) == 1
-
-    def test_window_past_the_bracket_widens_it(self, monkeypatch):
-        """A lower edge 2 delta above the lower middle value keeps that
-        pair's product (the edge is widened by 3 delta) but leaves the
-        window of middle values past the bracket: the lower side is widened
-        and the pass repeated."""
-        real_delta = kernels._squared_distance_error
-        monkeypatch.setattr(kernels, "_squared_distance_error",
-                            lambda d, top: 1e6 * real_delta(d, top))
-        X = np.random.default_rng(21).normal(size=(600, 4))
-        delta = kernels._TileScan.of(X).delta
-        exact = np.sort(pdist(X))
-        middle = exact.size // 2 - 1
-        calls = []
-        real = kernels._bracket
-
-        def first_given(sample, sigmas_lo, sigmas_hi):
-            calls.append((sigmas_lo, sigmas_hi))
-            if len(calls) == 1:
-                return np.sqrt(exact[middle] ** 2 + 2 * delta), exact[middle + 4]
-            return real(sample, sigmas_lo, sigmas_hi)
-
-        monkeypatch.setattr(kernels, "_bracket", first_given)
-        _same_as_oracle(X)
-        (lo0, hi0), (lo1, hi1) = calls
-        assert lo1 > lo0 and hi1 == hi0
-
-    @pytest.mark.parametrize("offset", [1e6, -1e6])
-    def test_common_offset(self, offset):
-        X = np.random.default_rng(16).normal(size=(1200, 5)) + offset
-        _same_as_oracle(X)
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_ties_across_tiles(self, monkeypatch, d):
-        """Rows on a 0/1 grid: the middle distance is shared by pairs in
-        every tile, which all hold window pairs."""
-        X = np.random.default_rng(17).integers(0, 2, size=(700, d)) * 1.0
-        cdists = CdistCounter(monkeypatch)
-        _same_as_oracle(X)
-        assert len(cdists.sizes) > 1
-
-    @pytest.mark.parametrize("n", [363, MEDIAN_SUBSAMPLE + 50])
-    def test_first_sampled_sizes(self, n):
-        """363 rows, the fewest the tile scan takes, and a sample reduced to
-        MEDIAN_SUBSAMPLE rows first."""
-        X = np.random.default_rng(18).normal(size=(n, 4))
-        _same_as_oracle(X, seed=3)
-
-    @pytest.mark.parametrize("factor", [1e9, 1e10])
-    def test_wide_delta_gives_a_multi_tile_window(self, monkeypatch, factor):
-        """A delta far above the stated bound widens the window over many
-        tiles; the value stays exact."""
-        real = kernels._squared_distance_error
-        monkeypatch.setattr(kernels, "_squared_distance_error",
-                            lambda d, top: factor * real(d, top))
-        X = np.random.default_rng(19).normal(size=(1000, 3))
-        cdists = CdistCounter(monkeypatch)
-        _same_as_oracle(X)
-        assert len(cdists.sizes) > 2
-
-    def test_norms_out_of_range_take_the_exact_pass(self):
-        """Centred squared norms beyond 2^900 could overflow the product:
-        such rows get the exact block pass, with the sampled bracket."""
-        X = np.random.default_rng(20).normal(size=(600, 2)) * 1e140
-        assert kernels._TileScan.of(X) is None
-        _same_as_oracle(X)
 
 
 class TestKernelMatrix:
@@ -457,46 +277,16 @@ def point_sets(draw):
 EPS = np.finfo(float).eps
 
 
-def kernel_error_bound(X, Y, lengthscale, dims=None, centred=True):
-    """The stated bound on |K - k| for `rbf_matrix`, entry by entry:
-    (d + 5) eps (1 + (|x~|^2 + |y~|^2) / l^2), with x~ and y~ the rows less
-    the column means of X over the kernel's d coordinates.
-
-    The exponent is a sum of d + 2 products of rounded factors, so its error
-    is at most about (d + 3) u (|x~|^2 + |y~|^2) / l^2 (u = eps / 2, and
-    |x~ . y~| <= (|x~|^2 + |y~|^2) / 2); centring adds at most 2 u times the
-    same; exp(E) <= 1 passes an exponent error on at most unchanged and
-    rounds within a few u.  The uncentred expression of `rbf_matrix_oracle`
-    meets the same bound with the raw rows in place of x~ and y~
-    (centred=False), which is what a large common offset costs it."""
-    if dims is not None:
-        X, Y = X[:, dims], Y[:, dims]
-    shift = X.mean(axis=0) if centred else 0.0
-    xx = np.sum((X - shift) ** 2, axis=1)
-    yy = np.sum((Y - shift) ** 2, axis=1)
-    c = X.shape[1] + 5
-    return c * EPS * (1.0 + (xx[:, None] + yy[None, :]) / lengthscale**2)
-
-
 def kernel_error(K, X, Y, lengthscale, dims=None):
     ref = rbf_matrix_longdouble(X, Y, lengthscale, dims=dims)
     return np.abs(K.astype(np.longdouble) - ref).astype(float)
 
 
 class TestInPlaceKernels:
-    """`squared_distances` works in one output buffer with the operations
-    and order of the former expression, kept in oracles.py, so every entry
-    is bitwise the same.  `rbf_matrix` forms its exponent as one centred,
-    augmented product, which rounds differently from the former expression
+    """`rbf_matrix` forms its exponent as one centred, augmented product,
+    which rounds differently from the former expression
     (`rbf_matrix_oracle`): both are held to the stated bound against a
     long-double reference."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(point_sets())
-    def test_bitwise_equal_to_expression_oracle(self, sets):
-        X, Y = sets
-        assert squared_distances(X, Y).tobytes() == \
-            squared_distances_oracle(X, Y).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets(), st.floats(min_value=0.05, max_value=20.0),
