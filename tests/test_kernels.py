@@ -7,10 +7,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from oracles import (fd_gradient, kernel_error_bound, local_kernel_eval,
                      pdist_median_heuristic, rbf_eval, rbf_matrix_longdouble,
                      rbf_matrix_oracle)
+from trsvi import kernels
 from trsvi.config import validate_config
 from trsvi.experiment import (build_problem, ground_truth_sample,
                               initialize_particles, make_model)
@@ -211,6 +213,46 @@ class TestMedianHeuristicExact:
         X = np.random.default_rng(8).normal(size=(MEDIAN_SUBSAMPLE + 50, 3))
         _same_as_oracle(X, seed=5)
 
+    # bracket edges: offsets from the lower (lo) and upper (hi) middle rank
+    # of the sorted exact distances, a fixed float, or None (open side)
+    @pytest.mark.parametrize("n", [40, 600, 602])
+    @pytest.mark.parametrize("edges, missed", [
+        ((-3, 3), None),
+        ((0, 0), None),        # edges on the middle values themselves
+        ((-3, None), None),
+        ((None, 3), None),
+        ((1, None), "lo"),     # the lower middle value lies below lo
+        ((None, -1), "hi"),    # the upper middle value lies above hi
+        ((np.inf, None), "lo"),
+        ((None, -np.inf), "hi"),
+    ])
+    def test_bracket_edges_on_pair_distances(self, n, edges, missed):
+        """Partitioning at the middle ranks picks the order statistics of a
+        full sort, for even (40 and 600 rows) and odd (602 rows) pair
+        counts: the value is the mean of the two middle sorted distances,
+        it lies in a bracket of sorted distances exactly when the bracket
+        holds both middle ranks, and past the edge that misses one."""
+        X = np.random.default_rng(9).normal(size=(n, 4))
+        exact = np.sort(pdist(X))
+        pairs = exact.size
+        middle = (pairs // 2 - 1 + pairs % 2, pairs // 2)
+
+        def edge(k, offset, open_value):
+            if offset is None:
+                return open_value
+            if isinstance(offset, float):
+                return offset
+            return exact[middle[k] + offset]
+
+        lo, hi = edge(0, edges[0], -np.inf), edge(1, edges[1], np.inf)
+        value = median_heuristic(X)
+        assert value == (exact[middle[0]] + exact[middle[1]]) / 2
+        assert (lo <= value <= hi) == (missed is None)
+        if missed == "lo":
+            assert value < lo
+        elif missed == "hi":
+            assert value > hi
+
     def test_peak_memory_within_two_pdist_vectors(self):
         """The 1000-row subsample's pdist vector is 4 MB (499,500 pairs);
         the peak stays within twice that, whatever the sample size."""
@@ -234,6 +276,89 @@ class TestMedianHeuristicExact:
         assert not isinstance(err.value, DegenerateSampleError)
         with pytest.raises(ValueError, match="row 17"):
             median_heuristic(X[:, 1])
+
+
+class PdistCounter:
+    """Wraps kernels.pdist, recording the rows of each call."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        self._real = kernels.pdist
+        monkeypatch.setattr(kernels, "pdist", self)
+
+    def __call__(self, X):
+        self.rows.append(X.shape[0])
+        return self._real(X)
+
+
+class TestTileScan:
+    """Samples that are hard for any scan of the pair distances in tiles
+    from one approximate product each: heavy tails, a far outlier, a large
+    common offset, ties shared by the whole sample, and norms near
+    overflow.  The median comes from one exact `pdist` of at most
+    MEDIAN_SUBSAMPLE rows, so each is bitwise the oracle; the one product
+    per kernel block left in the package, `rbf_matrix`'s, is held to its
+    stated bound on the same kind of rows."""
+
+    @pytest.mark.parametrize("offset, scale", [
+        (0.0, 1.0), (1e6, 1.0), (-1e6, 1e-3), (0.0, 1e-9), (3.0, 1e9)])
+    @pytest.mark.parametrize("d", [1, 7, 100])
+    def test_products_within_stated_bound(self, offset, scale, d):
+        """Cauchy rows at a common offset and scale, lengthscale the
+        median heuristic: every entry of `rbf_matrix` is within the stated
+        bound of the long-double reference."""
+        rng = np.random.default_rng(d)
+        X = offset + scale * rng.standard_cauchy(size=(400, d))
+        ls = median_heuristic(X)
+        K = rbf_matrix(X, X, ls)
+        ref = rbf_matrix_longdouble(X, X, ls)
+        assert np.all(np.abs(K - ref) <= kernel_error_bound(X, X, ls))
+        assert np.all((K >= 0.0) & (K <= 1.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cauchy_rows(self, monkeypatch, seed):
+        """Heavy tails put a few distances far above the middle ones; the
+        subsample takes one pdist call of MEDIAN_SUBSAMPLE rows."""
+        X = np.random.default_rng(seed).standard_cauchy(size=(3000, 10))
+        expected = pdist_median_heuristic(X)
+        calls = PdistCounter(monkeypatch)
+        assert median_heuristic(X) == expected
+        assert calls.rows == [MEDIAN_SUBSAMPLE]
+
+    def test_far_outlier_takes_the_exact_pass(self):
+        """One row at 1e7, far beyond every other distance."""
+        X = np.random.default_rng(15).normal(size=(900, 3))
+        X[450] = 1e7
+        _same_as_oracle(X)
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6])
+    def test_common_offset(self, offset):
+        X = np.random.default_rng(16).normal(size=(1200, 5)) + offset
+        _same_as_oracle(X)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ties_across_tiles(self, d):
+        """Rows on a 0/1 grid: the middle distance is shared by pairs all
+        over the sample, and the value is the square root of an integer or
+        the mean of two such roots."""
+        X = np.random.default_rng(17).integers(0, 2, size=(700, d)) * 1.0
+        _same_as_oracle(X)
+        roots = np.sqrt(np.arange(d + 1))
+        means = (roots[:, None] + roots[None, :]) / 2
+        assert median_heuristic(X) in means
+
+    @pytest.mark.parametrize("n", [363, 10_050])
+    def test_first_sampled_sizes(self, n):
+        """A sample below the cap, taken whole, and one reduced to
+        MEDIAN_SUBSAMPLE rows first."""
+        X = np.random.default_rng(18).normal(size=(n, 4))
+        _same_as_oracle(X, seed=3)
+
+    def test_norms_out_of_range_take_the_exact_pass(self):
+        """Squared norms near 2^930, where a product of augmented rows
+        could overflow; pdist's differences do not."""
+        X = np.random.default_rng(20).normal(size=(600, 2)) * 1e140
+        _same_as_oracle(X)
 
 
 class TestKernelMatrix:
