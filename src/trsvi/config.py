@@ -243,8 +243,10 @@ def validate_config(raw: dict) -> dict:
     _integer(gt.setdefault("thinning", 10), "output.ground_truth.thinning", 1)
     output["ground_truth"] = gt
     _boolean(output.setdefault("mmd", gt["samples"] > 0), "output.mmd")
-    _expect(not output["mmd"] or gt["samples"] > 0, "output.mmd",
-            "requires output.ground_truth.samples > 0")
+    # the MMD kernel's lengthscale is the median pair distance of the
+    # ground truth, which needs two rows
+    _expect(not output["mmd"] or gt["samples"] >= 2,
+            "output.ground_truth.samples", "must be >= 2 with output.mmd on")
     _integer(output.setdefault("mmd_subsample_cap", 20_000),
              "output.mmd_subsample_cap", 1)
     _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed", 0)
@@ -252,8 +254,8 @@ def validate_config(raw: dict) -> dict:
     out["output"] = output
 
     if ls == "median":
-        _expect(gt["samples"] > 0, "kernel.lengthscale",
-                '"median" requires output.ground_truth.samples > 0')
+        _expect(gt["samples"] >= 2, "output.ground_truth.samples",
+                'must be >= 2 with kernel.lengthscale "median"')
     return out
 
 

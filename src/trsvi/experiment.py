@@ -414,16 +414,19 @@ def evaluate_artifact(artifact_dir) -> dict:
         _read_artifact_file(manifest, lambda p: yaml.safe_load(p.read_text())),
         manifest)
     if (out / "ground_truth.bin").exists():
-        ground_truth = _read_artifact_file(out / "ground_truth.bin",
-                                           load_samples_binary)
+        truth_path = out / "ground_truth.bin"
+        ground_truth = _read_artifact_file(truth_path, load_samples_binary)
     elif (out / "ground_truth.csv").exists():
-        ground_truth, _ = _read_artifact_file(out / "ground_truth.csv",
-                                              load_samples_csv)
+        truth_path = out / "ground_truth.csv"
+        ground_truth, _ = _read_artifact_file(truth_path, load_samples_csv)
     else:
         raise ConfigError(
             f"artifact {out} has no ground-truth sample; rerun with "
-            "output.ground_truth.samples > 0 to enable evaluation"
+            "output.ground_truth.samples >= 2 to enable evaluation"
         )
+    if ground_truth.shape[0] < 2:
+        raise ConfigError(f"{truth_path}: {ground_truth.shape[0]} row(s); the "
+                          "MMD kernel's median heuristic needs at least two")
     reference = ground_truth
     if reference.shape[0] > cap:
         rng = np.random.default_rng(mmd_seed)

@@ -367,11 +367,12 @@ class BayesNetModel(TargetModel):
         over (own, parents) and e_l = (x_j - m_l) / s2.  This equals
         sum_l r_l g_l g_l^T - gbar gbar^T exactly, without its cancellation,
         and enters as coefficients (r_0, r_1, r_0 r_1 e_l e_m) of constant
-        pattern entries."""
+        pattern entries.  The values are built as (nnz, n) rows and handed
+        over as their (n, nnz) transpose, uncopied."""
         XT = self._stacked(X)
         n = XT.shape[1]
         if not self._mixtures.size:
-            return np.tile(self._hessian_constant, (n, 1))
+            return np.tile(self._hessian_constant[:, None], n).T
         resid = self._mixture_components.residuals(XT).reshape(2, -1, n)
         r = self._mixture_responsibilities(resid)
         e = resid / self._mixture_variance
@@ -380,7 +381,7 @@ class BayesNetModel(TargetModel):
         coef[2:] = r[0] * r[1] * e[[0, 0, 1]] * e[[0, 1, 1]]
         values = self._hessian_scatter @ coef.reshape(-1, n)
         values += self._hessian_constant[:, None]
-        return np.ascontiguousarray(values.T)
+        return values.T
 
     def _mixture_responsibilities(self, resid: np.ndarray) -> np.ndarray:
         """Responsibilities (2, G, n) of the mixture nodes' two components,

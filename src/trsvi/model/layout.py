@@ -10,7 +10,7 @@ this structure.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class PairGroup:
     """Overlapping factor pairs (a, b), a <= b, whose blocks share one shape.
 
     Attributes:
+        diagonal: every pair is (a, a) with a block larger than 1 x 1, so
+            that its upper triangle determines it.  Other groups hold no
+            such pair.
         a, b: (P,) factor indices of each pair.
         rows, cols: (P, |C_a|) and (P, |C_b|) state dimensions of the pair's
             block.
@@ -42,6 +45,7 @@ class PairGroup:
             transpose's.
     """
 
+    diagonal: bool
     a: np.ndarray
     b: np.ndarray
     rows: np.ndarray
@@ -49,10 +53,6 @@ class PairGroup:
     mask: np.ndarray
     entries: np.ndarray
     twins: np.ndarray
-
-    def chunk(self, pairs: slice) -> "PairGroup":
-        """The group restricted to a slice of its pairs."""
-        return PairGroup(*(getattr(self, f.name)[pairs] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,15 +254,18 @@ class FactorLayout:
         return cached
 
     def pair_groups(self) -> list[PairGroup]:
-        """Overlapping pairs grouped by block shape, in pair order."""
+        """Overlapping pairs grouped by block shape, in pair order, with the
+        diagonal pairs (a, a) of blocks larger than 1 x 1 apart."""
         cached = getattr(self, "_pair_groups", None)
         if cached is None:
             f, member, pattern = self.factors, self.membership(), self.pattern()
-            by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            by_shape: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
             for a, b in self.overlapping_pairs():
-                by_shape.setdefault((f[a].size, f[b].size), []).append((a, b))
+                diagonal = a == b and f[a].size > 1
+                by_shape.setdefault((f[a].size, f[b].size, diagonal),
+                                    []).append((a, b))
             cached = []
-            for pairs in by_shape.values():
+            for (*_, diagonal), pairs in by_shape.items():
                 a = np.array([a for a, _ in pairs], dtype=np.intp)
                 b = np.array([b for _, b in pairs], dtype=np.intp)
                 rows = np.stack([f[k] for k in a])
@@ -271,7 +274,8 @@ class FactorLayout:
                 in_a = member[a[:, None], cols]           # C_b's dims in blanket a
                 mask = (in_b[:, :, None] & in_a[:, None, :]).astype(float)
                 cached.append(PairGroup(
-                    a=a, b=b, rows=rows, cols=cols, mask=mask,
+                    diagonal=diagonal, a=a, b=b, rows=rows, cols=cols,
+                    mask=mask,
                     entries=pattern.index(rows[:, :, None], cols[:, None, :]),
                     twins=pattern.index(cols[:, :, None], rows[:, None, :])))
             object.__setattr__(self, "_pair_groups", cached)
@@ -337,7 +341,9 @@ class TargetModel(ABC):
     @abstractmethod
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         """Hessians of log p at the rows of X, as (n, nnz) values over
-        `layout.pattern()`; every entry off the pattern is zero."""
+        `layout.pattern()`; every entry off the pattern is zero.  The
+        transpose of a C-ordered (nnz, n) array, the bundled models' form,
+        is read as rows without a copy."""
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Dense Hessian of log p at x, scattered from `hessian_batch`."""

@@ -230,15 +230,20 @@ class SnlpModel(TargetModel):
         return np.ascontiguousarray((self._gradient_scatter @ terms.T).T)
 
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
+        """Each edge's curvature wrt its first end,
+        (-u u^T + (m - r) / r (I - u u^T)) / s2 with u the unit difference,
+        r its length and m the measurement, as its three distinct entries
+        (xx, xy, yy) of (E, n) rows, scattered to the pattern's (nnz, n)
+        rows and handed over as their (n, nnz) transpose, uncopied."""
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
         diff, dist = self._edge_geometry(X)
-        u = diff / dist[:, :, None]
-        uut = u[:, :, :, None] * u[:, :, None, :]
-        curv = (-uut + ((self._measured - dist) / dist)[:, :, None, None]
-                * (np.eye(2) - uut)) / self._s2
-        curv = curv.reshape(n, 4 * dist.shape[1])
-        return np.ascontiguousarray((self._hessian_scatter @ curv.T).T)
+        e = (self._measured - dist) / dist
+        u0, u1 = diff[:, :, 0] / dist, diff[:, :, 1] / dist
+        curv = np.empty((3, dist.shape[1], X.shape[0]))
+        for k, (uu, eye) in enumerate(((u0 * u0, 1.0), (u0 * u1, 0.0),
+                                       (u1 * u1, 1.0))):
+            np.divide((-uu + e * (eye - uu)).T, self._s2, out=curv[k])
+        return (self._hessian_scatter @ curv.reshape(-1, X.shape[0])).T
 
     @cached_property
     def _gradient_scatter(self):
@@ -268,12 +273,15 @@ class SnlpModel(TargetModel):
 
     @cached_property
     def _hessian_scatter(self):
-        """Sparse +-1 matrix from the edges' stacked 2x2 curvature entries
-        to the layout's pattern; its rows sum edges in edge order.
+        """Sparse +-1 matrix from the edges' curvature entries, stacked as
+        (xx, xy, yy) blocks of E rows, to the layout's pattern; its rows sum
+        edges in edge order.
 
         An edge term's curvature wrt its first endpoint, C, enters the
         Hessian as +C on both endpoints' diagonal blocks and -C on the two
         blocks joining them (anchor edges touch one diagonal block only).
+        Entry (p, q) of a block reads C's entry (p, q), the xy entry for
+        both (0, 1) and (1, 0).
         """
         pattern = self.layout.pattern()
         dim = pattern.dim
@@ -282,6 +290,7 @@ class SnlpModel(TargetModel):
         every = np.arange(len(ends))
         uu = every[:self._n_uu]
         p, q = np.divmod(np.arange(4), 2)
+        entry = p + q                           # xx 0, xy 1, yx 1, yy 2
         rows, cols, signs = [], [], []
         for first, second, sign, k in (
             (0, 0, 1.0, every), (1, 1, 1.0, uu), (0, 1, -1.0, uu), (1, 0, -1.0, uu),
@@ -289,10 +298,10 @@ class SnlpModel(TargetModel):
             r = 2 * ends[k, first, None] + p
             c = 2 * ends[k, second, None] + q
             rows.append((r * dim + c).ravel())
-            cols.append((4 * k[:, None] + np.arange(4)).ravel())
+            cols.append((entry * len(ends) + k[:, None]).ravel())
             signs.append(np.full(r.size, sign))
         rows, cols, signs = (np.concatenate(v) for v in (rows, cols, signs))
         rows = pattern.index(*np.divmod(rows, dim))
         return sparse.csr_matrix(
-            (signs, (rows, cols)), shape=(pattern.nnz, 4 * len(ends))
+            (signs, (rows, cols)), shape=(pattern.nnz, 3 * len(ends))
         )

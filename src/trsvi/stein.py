@@ -20,18 +20,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
 
 from .kernels import KernelSpec, LocalKernelFamily, rbf_matrix
-from .model.layout import FactorLayout, HessianPattern, TargetModel
+from .model.layout import FactorLayout, HessianPattern, PairGroup, TargetModel
 
-# pairs of one pair group assembled at a time, which bounds the temporaries:
-# all of snlp50's 121 pairs at once take 11.8 MB at n = 200
-_PAIRS_PER_CHUNK = 32
-# kernels built, and field products taken, for as many consecutive or
-# equal-size factors at a time as have n x n kernels within this many bytes
+# kernels built, field products taken and Hessian pairs assembled for as
+# many consecutive or equal-size factors, or pairs, at a time as keep their
+# temporaries within this many bytes
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -265,19 +264,25 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     """Every particle's second-variation Hessian, as an operator with
     `apply(V)` (row i: H_i @ V[i]), `shape` (n, dim) and `nbytes`.
 
-    Model Hessians come as (n, nnz) values over the layout's pattern.
-    Local kernels give a `PatternHessians` over the same pattern.  With
-    weights W = K_a * K_b, pair (a, b) takes one product
-    W^T @ [H_ab | x_a x_b^T | x_a | x_b | 1]: the kernel-weighted model
-    Hessians plus the moments that expand the kernel cross term
-    sum_j W_ji (x_j - x_i)_a (x_j - x_i)_b^T.  Positions are centred first so
-    the expansion cancels little.  Pairs whose blocks share a shape are
-    computed together, _PAIRS_PER_CHUNK at a time so that the temporaries
-    stay bounded (every pair's terms are its own, so the chunking changes
-    no bit), and written straight into their pattern entries;
-    off-diagonal blocks are written with their exact transpose and diagonal
-    blocks mirrored from their upper triangle, so every matrix is exactly
-    symmetric.  The global kernel gives a `GlobalHessians`.
+    Model Hessians come as (n, nnz) values over the layout's pattern and are
+    read as (nnz, n) rows.  Local kernels give a `PatternHessians` over the
+    same pattern, assembled with particles along the last axis: with
+    weights W = K_a * K_b, formed in one reused n x n buffer, pair (a, b)
+    takes one product [H_ab | x_a x_b^T | x_a | x_b | 1] @ W of moment rows
+    gathered from the model rows and the centred positions (d, n): the
+    kernel-weighted model Hessians plus the moments that expand the kernel
+    cross term sum_j W_ji (x_j - x_i)_a (x_j - x_i)_b^T.  Centring makes the
+    expansion cancel little.  A diagonal pair (a, a) of a block larger than
+    1 x 1 takes only its upper triangle's moments and x_a, since x_b is x_a
+    and its block is mirrored from the upper triangle (9 of 13 rows for
+    2 x 2 blocks).  Pairs whose blocks share a shape, the diagonal ones
+    apart, are computed together, as many at a time as keep their rows
+    within _CHUNK_BYTES (every pair's terms are its own, so the chunking
+    changes no bit), and written as (c_a, c_b, n) rows straight into one
+    (nnz, n) array: off-diagonal blocks with their exact transpose,
+    diagonal blocks' upper triangle at both its entries, so every matrix
+    is exactly symmetric.  That array is transposed once, into the
+    operator.  The global kernel gives a `GlobalHessians`.
     """
     X, layout = ctx.X, ctx.layout
     n = X.shape[0]
@@ -286,45 +291,83 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     if ctx.is_global:
         return _global_hessians(ctx, pattern, model)
 
-    inv_ls2 = 1.0 / ctx.lengthscale**2
-    Xc = X - X.mean(axis=0)
-    values = np.empty((n, pattern.nnz))
-    for g in _pair_chunks(layout):
-        P, ca, cb = g.mask.shape
-        m = ca * cb
-        xa, xb = Xc[:, g.rows], Xc[:, g.cols]             # (n, P, c)
-        outer = xa[..., :, None] * xb[..., None, :]       # (n, P, ca, cb)
-        rhs = np.concatenate(
-            [model[:, g.entries].reshape(n, P, m),
-             outer.reshape(n, P, m), xa, xb, np.ones((n, P, 1))],
-            axis=2,
-        ).transpose(1, 0, 2).copy()                       # (P, n, 2m+ca+cb+1)
-        mom = np.empty_like(rhs)
-        for p, (a, b) in enumerate(zip(g.a, g.b)):
-            np.matmul((ctx.kmats[a] * ctx.kmats[b]).T, rhs[p], out=mom[p])
-        mom = mom.transpose(1, 0, 2)
-        ma, mb = mom[..., 2 * m:2 * m + ca], mom[..., 2 * m + ca:-1]
-        cross = (
-            mom[..., m:2 * m].reshape(n, P, ca, cb)
-            - xa[..., :, None] * mb[..., None, :]
-            - ma[..., :, None] * xb[..., None, :]
-            + outer * mom[..., -1, None, None]
-        )
-        term = (inv_ls2**2 * g.mask * cross
-                - mom[..., :m].reshape(n, P, ca, cb)) / n
-        diag = g.a == g.b
-        if diag.any():
-            term[:, diag] = _mirror_upper(term[:, diag])
-        values[:, g.entries] = term
-        values[:, g.twins] = term.swapaxes(2, 3)
-    return PatternHessians(pattern, values)
+    model = np.ascontiguousarray(model.T)                # (nnz, n)
+    XcT = np.subtract(X.T, X.mean(axis=0)[:, None],
+                      out=np.empty(X.shape[::-1]))  # (d, n)
+    inv_ls4 = (1.0 / ctx.lengthscale**2)**2
+    values = np.empty((pattern.nnz, n))
+    W = np.empty((n, n))
+    for g in layout.pair_groups():
+        step = _pairs_per_chunk(n, *g.mask.shape[1:])
+        for start in range(0, g.a.size, step):
+            _pair_rows(g, slice(start, start + step), ctx.kmats, model, XcT,
+                       inv_ls4, W, values)
+    return PatternHessians(pattern, values.T)
 
 
-def _pair_chunks(layout: FactorLayout):
-    """Each pair group's pairs, _PAIRS_PER_CHUNK at a time."""
-    for group in layout.pair_groups():
-        for start in range(0, group.a.size, _PAIRS_PER_CHUNK):
-            yield group.chunk(slice(start, start + _PAIRS_PER_CHUNK))
+def _pairs_per_chunk(n: int, ca: int, cb: int) -> int:
+    """How many pairs of (ca, cb) blocks fit in _CHUNK_BYTES (at least
+    one)."""
+    return max(1, _CHUNK_BYTES // _pair_bytes(n, ca, cb))
+
+
+def _pair_bytes(n: int, ca: int, cb: int) -> int:
+    """One pair's row temporaries: its 2 ca cb + ca + cb + 1 moment rows of
+    n, as many product rows, and three ca cb rows of cross-term
+    factors."""
+    return 8 * n * (2 * (2 * ca * cb + ca + cb + 1) + 3 * ca * cb)
+
+
+@cache
+def _block_entries(ca: int, cb: int, diagonal: bool):
+    """The entries (p, q) of a (ca, cb) block that a pair's rows hold, and
+    where x_q lies among its position rows.  An off-diagonal pair takes all
+    ca cb entries and the rows [x_a | x_b]; a diagonal pair (a, a) takes its
+    upper triangle and the rows x_a, since x_b is x_a."""
+    if diagonal:
+        p, q = np.triu_indices(ca)
+        qx = q
+    else:
+        p, q = np.divmod(np.arange(ca * cb), cb)
+        qx = ca + q
+    for index in (p, q, qx):
+        index.flags.writeable = False       # shared by every later call
+    return p, q, qx
+
+
+def _pair_rows(g: PairGroup, part: slice, kmats, model: np.ndarray,
+               XcT: np.ndarray, inv_ls4: float, W: np.ndarray,
+               values: np.ndarray) -> None:
+    """A slice of g's pairs as (P, e, n) rows of their block entries (p, q),
+    written into values (nnz, n) at each entry and at its transpose's."""
+    p, q, qx = _block_entries(*g.mask.shape[1:], g.diagonal)
+    pairs = list(zip(g.a[part], g.b[part]))
+    dims = (g.rows[part] if g.diagonal else
+            np.concatenate([g.rows[part], g.cols[part]], axis=1))
+    P, e, n = len(pairs), p.size, XcT.shape[1]
+    lhs = np.empty((P, 2 * e + dims.shape[1] + 1, n))
+    lhs[:, :e] = model[g.entries[part, p, q]]
+    x = lhs[:, 2 * e:-1]
+    x[...] = XcT[dims]
+    xp, xq = x[:, p], x[:, qx]
+    outer = lhs[:, e:2 * e]
+    np.multiply(xp, xq, out=outer)
+    lhs[:, -1] = 1.0
+    mom = np.empty_like(lhs)
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(kmats[a], kmats[b], out=W)
+        np.matmul(lhs[k], W, out=mom[k])
+    mx = mom[:, 2 * e:-1]
+    term = mom[:, e:2 * e]                      # the cross term, in place
+    term -= xp * mx[:, qx]
+    term -= mx[:, p] * xq
+    term += outer * mom[:, -1, None]
+    # a diagonal pair's mask is all ones: every blanket holds its own factor
+    term *= inv_ls4 if g.diagonal else inv_ls4 * g.mask[part, p, q, None]
+    term -= mom[:, :e]
+    term /= n
+    values[g.entries[part, p, q]] = term
+    values[g.twins[part, q, p]] = term
 
 
 def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,
@@ -338,11 +381,6 @@ def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,
     values = np.negative(upper[:, pattern.from_upper])
     return GlobalHessians(PatternHessians(pattern, values), ctx.X, W,
                           ctx.lengthscale)
-
-
-def _mirror_upper(stack: np.ndarray) -> np.ndarray:
-    """Exact symmetry: keep each matrix's upper triangle, mirror it down."""
-    return np.triu(stack) + np.triu(stack, 1).swapaxes(-1, -2)
 
 
 def graphical_stein_gradient(

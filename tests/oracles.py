@@ -10,6 +10,7 @@ import csv
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import brentq
 from scipy.spatial.distance import pdist
 
@@ -408,6 +409,45 @@ def moment_hessian_stack(ctx, target) -> np.ndarray:
     return stack
 
 
+def moment_rounding_bound(n: int) -> int:
+    """How far the local assembly's pattern values may lie from
+    `moment_hessian_stack`'s at n particles, in units of eps times
+    `moment_term_magnitudes`: each moment is a sum of n products that the
+    two forms' products may add in different orders, each order within
+    (n - 1) eps of the exact sum relative to its terms' magnitudes, and the
+    few operations that combine the moments round each side once more."""
+    return 2 * (n + 4)
+
+
+def moment_term_magnitudes(ctx, target) -> np.ndarray:
+    """Every entry of `moment_hessian_stack` as a sum of magnitudes, dense
+    (n, dim, dim): sum_j W_ji |H_j| / n plus, where the pair's mask is one,
+    (sum_j W_ji |x_a x_b^T|_j + |x_a,i| sum_j W_ji |x_b,j|
+    + sum_j W_ji |x_a,j| |x_b,i| + |x_a x_b^T|_i sum_j W_ji) / (n l^4) over
+    centred positions: the terms each moment and the cross term sum."""
+    X, layout = ctx.X, ctx.layout
+    n, dim = X.shape
+    H = np.abs(dense_model_hessians(target, X))
+    A = np.abs(X - X.mean(axis=0))
+    inv_ls4 = (1.0 / ctx.lengthscale**2) ** 2
+    out = np.zeros((n, dim, dim))
+    for a, b in layout.overlapping_pairs():
+        Ca, Cb = layout.factors[a], layout.factors[b]
+        W = ctx.kmats[a] * ctx.kmats[b]
+        xa, xb = A[:, Ca], A[:, Cb]
+        outer = xa[:, :, None] * xb[:, None, :]
+        wsum = W.sum(axis=0)
+        cross = (np.einsum("ji,jpq->ipq", W, outer)
+                 + xa[:, :, None] * (W.T @ xb)[:, None, :]
+                 + (W.T @ xa)[:, :, None] * xb[:, None, :]
+                 + outer * wsum[:, None, None])
+        block = (np.einsum("ji,jpq->ipq", W, H[:, Ca[:, None], Cb[None, :]])
+                 + inv_ls4 * isin_pair_mask(layout, a, b) * cross) / n
+        out[:, Ca[:, None], Cb[None, :]] = block
+        out[:, Cb[:, None], Ca[None, :]] = block.transpose(0, 2, 1)
+    return out
+
+
 def isin_overlap_matrix(layout) -> np.ndarray:
     """Factor-level overlap, one np.isin per (blanket, factor) pair."""
     D = layout.n_factors
@@ -527,8 +567,8 @@ def add_at_snlp_gradient_batch(model, X) -> np.ndarray:
 
 def grouped_snlp_hessian_batch(model, X) -> np.ndarray:
     """`SnlpModel.hessian_batch` as it was before it shared the flat edge
-    geometry: the groups' curvature concatenated, then the model's scatter
-    to pattern values."""
+    geometry: the groups' curvature concatenated, then the four-entry
+    scatter to pattern values."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     diffs, dists, meas = grouped_snlp_geometry(model.problem,
@@ -542,7 +582,48 @@ def grouped_snlp_hessian_batch(model, X) -> np.ndarray:
     curv = (-uut + ((m - dist) / dist)[:, :, None, None]
             * (np.eye(2) - uut)) / model.problem.noise_variance
     return np.ascontiguousarray(
-        (model._hessian_scatter @ curv.reshape(n, -1).T).T)
+        (four_entry_snlp_scatter(model) @ curv.reshape(n, -1).T).T)
+
+
+def four_entry_snlp_hessian_batch(model, X) -> np.ndarray:
+    """`SnlpModel.hessian_batch` as it was before it formed three distinct
+    curvature entries per edge: all four entries of each edge's 2 x 2
+    curvature as (n, E, 2, 2) arrays, scattered from (4 E, n) columns and
+    copied to C order."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    diff, dist = model._edge_geometry(X)
+    u = diff / dist[:, :, None]
+    uut = u[:, :, :, None] * u[:, :, None, :]
+    curv = (-uut + ((model._measured - dist) / dist)[:, :, None, None]
+            * (np.eye(2) - uut)) / model._s2
+    curv = curv.reshape(n, 4 * dist.shape[1])
+    return np.ascontiguousarray((four_entry_snlp_scatter(model) @ curv.T).T)
+
+
+def four_entry_snlp_scatter(model):
+    """The former `SnlpModel._hessian_scatter`: a sparse +-1 matrix from
+    each edge's four curvature entries, columns 4 k + 2 p + q, to the
+    layout's pattern; its rows sum edges in edge order."""
+    pattern = model.layout.pattern()
+    dim = pattern.dim
+    ends = model._ends
+    every = np.arange(len(ends))
+    uu = every[:model._n_uu]
+    p, q = np.divmod(np.arange(4), 2)
+    rows, cols, signs = [], [], []
+    for first, second, sign, k in (
+        (0, 0, 1.0, every), (1, 1, 1.0, uu), (0, 1, -1.0, uu), (1, 0, -1.0, uu),
+    ):
+        r = 2 * ends[k, first, None] + p
+        c = 2 * ends[k, second, None] + q
+        rows.append((r * dim + c).ravel())
+        cols.append((4 * k[:, None] + np.arange(4)).ravel())
+        signs.append(np.full(r.size, sign))
+    rows, cols, signs = (np.concatenate(v) for v in (rows, cols, signs))
+    rows = pattern.index(*np.divmod(rows, dim))
+    return sparse.csr_matrix(
+        (signs, (rows, cols)), shape=(pattern.nnz, 4 * len(ends)))
 
 
 def per_edge_snlp_hessian_batch(model, X) -> np.ndarray:

@@ -90,11 +90,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"output\.mmd"):
             validate_config(cfg)
 
+    def test_median_lengthscale_needs_two_ground_truth_rows(self):
+        cfg = tiny_config()
+        cfg["kernel"]["lengthscale"] = "median"
+        cfg["output"] = {"ground_truth": {"samples": 1}, "mmd": False}
+        with pytest.raises(ConfigError, match=r"output\.ground_truth\.samples: "
+                                              r"must be >= 2 with kernel"):
+            validate_config(cfg)
+        cfg["output"]["ground_truth"]["samples"] = 2
+        assert validate_config(cfg)["kernel"]["lengthscale"] == "median"
+
     @pytest.mark.parametrize("section, key, value", [
         ("run", "particles", "100"), ("problem", "max_parents", "3"),
         ("output", "mmd_subsample_cap", "x"), ("run", "particles", 2.5),
         ("run", "particles", True), ("problem", "mean_range", ["a", "b"]),
         ("output", "mmd_seed", -1),
+        # MMD is on, and its median heuristic needs two ground-truth rows
+        ("output", "ground_truth", {"samples": 1}),
     ])
     def test_wrong_types_name_the_field(self, section, key, value):
         cfg = tiny_config()
@@ -595,13 +607,14 @@ class TestCliVerbs:
         ("manifest with a negative output.mmd_seed", "output.mmd_seed"),
         ("manifest that is a list", "manifest.yaml"),
         ("final sample narrower than the ground truth", "final.csv"),
+        ("ground truth of one row", "ground_truth.csv"),
     ])
     def test_evaluate_unusable_artifact_exits_2(self, artifact, tmp_path,
                                                 capsys, defect, named):
         """A manifest that lacks a field evaluate reads, or is no mapping,
-        and a final sample whose width is not the ground truth's give exit
-        status 2, one stderr line naming the field or the file, and no
-        metrics.yaml."""
+        a final sample whose width is not the ground truth's and a ground
+        truth too small for the median heuristic give exit status 2, one
+        stderr line naming the field or the file, and no metrics.yaml."""
         copy = shutil.copytree(artifact, tmp_path / "art")
         (copy / "metrics.yaml").unlink()
         manifest_path = copy / "manifest.yaml"
@@ -612,6 +625,10 @@ class TestCliVerbs:
             manifest["output"]["mmd_seed"] = -1
         elif defect == "manifest that is a list":
             manifest = [manifest]
+        elif defect == "ground truth of one row":
+            path = copy / "ground_truth.csv"
+            samples, names = load_samples_csv(path)
+            save_samples_csv(path, samples[:1], names)
         else:
             path = copy / "runs" / "mp-svgd-dlr" / "seed_1" / "final.csv"
             samples, names = load_samples_csv(path)

@@ -137,6 +137,8 @@ def _assert_matches_isin_oracles(layout):
     pairs = []
     for g in layout.pair_groups():
         assert g.mask.dtype == float
+        sizes = np.array([f.size for f in layout.factors])
+        assert np.all((g.a == g.b) & (sizes[g.a] > 1) == g.diagonal)
         for p, (a, b) in enumerate(zip(g.a, g.b)):
             pairs.append((a, b))
             np.testing.assert_array_equal(g.mask[p], isin_pair_mask(layout, a, b))

@@ -11,7 +11,10 @@ from oracles import (
     dense_bayesnet_hessian_batch,
     dense_global_hessian_stack,
     factor_loop_field,
+    four_entry_snlp_hessian_batch,
     moment_hessian_stack,
+    moment_rounding_bound,
+    moment_term_magnitudes,
     operator_matrix,
     pair_loop_hessian_stack,
     per_edge_snlp_hessian_batch,
@@ -497,17 +500,62 @@ class TestStackAssembly:
     def test_pair_chunks_change_no_bit(self, mixed_bn, small_snlp,
                                        monkeypatch, chunk):
         """Pairs of one group taken a chunk at a time, from one pair to the
-        whole group (snlp50's 121 pairs form one group, more than the
-        default chunk), give bitwise the unchunked assembly."""
-        assert max(g.a.size for g in _snlp50().layout.pair_groups()) > \
-            stein._PAIRS_PER_CHUNK
-        monkeypatch.setattr(stein, "_PAIRS_PER_CHUNK", chunk)
-        for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
+        whole group, give bitwise the assembly of the default budget.  The
+        budget is patched to `chunk` pairs of 2 x 2 blocks: snlp50's 121
+        pairs form a group of 50 diagonal and one of 71 off-diagonal
+        pairs, more than one default chunk holds at n = 200."""
+        cases = list(_assembly_cases(mixed_bn, small_snlp))
+        n50 = cases[2][2].shape[0]
+        sizes = [g.a.size for g in _snlp50().layout.pair_groups()]
+        assert sorted(sizes) == [50, 71]
+        assert stein._pairs_per_chunk(200, 2, 2) < 50
+        whole = {}
+        for name, target, X, ls in cases:
+            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
+                                                     target.layout))
+            whole[name] = operator_matrix(
+                hessian_stack_from_context(ctx, target)).tobytes()
+        monkeypatch.setattr(stein, "_CHUNK_BYTES",
+                            chunk * stein._pair_bytes(n50, 2, 2))
+        assert stein._pairs_per_chunk(n50, 2, 2) == chunk
+        for name, target, X, ls in cases:
             ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
                                                      target.layout))
             stack = operator_matrix(hessian_stack_from_context(ctx, target))
-            assert stack.tobytes() == \
-                moment_hessian_stack(ctx, target).tobytes(), name
+            assert stack.tobytes() == whole[name], name
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_pattern_values_against_moment_oracle(self, name):
+        """The rows form against the former (P, n, C) assembly, kept as
+        `moment_hessian_stack`, at the bundled layouts and particle counts.
+        Both take every moment as one product per pair over the same
+        particles; they differ only in its operand order,
+        [H | x_a x_b^T | x_a | x_b | 1] @ W against W^T @ its transpose,
+        and in a diagonal pair's rows (its upper triangle and x_a only).
+        At n = 200 (bn30_paper and both SNLP configs) this BLAS sums each
+        entry in the same order either way and the values are bitwise the
+        oracle's; at bn10_desk's n = 100 the products take another order,
+        and every value lies within `moment_rounding_bound(n)` eps times
+        `moment_term_magnitudes` (worst seen 4.2 eps, 0.02 of the bound,
+        over bn10_desk's first ten particle seeds at lengthscales 0.5, 1 and
+        3).  Every matrix is exactly symmetric."""
+        target, X = bundled(name)
+        n = X.shape[0]
+        pattern = target.layout.pattern()
+        eps = np.finfo(float).eps
+        for ls in (0.5, 3.0):
+            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
+                                                     target.layout))
+            hessians = hessian_stack_from_context(ctx, target)
+            values = pattern.dense(hessians._matrix.data.reshape(n, -1))
+            oracle = moment_hessian_stack(ctx, target)
+            np.testing.assert_array_equal(values, values.transpose(0, 2, 1))
+            np.testing.assert_array_equal(operator_matrix(hessians), values)
+            bound = (moment_rounding_bound(n) * eps
+                     * moment_term_magnitudes(ctx, target))
+            assert np.all(np.abs(values - oracle) <= bound), ls
+            if n == 200:
+                assert values.tobytes() == oracle.tobytes(), ls
 
     def test_snlp_hessian_batch_matches_per_edge_loop(self, small_snlp,
                                                       noisy_snlp):
@@ -519,6 +567,22 @@ class TestStackAssembly:
             batch = model.layout.pattern().dense(model.hessian_batch(X))
             assert np.abs(batch - oracle).max() <= 1e-12 * np.abs(oracle).max()
             np.testing.assert_array_equal(batch, batch.transpose(0, 2, 1))
+
+    def test_snlp_hessian_batch_bitwise_four_entry_form(self, small_snlp,
+                                                        noisy_snlp):
+        """Three distinct curvature entries per edge, each with the
+        per-element operations of the former four, and the same edge order
+        in every pattern row's sum: bitwise the former body, for one row,
+        two and many.  The values come as the transpose of (nnz, n) rows."""
+        rng = np.random.default_rng(23)
+        for model in (small_snlp, noisy_snlp, _snlp50()):
+            base = model.problem.true_positions.reshape(-1)
+            X = base + rng.normal(scale=0.5, size=(200, base.size))
+            for rows in (X[:1], X[:2], X):
+                values = model.hessian_batch(rows)
+                assert values.T.flags.c_contiguous
+                assert values.tobytes() == \
+                    four_entry_snlp_hessian_batch(model, rows).tobytes()
 
 
 def _global_cases(mixed_bn, small_snlp, seed=24):
