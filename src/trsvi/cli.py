@@ -13,35 +13,23 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, validate_config
 from .experiment import (
-    build_problem,
     evaluate_artifact,
     export_marginals,
-    ground_truth_sample,
-    make_model,
     run_experiment,
+    write_problem,
 )
-from .model import save_problem, save_samples_binary, save_samples_csv
+from .model import dump_yaml, load_yaml
 
 
 def _cmd_generate(args) -> int:
-    config = validate_config(load_config(args.config))
+    config = validate_config(load_yaml(args.config))
     if args.seed is not None:
         config["problem"]["seed"] = args.seed
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(config["problem"])
-    save_problem(out / "problem.yaml", problem)
-    gt_cfg = config["output"]["ground_truth"]
-    if gt_cfg["samples"] > 0:
-        samples = ground_truth_sample(problem, gt_cfg)
-        names = make_model(problem).dimension_names()
-        save_samples_csv(out / "ground_truth.csv", samples, names)
-        if config["output"]["binary_samples"]:
-            save_samples_binary(out / "ground_truth.bin", samples)
+    write_problem(config, out)
     print(f"wrote problem spec to {out / 'problem.yaml'}")
     return 0
 
@@ -57,7 +45,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     report = evaluate_artifact(args.artifact)
-    print(yaml.safe_dump(report, sort_keys=False), end="")
+    print(dump_yaml(report), end="")
     return 0
 
 

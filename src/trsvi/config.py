@@ -11,9 +11,6 @@ dimension; every resolved value lands in the run manifest.
 from __future__ import annotations
 
 from functools import partial
-from pathlib import Path
-
-import yaml
 
 from .trustregion import default_nystrom_size
 
@@ -114,12 +111,6 @@ METHODS = {
 # Methods that cannot run on one particle: tr-svi-kl takes the median
 # heuristic of its proposal, which needs two rows.
 MIN_PARTICLES = {"tr-svi-kl": 2}
-
-
-def load_config(path) -> dict:
-    raw = yaml.safe_load(Path(path).read_text())
-    _expect(isinstance(raw, dict), "<root>", "config must be a mapping")
-    return raw
 
 
 def validate_config(raw: dict) -> dict:

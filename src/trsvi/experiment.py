@@ -25,17 +25,17 @@ import csv
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import yaml
+from yaml import YAMLError
 
 from . import __version__
 from .baselines import ADAGRAD, DECAYED, StepSchedule, mp_svgd_step, svgd_step
 from .config import (
     ConfigError,
     bundled_defaults,
-    load_config,
     manifest_fields,
     resolve_method_defaults,
     validate_config,
@@ -56,10 +56,12 @@ from .model import (
     SnlpProblem,
     ancestral_sample,
     build_snlp,
+    dump_yaml,
     generate_bayes_net,
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    load_yaml,
     save_problem,
     save_samples_binary,
     save_samples_csv,
@@ -76,21 +78,7 @@ from .trustregion import solve_subproblems  # noqa: F401
 
 TRUST_REGION_METHODS = ("tr-svi-at", "tr-svi-kl", "svn-ctr")
 
-TRACE_COLUMNS = (
-    "iteration",
-    "gradient_magnitude",
-    "radius_or_step",
-    "rho",
-    "approx_kl_u",
-    "approx_kl_o",
-    "accepted",
-    "model_decrease",
-    "b",
-    "cg_iters",
-    "cg_boundary",
-    "cg_neg_curvature",
-    "wall_ms",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 def make_model(problem):
@@ -174,6 +162,23 @@ def ground_truth_sample(problem, gt_cfg: dict) -> np.ndarray:
     return result.samples
 
 
+def write_problem(config: dict, out: Path):
+    """Write the configured problem's problem.yaml and ground truth, if any,
+    into `out`; returns the problem, its model and the ground truth."""
+    problem = build_problem(config["problem"])
+    model = make_model(problem)
+    save_problem(out / "problem.yaml", problem)
+    gt_cfg = config["output"]["ground_truth"]
+    if gt_cfg["samples"] == 0:
+        return problem, model, None
+    ground_truth = ground_truth_sample(problem, gt_cfg)
+    save_samples_csv(out / "ground_truth.csv", ground_truth,
+                     model.dimension_names())
+    if config["output"]["binary_samples"]:
+        save_samples_binary(out / "ground_truth.bin", ground_truth)
+    return problem, model, ground_truth
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -209,8 +214,9 @@ def execute_method(problem, method_cfg: dict, lengthscale: float,
     trace = RunTrace()
     for t in range(method_cfg["iterations"]):
         particles, field, size = step(particles, t)
-        trace.append(IterationRecord(t, gradient_magnitude(field), size,
-                                     accepted=True))
+        trace.append(IterationRecord(
+            iteration=t, gradient_magnitude=gradient_magnitude(field),
+            radius_or_step=size, accepted=True))
     return particles, trace
 
 
@@ -279,7 +285,7 @@ def run_experiment(config, output_dir, seed_override: int | None = None,
                    workers: int = 1) -> Path:
     """Run a full configured experiment into a fresh artifact directory."""
     if not isinstance(config, dict):
-        config = load_config(config)
+        config = load_yaml(config)
     config = validate_config(config)
     if seed_override is not None:
         config["run"]["seeds"] = [int(seed_override)]
@@ -305,20 +311,9 @@ def run_experiment(config, output_dir, seed_override: int | None = None,
 
 
 def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
-    problem = build_problem(config["problem"])
-    model = make_model(problem)
+    problem, model, ground_truth = write_problem(config, out)
     kind = "snlp" if isinstance(problem, SnlpProblem) else "bayes_net"
     config = resolve_method_defaults(config, kind, model.layout.total_dim)
-    save_problem(out / "problem.yaml", problem)
-
-    gt_cfg = config["output"]["ground_truth"]
-    ground_truth = None
-    if gt_cfg["samples"] > 0:
-        ground_truth = ground_truth_sample(problem, gt_cfg)
-        save_samples_csv(out / "ground_truth.csv", ground_truth,
-                         model.dimension_names())
-        if config["output"]["binary_samples"]:
-            save_samples_binary(out / "ground_truth.bin", ground_truth)
 
     lengthscale, ls_source = resolve_lengthscale(
         config["kernel"]["lengthscale"],
@@ -351,7 +346,7 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         },
         "problem_warnings": list(getattr(problem, "warnings", ())),
     }
-    (out / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=False))
+    (out / "manifest.yaml").write_text(dump_yaml(manifest))
 
     inits_dir = out / "inits"
     inits_dir.mkdir()
@@ -398,7 +393,7 @@ def _read_artifact_file(path: Path, read):
         return read(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    except yaml.YAMLError as exc:
+    except YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: "
                           + " ".join(str(exc).split())) from None
     except ValueError as exc:
@@ -411,7 +406,7 @@ def evaluate_artifact(artifact_dir) -> dict:
     out = Path(artifact_dir)
     manifest = out / "manifest.yaml"
     cap, mmd_seed, labels, seeds = manifest_fields(
-        _read_artifact_file(manifest, lambda p: yaml.safe_load(p.read_text())),
+        _read_artifact_file(manifest, load_yaml),
         manifest)
     if (out / "ground_truth.bin").exists():
         truth_path = out / "ground_truth.bin"
@@ -457,7 +452,7 @@ def evaluate_artifact(artifact_dir) -> dict:
             "mean": float(np.mean(values)),
             "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
         }
-    (out / "metrics.yaml").write_text(yaml.safe_dump(report, sort_keys=False))
+    (out / "metrics.yaml").write_text(dump_yaml(report))
     return report
 
 

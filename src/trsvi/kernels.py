@@ -101,6 +101,10 @@ def rbf_matrix(
     of the exact kernel value: the exponent is a sum of d + 2 rounded
     products, and exp(E) <= 1 passes its error on at most unchanged.  The
     shift makes the bound independent of any offset the two sets share.
+
+    For two sets whose shifted norms allow an exponent below -745, where exp
+    rounds to 0 on a slow path, exponents below -746 are set to -inf first;
+    exp gives 0.0 for both, so no bit changes.
     """
     same = Y is X
     if dims is not None:
@@ -125,4 +129,7 @@ def rbf_matrix(
     np.multiply(yy, -0.5 * inv_ls2, out=right[:, d + 1])
     E = np.matmul(left, right.T, out=out)
     np.minimum(E, 0.0, out=E)
+    if not same and (np.sqrt(xx.max(initial=0.0)) + np.sqrt(
+            yy.max(initial=0.0)))**2 * (0.5 * inv_ls2) > 745.0:
+        E[E < -746.0] = -np.inf
     return np.exp(E, out=E)

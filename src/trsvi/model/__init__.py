@@ -16,9 +16,11 @@ from .layout import (
     TargetModel,
 )
 from .serialization import (
+    dump_yaml,
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    load_yaml,
     problem_from_dict,
     problem_to_dict,
     save_problem,
@@ -42,10 +44,12 @@ __all__ = [
     "ancestral_sample",
     "bayes_net_layout",
     "build_snlp",
+    "dump_yaml",
     "generate_bayes_net",
     "load_problem",
     "load_samples_binary",
     "load_samples_csv",
+    "load_yaml",
     "problem_from_dict",
     "problem_to_dict",
     "save_problem",

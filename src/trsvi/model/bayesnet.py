@@ -331,10 +331,6 @@ class BayesNetModel(TargetModel):
         x = self._check_point(x)
         return float(self.log_density_batch(x[None, :])[0])
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_point(x)
-        return self.gradient_batch(x[None, :])[0]
-
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
         """Each node's term as in a loop over nodes (a mixture node's by
         `_logaddexp`), added to the total in node order by a sequential

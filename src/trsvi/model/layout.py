@@ -325,7 +325,8 @@ class TargetModel(ABC):
     layout's pattern.
 
     Implementations must be pure functions of (model parameters, x): safe to
-    call concurrently.  Derivatives are hand-coded, not autodiffed.
+    call concurrently.  Derivatives are hand-coded, not autodiffed.  The
+    batch methods are the contract; `gradient` and `hessian` read one row.
     """
 
     layout: FactorLayout
@@ -335,24 +336,6 @@ class TargetModel(ABC):
         """Log p(x) including normalizing constants."""
 
     @abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of log p at x."""
-
-    @abstractmethod
-    def hessian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Hessians of log p at the rows of X, as (n, nnz) values over
-        `layout.pattern()`; every entry off the pattern is zero.  The
-        transpose of a C-ordered (nnz, n) array, the bundled models' form,
-        is read as rows without a copy."""
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Dense Hessian of log p at x, scattered from `hessian_batch`."""
-        x = self._check_point(x)
-        return self.layout.pattern().dense(self.hessian_batch(x[None, :]))[0]
-
-    # Batched evaluation over a particle matrix.  The defaults loop; models
-    # override these with vectorized versions where it matters.
-
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
         """Log p at each row of X.
 
@@ -362,10 +345,27 @@ class TargetModel(ABC):
         a strided sum can change it with the row count).
         `metropolis_reference` relies on this to prefetch proposals.
         """
-        return np.array([self.log_density(x) for x in X])
 
+    @abstractmethod
     def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([self.gradient(x) for x in X])
+        """Analytic gradients of log p at the rows of X, (n, dim)."""
+
+    @abstractmethod
+    def hessian_batch(self, X: np.ndarray) -> np.ndarray:
+        """Hessians of log p at the rows of X, as (n, nnz) values over
+        `layout.pattern()`; every entry off the pattern is zero.  The
+        transpose of a C-ordered (nnz, n) array, the bundled models' form,
+        is read as rows without a copy."""
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Analytic gradient of log p at x."""
+        x = self._check_point(x)
+        return self.gradient_batch(x[None, :])[0]
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Dense Hessian of log p at x, scattered from `hessian_batch`."""
+        x = self._check_point(x)
+        return self.layout.pattern().dense(self.hessian_batch(x[None, :]))[0]
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,9 +1,11 @@
-"""On-disk formats for problem specs and sample matrices.
+"""On-disk formats for problem specs, sample matrices and YAML documents.
 
 Problem specs are YAML trees with a schema_version field.  Samples go to CSV
 (one row per draw, header = dimension names) or to a packed binary layout:
 two little-endian int64 counts (rows, cols) followed by row-major
-little-endian float64 values.
+little-endian float64 values.  Every YAML document the package reads or
+writes (configs, problem specs, manifests, metrics) goes through
+`load_yaml` and `dump_yaml`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,21 @@ from .snlp import SnlpEdge, SnlpProblem
 
 SCHEMA_VERSION = 1
 _HEADER_BYTES = 16
+
+# libyaml's safe loader and dumper when PyYAML was built with it: the same
+# documents and bytes as the pure-Python classes, several times faster
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def load_yaml(path):
+    """The YAML document in the file at `path`, built from safe types."""
+    return yaml.load(Path(path).read_text(), Loader=_Loader)
+
+
+def dump_yaml(data) -> str:
+    """`data` as a YAML document of safe types, mappings in insertion order."""
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=False)
 
 
 def problem_to_dict(problem) -> dict:
@@ -94,13 +111,11 @@ def problem_from_dict(data: dict):
 
 
 def save_problem(path, problem) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(problem_to_dict(problem), sort_keys=False)
-    )
+    Path(path).write_text(dump_yaml(problem_to_dict(problem)))
 
 
 def load_problem(path):
-    return problem_from_dict(yaml.safe_load(Path(path).read_text()))
+    return problem_from_dict(load_yaml(path))
 
 
 def save_samples_csv(path, samples: np.ndarray, names: list[str]) -> None:

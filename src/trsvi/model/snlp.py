@@ -187,18 +187,14 @@ class SnlpModel(TargetModel):
         x = self._check_point(x)
         return float(self.log_density_batch(x[None, :])[0])
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_point(x)
-        return self.gradient_batch(x[None, :])[0]
-
     def _edge_geometry(self, X: np.ndarray, check_singular: bool = True):
         """Each edge's first end minus its second, (n, E, 2), and length,
         (n, E), for the rows of X, gathered in one `take` over [X | anchors].
 
         Both arrays are C-contiguous, so a sum over a run of edges reads
         each row's terms contiguously, in the same order for any row count.
-        With check_singular, zero lengths raise: derivatives are undefined
-        there (the density itself is not).
+        With check_singular, zero lengths raise, naming the first such row
+        and edge: derivatives are undefined there (the density itself is not).
         """
         n, d = X.shape
         points = np.empty((n, d + self._anchors.size))
@@ -208,7 +204,13 @@ class SnlpModel(TargetModel):
         diff = ends[:, 0] - ends[:, 1]
         dist = np.sqrt(diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2)
         if check_singular and (dist == 0.0).any():
-            raise SingularityError("coincident positions on a measured edge")
+            row, edge = np.argwhere(dist == 0.0)[0]
+            s = self.problem.n_unknowns
+            ends = " and ".join(f"sensor {k}" if k < s else f"anchor {k - s}"
+                                for k in self._ends[edge])
+            raise SingularityError(
+                f"coincident positions on a measured edge: particle row {row}, "
+                f"edge between {ends}")
         return diff, dist
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:

@@ -184,17 +184,18 @@ def approx_kl(
     return -cross + entropy_term
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
-    """One iteration of a method; fields it does not set stay None."""
+    """One iteration of a method; fields it does not set stay None.  The
+    fields, in order, are the columns of the trace CSV."""
 
     iteration: int
     gradient_magnitude: float
     radius_or_step: float
-    accepted: bool
     rho: float | None = None
     approx_kl_u: float | None = None
     approx_kl_o: float | None = None
+    accepted: bool
     model_decrease: float | None = None
     b: float | None = None
     cg_iters: int | None = None

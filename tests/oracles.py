@@ -943,6 +943,35 @@ def rbf_matrix_oracle(X, Y, lengthscale: float, dims=None) -> np.ndarray:
     return np.exp(-0.5 * squared_distances_oracle(X, Y) / lengthscale**2)
 
 
+def rbf_matrix_unguarded(X, Y, lengthscale: float, dims=None) -> np.ndarray:
+    """`rbf_matrix` before its underflow guard: every clipped exponent,
+    however far below -745, goes to exp as it is."""
+    same = Y is X
+    if dims is not None:
+        X = X[:, dims]
+    shift = X.mean(axis=0)
+    X = X - shift
+    xx = np.einsum("ij,ij->i", X, X)
+    if same:
+        Y, yy = X, xx
+    else:
+        Y = (Y if dims is None else Y[:, dims]) - shift
+        yy = np.einsum("ij,ij->i", Y, Y)
+    d = X.shape[1]
+    inv_ls2 = 1.0 / lengthscale**2
+    left = np.empty((X.shape[0], d + 2))
+    left[:, :d] = X
+    left[:, d] = xx
+    left[:, d + 1] = 1.0
+    right = np.empty((Y.shape[0], d + 2))
+    np.multiply(Y, inv_ls2, out=right[:, :d])
+    right[:, d] = -0.5 * inv_ls2
+    np.multiply(yy, -0.5 * inv_ls2, out=right[:, d + 1])
+    E = np.matmul(left, right.T)
+    np.minimum(E, 0.0, out=E)
+    return np.exp(E, out=E)
+
+
 def blanket_loop_kmats(X, layout, lengthscale: float) -> np.ndarray:
     """Every blanket's local kernel from its own `rbf_matrix` call, stacked
     as (n_factors, n, n): the loop that built local contexts before the
@@ -1086,7 +1115,8 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
             solution = solve_subproblems(field, hessians, radius)
             current = current.advanced(current.positions + solution.steps)
             records.append(IterationRecord(
-                t, gradient_magnitude(field), radius, accepted=True,
+                iteration=t, gradient_magnitude=gradient_magnitude(field),
+                radius_or_step=radius, accepted=True,
                 model_decrease=solution.decrease, **solution.trace_counts()))
         return current, records
     step = method_cfg["step"]
@@ -1094,8 +1124,9 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
         for t in range(method_cfg["iterations"]):
             field = global_stein_gradient(current, model, kernel)
             current = current.advanced(current.positions - step * field.values)
-            records.append(IterationRecord(t, gradient_magnitude(field), step,
-                                           accepted=True))
+            records.append(IterationRecord(
+                iteration=t, gradient_magnitude=gradient_magnitude(field),
+                radius_or_step=step, accepted=True))
         return current, records
     accumulator = None
     for t in range(method_cfg["iterations"]):
@@ -1113,8 +1144,9 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
             accumulator = accumulator + direction**2
             displacement = step * direction / (np.sqrt(accumulator) + 1e-8)
         current = current.advanced(current.positions + displacement)
-        records.append(IterationRecord(t, gradient_magnitude(field), scale,
-                                       accepted=True))
+        records.append(IterationRecord(
+            iteration=t, gradient_magnitude=gradient_magnitude(field),
+            radius_or_step=scale, accepted=True))
     return current, records
 
 
@@ -1243,14 +1275,18 @@ def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
         cg = solution.trace_counts()
         subset_seed = int(rng.integers(0, 2**63 - 1))
         if model == 0.0 and gmag == 0.0:
-            trace.append(IterationRecord(t, gmag, radius_used, accepted=False,
-                                         model_decrease=0.0, **cg))
+            trace.append(IterationRecord(
+                iteration=t, gradient_magnitude=gmag,
+                radius_or_step=radius_used, accepted=False,
+                model_decrease=0.0, **cg))
             break
         if model >= 0.0:
             state.radius /= 2.0
             current = current.advanced(current.positions)
-            trace.append(IterationRecord(t, gmag, radius_used, accepted=False,
-                                         model_decrease=model, **cg))
+            trace.append(IterationRecord(
+                iteration=t, gradient_magnitude=gmag,
+                radius_or_step=radius_used, accepted=False,
+                model_decrease=model, **cg))
             continue
         proposed = current.positions + solution.steps
         proposed_set = ParticleSet(proposed, iteration=current.iteration,
@@ -1264,7 +1300,8 @@ def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
         accepted = state.update(rho)
         current = current.advanced(proposed if accepted else current.positions)
         trace.append(IterationRecord(
-            t, gmag, radius_used, accepted=accepted, rho=rho, approx_kl_u=u,
+            iteration=t, gradient_magnitude=gmag, radius_or_step=radius_used,
+            accepted=accepted, rho=rho, approx_kl_u=u,
             approx_kl_o=o, model_decrease=model, **cg))
     return current, trace
 
@@ -1296,7 +1333,8 @@ def tr_svi_at_oracle(particles, target, local_kernels, iterations):
         g_new = gradient_magnitude(field)
         state.update(g_new)
         trace.append(IterationRecord(
-            t, g_new, radius_used, accepted=True, b=state.b,
+            iteration=t, gradient_magnitude=g_new, radius_or_step=radius_used,
+            accepted=True, b=state.b,
             model_decrease=solution.decrease, **solution.trace_counts()))
     return current, trace
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from oracles import operator_matrix
-from trsvi.config import load_config
 from trsvi.experiment import build_problem, initialize_particles, make_model
+from trsvi.model import load_yaml
 from trsvi.model.layout import FactorLayout, TargetModel
 from trsvi.stein import global_context, hessian_stack_from_context, local_context
 
@@ -19,7 +19,7 @@ from trsvi.stein import global_context, hessian_stack_from_context, local_contex
 @cache
 def bundled(name: str):
     """The model of a bundled config and its first run's particles."""
-    cfg = load_config(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+    cfg = load_yaml(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
     problem = build_problem(cfg["problem"])
     return make_model(problem), initialize_particles(problem, cfg["run"],
                                                      0).positions
@@ -83,10 +83,6 @@ class GaussianTarget(TargetModel):
         x = self._check_point(x)
         return float(self.log_density_batch(x[None, :])[0])
 
-    def gradient(self, x):
-        x = self._check_point(x)
-        return -self.precision @ (x - self.mean)
-
     def log_density_batch(self, X):
         """Each row's quadratic form is summed over that row's own d * d
         contiguous products, so it does not depend on the other rows (a
@@ -125,9 +121,9 @@ class HeavyTailTarget(TargetModel):
     def log_density_batch(self, X):
         return -np.log(2.0) - 2.0 * np.log1p(np.abs(np.asarray(X)[:, 0]))
 
-    def gradient(self, x):
-        x = self._check_point(x)
-        return -2.0 * np.sign(x) / (1.0 + np.abs(x))
+    def gradient_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        return -2.0 * np.sign(X) / (1.0 + np.abs(X))
 
     def hessian_batch(self, X):
         return 2.0 / (1.0 + np.abs(np.asarray(X))) ** 2

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from trsvi.config import (
 )
 from trsvi.experiment import TRACE_COLUMNS, export_marginals, run_experiment
 from trsvi.model import load_problem, load_samples_csv, save_samples_csv
+from trsvi.trustregion import IterationRecord
 
 
 def tiny_config(**overrides):
@@ -290,6 +292,14 @@ class TestRunExperiment:
         assert row["model_decrease"] == "" and row["b"] == ""
         assert row["cg_iters"] == row["cg_boundary"] == ""
 
+    def test_trace_columns_follow_the_record(self):
+        """The trace CSV's columns are IterationRecord's fields, in order."""
+        assert TRACE_COLUMNS == tuple(f.name for f in fields(IterationRecord))
+        assert TRACE_COLUMNS == (
+            "iteration", "gradient_magnitude", "radius_or_step", "rho",
+            "approx_kl_u", "approx_kl_o", "accepted", "model_decrease", "b",
+            "cg_iters", "cg_boundary", "cg_neg_curvature", "wall_ms")
+
     def test_kl_trace_fills_rho_columns(self, tmp_path):
         cfg = tiny_config()
         cfg["method"] = [{"name": "tr-svi-kl", "iterations": 4}]
@@ -551,6 +561,24 @@ class TestCliVerbs:
         assert rc == 0
         assert (tmp_path / "gen" / "problem.yaml").exists()
         assert (tmp_path / "gen" / "ground_truth.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["bayes_net", "snlp"])
+    def test_generate_and_run_write_the_same_problem(self, kind, tmp_path):
+        """`trsvi generate` and `trsvi run` write byte-identical problem specs
+        and ground truths for one config (a Metropolis chain's for SNLP)."""
+        cfg = full_config(kind)
+        cfg["method"] = cfg["method"][:1]
+        cfg["run"] = {"particles": 4, "seeds": [0]}
+        cfg["output"].update(mmd=False, binary_samples=True)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["generate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "gen")]) == 0
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        for name in ("problem.yaml", "ground_truth.csv", "ground_truth.bin"):
+            generated = (tmp_path / "gen" / name).read_bytes()
+            assert generated == (tmp_path / "run" / name).read_bytes(), name
 
     def test_run_and_evaluate(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

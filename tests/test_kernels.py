@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist
 
 from oracles import (fd_gradient, kernel_error_bound, local_kernel_eval,
                      pdist_median_heuristic, rbf_eval, rbf_matrix_longdouble,
-                     rbf_matrix_oracle)
+                     rbf_matrix_oracle, rbf_matrix_unguarded)
 from trsvi import kernels
 from trsvi.config import validate_config
 from trsvi.experiment import (build_problem, ground_truth_sample,
@@ -385,6 +385,40 @@ class TestKernelMatrix:
         K = rbf_matrix(X, X, 1.1, dims=dims)
         ref = rbf_matrix(X[:, dims], X[:, dims], 1.1)
         np.testing.assert_array_equal(K, ref)
+
+
+class TestUnderflowGuard:
+    """Exponents below -746 go to exp as -inf once the two sets are far
+    enough apart; the kernel stays bitwise that of the unguarded form."""
+
+    @staticmethod
+    def strips():
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(64, 5))
+        far = X[::-1] + 40.0                       # every exponent < -746
+        # one axis spreads Y from X's cloud to far past it, so its entries
+        # are normal, subnormal (exponents -708 to -745) and zero
+        mixed = rng.normal(size=(300, 5))
+        mixed[:, 0] = np.linspace(-5.0, 60.0, 300)
+        return X, {"far": far, "mixed": mixed}
+
+    @pytest.mark.parametrize("case", ["far", "mixed"])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_bitwise_unguarded(self, case, subset):
+        X, strips = self.strips()
+        Y = strips[case]
+        dims = np.array([0, 2, 3]) if subset else None
+        ref = rbf_matrix_unguarded(X, Y, 1.0, dims=dims)
+        out = np.empty((X.shape[0], Y.shape[0]))
+        K = rbf_matrix(X, Y, 1.0, dims=dims, out=out)
+        assert K is out
+        np.testing.assert_array_equal(K, ref)
+        if case == "far":
+            assert not ref.any()
+        else:
+            tiny = np.finfo(float).tiny
+            assert (ref >= tiny).any() and (ref == 0.0).any()
+            assert ((ref > 0.0) & (ref < tiny)).any()
 
 
 @st.composite

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 import oracles
 
+from trsvi.experiment import run_experiment
 from trsvi.model import (
     BayesNetConfig,
     ancestral_sample,
     build_snlp,
+    dump_yaml,
     generate_bayes_net,
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    load_yaml,
     problem_from_dict,
     save_problem,
     save_samples_binary,
@@ -64,6 +67,29 @@ def test_same_seed_serializes_byte_identically(tmp_path):
     save_problem(p1, generate_bayes_net(cfg))
     save_problem(p2, generate_bayes_net(cfg))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_python_yaml_agree(tmp_path):
+    """On a real artifact's manifest, metrics and problem spec, libyaml's
+    safe dumper writes the pure-Python dumper's bytes, and `load_yaml`
+    reads back what the pure-Python loader does."""
+    config = {
+        "problem": {"kind": "snlp", "unknowns": 3, "anchors": 2, "seed": 4},
+        "method": [{"name": "tr-svi-kl", "iterations": 2},
+                   {"name": "svn-ctr", "iterations": 2}],
+        "run": {"particles": 6, "seeds": [0, 1], "init_center": 3.0},
+        "output": {"ground_truth": {"samples": 50, "burn_in": 10}},
+    }
+    artifact = run_experiment(config, tmp_path / "run")
+    for name in ("manifest.yaml", "metrics.yaml", "problem.yaml"):
+        text = (artifact / name).read_text()
+        data = yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_yaml(artifact / name) == data
+        pure = yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=False)
+        assert yaml.dump(data, Dumper=yaml.CSafeDumper,
+                         sort_keys=False) == pure == dump_yaml(data) == text
 
 
 def test_csv_round_trip_is_exact(tmp_path):

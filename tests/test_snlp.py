@@ -135,8 +135,26 @@ class TestDensity:
                     if e.i < problem.n_unknowns and e.j < problem.n_unknowns)
         x = problem.true_positions.copy()
         x[edge.j] = x[edge.i]
-        with pytest.raises(SingularityError):
+        i, j = sorted((edge.i, edge.j))
+        with pytest.raises(SingularityError, match=(
+                "coincident positions on a measured edge: particle row 0, "
+                f"edge between sensor {i} and sensor {j}$")):
             small_snlp.gradient(x.reshape(-1))
+
+    def test_singular_anchor_edge_names_row_and_ends(self, small_snlp):
+        """A batch whose third row puts a sensor on an anchor it measures
+        fails naming that row, the sensor and the anchor."""
+        problem = small_snlp.problem
+        s = problem.n_unknowns
+        edge = next(e for e in problem.edges if (e.i < s) != (e.j < s))
+        sensor, anchor = sorted((edge.i, edge.j))
+        X = np.tile(problem.true_positions.reshape(-1), (3, 1))
+        X[2, 2 * sensor:2 * sensor + 2] = problem.position_of(anchor)
+        for method in (small_snlp.gradient_batch, small_snlp.hessian_batch):
+            with pytest.raises(SingularityError, match=(
+                    "coincident positions on a measured edge: particle row 2, "
+                    f"edge between sensor {sensor} and anchor {anchor - s}$")):
+                method(X)
 
     def test_log_density_defined_at_coincidence(self, small_snlp):
         problem = small_snlp.problem
