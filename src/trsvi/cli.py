@@ -13,20 +13,24 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, validate_config
+from .config import ConfigError, check_seed, validate_config
 from .experiment import (
     evaluate_artifact,
     export_marginals,
+    load_config,
     run_experiment,
     write_problem,
 )
-from .model import dump_yaml, load_yaml
+from .model import dump_yaml
 
 
 def _cmd_generate(args) -> int:
-    config = validate_config(load_yaml(args.config))
+    config = validate_config(load_config(args.config))
     if args.seed is not None:
-        config["problem"]["seed"] = args.seed
+        if config["problem"]["kind"] == "file":
+            raise ConfigError("--seed: a problem of kind file is read, not "
+                              "generated, so it takes no seed")
+        config["problem"]["seed"] = check_seed(args.seed, "--seed")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_problem(config, out)

@@ -72,6 +72,11 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def check_seed(value, path: str) -> int:
+    """A seed of numpy's generators, which take integers >= 0."""
+    return _integer(value, path, 0)
+
+
 def _boolean(value, path: str) -> bool:
     _expect(isinstance(value, bool), path, "expected a boolean")
     return value
@@ -155,7 +160,7 @@ def validate_config(raw: dict) -> dict:
         _expect(isinstance(problem.get("path"), str), "problem.path",
                 "expected a path to a problem spec file")
     if kind != "file":
-        _integer(problem.setdefault("seed", 0), "problem.seed")
+        check_seed(problem.setdefault("seed", 0), "problem.seed")
     out["problem"] = problem
 
     kernel = dict(_as_mapping(raw.get("kernel", {}), "kernel"))
@@ -204,7 +209,7 @@ def validate_config(raw: dict) -> dict:
     _expect(isinstance(seeds, list) and seeds, "run.seeds",
             "expected a nonempty list of integers")
     for i, s in enumerate(seeds):
-        _integer(s, f"run.seeds[{i}]")
+        check_seed(s, f"run.seeds[{i}]")
         _expect(s not in seeds[:i], f"run.seeds[{i}]",
                 f"repeats seed {s}; seeds must be distinct")
     center = run.setdefault("init_center", None)
@@ -227,7 +232,7 @@ def validate_config(raw: dict) -> dict:
     output = dict(_as_mapping(raw.get("output", {}), "output"))
     gt = dict(_as_mapping(output.get("ground_truth", {}), "output.ground_truth"))
     _integer(gt.setdefault("samples", 0), "output.ground_truth.samples", 0)
-    _integer(gt.setdefault("seed", 1_000_003), "output.ground_truth.seed")
+    check_seed(gt.setdefault("seed", 1_000_003), "output.ground_truth.seed")
     _positive_number(gt.setdefault("proposal_scale", 0.1),
                      "output.ground_truth.proposal_scale")
     _integer(gt.setdefault("burn_in", 10_000), "output.ground_truth.burn_in", 0)
@@ -241,7 +246,9 @@ def validate_config(raw: dict) -> dict:
     _integer(output.setdefault("mmd_subsample_cap", 20_000),
              "output.mmd_subsample_cap", 1)
     _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed", 0)
-    _boolean(output.setdefault("binary_samples", False), "output.binary_samples")
+    _expect("binary_samples" not in output, "output.binary_samples",
+            "removed; every sample CSV that evaluation reads now has a "
+            "binary twin")
     out["output"] = output
 
     if ls == "median":

@@ -6,9 +6,13 @@ Artifact directory layout:
 
     manifest.yaml            fully resolved config, seeds, derived values
     problem.yaml             generated or copied problem spec
-    ground_truth.csv[/.bin]  reference sample (when requested)
+    ground_truth.csv, .bin   reference sample and its binary twin (when
+                             requested)
     inits/seed_<s>.csv       shared per-seed particle initializations
-    runs/<label>/seed_<s>/   trace.csv and final.csv per method and seed
+    runs/<label>/seed_<s>/   trace.csv, final.csv and final.bin per method
+                             and seed
+    samples.sha256           SHA-256 of every sample CSV evaluate reads and
+                             of its twin, in `sha256sum -c` format
     metrics.yaml             MMD report (when requested)
     timings.csv              wall-clock seconds per run
 
@@ -17,6 +21,10 @@ processes; every file is produced by seeded, fixed-order computation, so
 outputs are byte-identical regardless of the worker count.  The trace CSV
 keeps its wall_ms column empty for the same reason; real timings go to
 timings.csv.
+
+The CSVs are the canonical samples.  Evaluation reads a binary twin in
+place of its CSV only when samples.sha256 lists both files and both still
+match it; otherwise it parses the CSV.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .baselines import ADAGRAD, DECAYED, StepSchedule, mp_svgd_step, svgd_step
 from .config import (
     ConfigError,
     bundled_defaults,
+    check_seed,
     manifest_fields,
     resolve_method_defaults,
     validate_config,
@@ -59,12 +68,15 @@ from .model import (
     dump_yaml,
     generate_bayes_net,
     load_problem,
-    load_samples_binary,
     load_samples_csv,
+    load_verified_twin,
     load_yaml,
+    read_sample_index,
     save_problem,
     save_samples_binary,
     save_samples_csv,
+    twin_path,
+    write_sample_index,
 )
 from .stein import ParticleSet, global_context
 from .trustregion import (ConstantRadius, IterationRecord, RunTrace,
@@ -172,11 +184,15 @@ def write_problem(config: dict, out: Path):
     if gt_cfg["samples"] == 0:
         return problem, model, None
     ground_truth = ground_truth_sample(problem, gt_cfg)
-    save_samples_csv(out / "ground_truth.csv", ground_truth,
-                     model.dimension_names())
-    if config["output"]["binary_samples"]:
-        save_samples_binary(out / "ground_truth.bin", ground_truth)
+    save_samples_with_twin(out / "ground_truth.csv", ground_truth,
+                           model.dimension_names())
     return problem, model, ground_truth
+
+
+def save_samples_with_twin(path: Path, samples: np.ndarray, names) -> None:
+    """A sample CSV that evaluation reads, and its binary twin beside it."""
+    save_samples_csv(path, samples, names)
+    save_samples_binary(twin_path(path), samples)
 
 
 def _format_cell(value) -> str:
@@ -258,10 +274,8 @@ def _run_task(payload: dict) -> dict:
     run_dir = Path(payload["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(run_dir / "trace.csv", trace)
-    save_samples_csv(run_dir / "final.csv", final.positions,
-                     model.dimension_names())
-    if payload["binary"]:
-        save_samples_binary(run_dir / "final.bin", final.positions)
+    save_samples_with_twin(run_dir / "final.csv", final.positions,
+                           model.dimension_names())
     return {
         "label": payload["method"]["label"],
         "seed": payload["seed"],
@@ -285,10 +299,10 @@ def run_experiment(config, output_dir, seed_override: int | None = None,
                    workers: int = 1) -> Path:
     """Run a full configured experiment into a fresh artifact directory."""
     if not isinstance(config, dict):
-        config = load_yaml(config)
+        config = load_config(config)
     config = validate_config(config)
     if seed_override is not None:
-        config["run"]["seeds"] = [int(seed_override)]
+        config["run"]["seeds"] = [check_seed(int(seed_override), "--seed")]
 
     out = Path(output_dir)
     if out.exists() and any(out.iterdir()):
@@ -363,7 +377,6 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
             "run": config["run"],
             "seed": seed,
             "run_dir": str(out / "runs" / method["label"] / f"seed_{seed}"),
-            "binary": config["output"]["binary_samples"],
         }
         for method in config["method"]
         for seed in config["run"]["seeds"]
@@ -381,12 +394,24 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
             writer.writerow([r["label"], r["seed"], r["iterations"],
                              repr(float(r["wall_s"]))])
 
+    sample_csvs = [Path(task["run_dir"]) / "final.csv" for task in tasks]
+    if ground_truth is not None:
+        sample_csvs.append(out / "ground_truth.csv")
+    write_sample_index(out, [path for csv_path in sample_csvs
+                             for path in (csv_path, twin_path(csv_path))])
+
     if config["output"]["mmd"]:
         evaluate_artifact(out)
     return out
 
 
-def _read_artifact_file(path: Path, read):
+def load_config(path):
+    """The config document in the file at `path`; a missing file or one that
+    is not valid YAML is a one-line ConfigError naming it."""
+    return _read_file(Path(path), load_yaml)
+
+
+def _read_file(path: Path, read):
     """read(path), with a missing or malformed file raised as a one-line
     ConfigError naming it."""
     try:
@@ -397,8 +422,12 @@ def _read_artifact_file(path: Path, read):
         raise ConfigError(f"{path}: not valid YAML: "
                           + " ".join(str(exc).split())) from None
     except ValueError as exc:
-        # the sample loaders' messages already name the path
-        raise ConfigError(str(exc)) from None
+        # the sample loaders' messages name the path; a decoding error's
+        # does not
+        message = str(exc)
+        if str(path) not in message:
+            message = f"{path}: {message}"
+        raise ConfigError(message) from None
 
 
 def evaluate_artifact(artifact_dir) -> dict:
@@ -406,19 +435,23 @@ def evaluate_artifact(artifact_dir) -> dict:
     out = Path(artifact_dir)
     manifest = out / "manifest.yaml"
     cap, mmd_seed, labels, seeds = manifest_fields(
-        _read_artifact_file(manifest, load_yaml),
+        _read_file(manifest, load_yaml),
         manifest)
-    if (out / "ground_truth.bin").exists():
-        truth_path = out / "ground_truth.bin"
-        ground_truth = _read_artifact_file(truth_path, load_samples_binary)
-    elif (out / "ground_truth.csv").exists():
-        truth_path = out / "ground_truth.csv"
-        ground_truth, _ = _read_artifact_file(truth_path, load_samples_csv)
-    else:
+    index = read_sample_index(out)
+
+    def read_samples(path: Path) -> np.ndarray:
+        twin = load_verified_twin(out, path.relative_to(out).as_posix(), index)
+        if twin is not None:
+            return twin
+        return _read_file(path, load_samples_csv)[0]
+
+    truth_path = out / "ground_truth.csv"
+    if not truth_path.exists():
         raise ConfigError(
             f"artifact {out} has no ground-truth sample; rerun with "
             "output.ground_truth.samples >= 2 to enable evaluation"
         )
+    ground_truth = read_samples(truth_path)
     if ground_truth.shape[0] < 2:
         raise ConfigError(f"{truth_path}: {ground_truth.shape[0]} row(s); the "
                           "MMD kernel's median heuristic needs at least two")
@@ -442,7 +475,7 @@ def evaluate_artifact(artifact_dir) -> dict:
         values = []
         for seed in seeds:
             path = out / "runs" / label / f"seed_{seed}" / "final.csv"
-            final, _ = _read_artifact_file(path, load_samples_csv)
+            final = read_samples(path)
             if final.shape[1] != ground_truth.shape[1]:
                 raise ConfigError(f"{path}: {final.shape[1]} columns, the "
                                   f"ground truth has {ground_truth.shape[1]}")

@@ -16,16 +16,21 @@ from .layout import (
     TargetModel,
 )
 from .serialization import (
+    SAMPLE_INDEX,
     dump_yaml,
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    load_verified_twin,
     load_yaml,
     problem_from_dict,
     problem_to_dict,
+    read_sample_index,
     save_problem,
     save_samples_binary,
     save_samples_csv,
+    twin_path,
+    write_sample_index,
 )
 from .snlp import SnlpConfig, SnlpEdge, SnlpModel, SnlpProblem, build_snlp, snlp_layout
 
@@ -35,6 +40,7 @@ __all__ = [
     "BayesNetSpec",
     "BayesNode",
     "FactorLayout",
+    "SAMPLE_INDEX",
     "SingularityError",
     "SnlpConfig",
     "SnlpEdge",
@@ -49,11 +55,15 @@ __all__ = [
     "load_problem",
     "load_samples_binary",
     "load_samples_csv",
+    "load_verified_twin",
     "load_yaml",
     "problem_from_dict",
     "problem_to_dict",
+    "read_sample_index",
     "save_problem",
     "save_samples_binary",
     "save_samples_csv",
+    "twin_path",
+    "write_sample_index",
     "snlp_layout",
 ]

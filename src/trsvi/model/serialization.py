@@ -3,17 +3,22 @@
 Problem specs are YAML trees with a schema_version field.  Samples go to CSV
 (one row per draw, header = dimension names) or to a packed binary layout:
 two little-endian int64 counts (rows, cols) followed by row-major
-little-endian float64 values.  Every YAML document the package reads or
-writes (configs, problem specs, manifests, metrics) goes through
-`load_yaml` and `dump_yaml`.
+little-endian float64 values.  A sample index lists SHA-256 digests of
+sample files in the format `sha256sum -c` checks, so that a binary twin
+written beside a CSV can stand in for it while both still match the index.
+Every YAML document the package reads or writes (configs, problem specs,
+manifests, metrics) goes through `load_yaml` and `dump_yaml`.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
+import re
 import warnings
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +29,13 @@ from .snlp import SnlpEdge, SnlpProblem
 
 SCHEMA_VERSION = 1
 _HEADER_BYTES = 16
+SAMPLE_INDEX = "samples.sha256"
+# `<digest>  <path>` or `<digest> *<path>`, with a leading backslash when
+# sha256sum escaped a backslash, line feed or carriage return in the path
+_INDEX_LINE = re.compile(r"(\\?)([0-9a-f]{64}) [ *](.+)")
+_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {v: k for k, v in _ESCAPES.items()}
+_ESCAPE, _UNESCAPE = re.compile(r"[\\\n\r]"), re.compile(r"\\[\\nr]")
 
 # libyaml's safe loader and dumper when PyYAML was built with it: the same
 # documents and bytes as the pure-Python classes, several times faster
@@ -121,15 +133,24 @@ def load_problem(path):
 def save_samples_csv(path, samples: np.ndarray, names: list[str]) -> None:
     """One header row of names, then one row per sample of repr() values,
     each line ended by CR LF as csv.writer ends it."""
-    samples = np.asarray(samples, dtype=float)
+    samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != len(names):
         raise ValueError("samples must be (rows, len(names))")
+    # a row whose bits repeat the previous row's (a rejected Metropolis
+    # step) repeats its line; bits, unlike float ==, tell 0.0 from -0.0.
+    # The fresh rows are picked from the list, not copied as an array:
+    # freeing a copy that large raised the peak RSS of later runs.
+    bits = samples.view(np.uint64)
+    fresh = np.ones(len(samples), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    repeats = np.diff(np.append(np.flatnonzero(fresh), len(samples)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
         # repr of a float never holds a comma, quote or line break, so the
         # body needs no csv quoting
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in samples.tolist())
+        fh.writelines((",".join(map(repr, row)) + "\r\n") * count
+                      for row, count in zip(compress(samples.tolist(), fresh),
+                                            repeats.tolist()))
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -190,12 +211,19 @@ def load_samples_binary(path) -> np.ndarray:
     """Samples from the packed binary layout; a short header, a negative
     count or a payload that is not exactly rows * cols values raises a
     ValueError naming the path."""
-    size = os.path.getsize(path)
-    if size < _HEADER_BYTES:
-        raise ValueError(f"{path}: {size} bytes is shorter than the "
-                         f"{_HEADER_BYTES}-byte (rows, cols) header")
+    return _read_binary(path)[0]
+
+
+def _read_binary(path) -> tuple[np.ndarray, str]:
+    """load_samples_binary's samples and the SHA-256 hex digest of the
+    file's bytes, read once."""
     with open(path, "rb") as fh:
-        rows, cols = (int(v) for v in np.fromfile(fh, dtype="<i8", count=2))
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES:
+            raise ValueError(f"{path}: {size} bytes is shorter than the "
+                             f"{_HEADER_BYTES}-byte (rows, cols) header")
+        rows, cols = (int(v) for v in np.frombuffer(header, dtype="<i8"))
         if rows < 0 or cols < 0:
             raise ValueError(f"{path}: negative shape ({rows}, {cols})")
         need, payload = 8 * rows * cols, size - _HEADER_BYTES
@@ -203,5 +231,72 @@ def load_samples_binary(path) -> np.ndarray:
             defect = "truncated" if payload < need else "trailing bytes"
             raise ValueError(f"{path}: {defect}: shape ({rows}, {cols}) needs "
                              f"{need} payload bytes, file has {payload}")
-        data = np.fromfile(fh, dtype="<f8", count=rows * cols)
-    return data.reshape(rows, cols)
+        data = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(data) != need:
+            raise ValueError(f"{path}: truncated while reading")
+    digest = hashlib.sha256(header)
+    digest.update(data)
+    return data, digest.hexdigest()
+
+
+def twin_path(csv_path) -> Path:
+    """The binary twin written beside a sample CSV."""
+    return Path(csv_path).with_suffix(".bin")
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def write_sample_index(root, paths) -> None:
+    """Write `root/samples.sha256`: one `<sha256 hex>  <path>` line for each
+    of `paths` (files under `root`), the path posix and relative to `root`,
+    lines sorted by path, escaped as sha256sum escapes them, so that
+    `sha256sum -c samples.sha256` run in `root` checks every file."""
+    root = Path(root)
+    lines = []
+    for rel in sorted(Path(p).relative_to(root).as_posix() for p in paths):
+        escaped = _ESCAPE.sub(lambda m: _ESCAPES[m[0]], rel)
+        flag = "\\" if escaped != rel else ""
+        lines.append(f"{flag}{_sha256(root / rel)}  {escaped}\n")
+    (root / SAMPLE_INDEX).write_bytes(os.fsencode("".join(lines)))
+
+
+def read_sample_index(root) -> dict[str, str | None]:
+    """Posix path relative to `root` -> SHA-256 hex digest, from
+    `root/samples.sha256`; empty when the index is missing or unreadable.
+    Lines that are no digest entry are skipped, and a path listed with two
+    different digests maps to None."""
+    try:
+        text = os.fsdecode((Path(root) / SAMPLE_INDEX).read_bytes())
+    except (OSError, ValueError):
+        return {}
+    index = {}
+    for line in text.split("\n"):
+        match = _INDEX_LINE.fullmatch(line)
+        if match is None:
+            continue
+        escaped, digest, rel = match.groups()
+        if escaped:
+            rel = _UNESCAPE.sub(lambda m: _UNESCAPES[m[0]], rel)
+        index[rel] = digest if index.get(rel, digest) == digest else None
+    return index
+
+
+def load_verified_twin(root, csv_rel: str, index: dict) -> np.ndarray | None:
+    """The samples of the twin of `root/csv_rel` when `index` lists both
+    files and both digests match the bytes on disk, else None; never raises
+    for a missing, unreadable or damaged file."""
+    twin_rel = twin_path(csv_rel).as_posix()
+    want_csv, want_twin = index.get(csv_rel), index.get(twin_rel)
+    if want_csv is None or want_twin is None:
+        return None
+    root = Path(root)
+    try:
+        if _sha256(root / csv_rel) != want_csv:
+            return None
+        samples, digest = _read_binary(root / twin_rel)
+    except (OSError, ValueError):
+        return None
+    return samples if digest == want_twin else None

@@ -203,6 +203,14 @@ def csv_writer_save_samples(path, samples: np.ndarray, names) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def repr_rows_save_samples(path, samples: np.ndarray, names) -> None:
+    """Sample CSV whose body is one joined line of repr() values per row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(names)
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.asarray(samples, dtype=float).tolist())
+
+
 def csv_reader_load_samples(path) -> tuple[np.ndarray, list[str]]:
     """Sample CSV read one csv.reader row at a time with float()."""
     with open(path, newline="") as fh:

@@ -388,7 +388,7 @@ def test_criterion_9_determinism_across_worker_counts(criterion7_artifact,
     for method in CRITERION7_CONFIG["method"]:
         label = method["label"] if "label" in method else method["name"]
         for seed in CRITERION7_CONFIG["run"]["seeds"]:
-            for name in ("trace.csv", "final.csv"):
+            for name in ("trace.csv", "final.csv", "final.bin"):
                 a = artifact / "runs" / label / f"seed_{seed}" / name
                 b = rerun / "runs" / label / f"seed_{seed}" / name
                 assert a.read_bytes() == b.read_bytes(), f"{label}/{seed}/{name}"
@@ -397,6 +397,9 @@ def test_criterion_9_determinism_across_worker_counts(criterion7_artifact,
         a = artifact / "inits" / f"seed_{seed}.csv"
         b = rerun / "inits" / f"seed_{seed}.csv"
         assert a.read_bytes() == b.read_bytes()
+        compared += 1
+    for name in ("ground_truth.csv", "ground_truth.bin", "samples.sha256"):
+        assert (artifact / name).read_bytes() == (rerun / name).read_bytes()
         compared += 1
     _report(9, f"{compared} files byte-identical between 2-worker and "
                f"1-worker runs")

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,8 +22,20 @@ from trsvi.config import (
     resolve_method_defaults,
     validate_config,
 )
-from trsvi.experiment import TRACE_COLUMNS, export_marginals, run_experiment
-from trsvi.model import load_problem, load_samples_csv, save_samples_csv
+from trsvi import experiment
+from trsvi.experiment import (
+    TRACE_COLUMNS,
+    evaluate_artifact,
+    export_marginals,
+    run_experiment,
+)
+from trsvi.model import (
+    SAMPLE_INDEX,
+    load_problem,
+    load_samples_binary,
+    load_samples_csv,
+    save_samples_csv,
+)
 from trsvi.trustregion import IterationRecord
 
 
@@ -107,6 +121,9 @@ class TestConfigValidation:
         ("output", "mmd_subsample_cap", "x"), ("run", "particles", 2.5),
         ("run", "particles", True), ("problem", "mean_range", ["a", "b"]),
         ("output", "mmd_seed", -1),
+        # numpy's generators take no negative seed
+        ("problem", "seed", -1), ("run", "seeds", [0, -1]),
+        ("output", "ground_truth", {"samples": 400, "seed": -5}),
         # MMD is on, and its median heuristic needs two ground-truth rows
         ("output", "ground_truth", {"samples": 1}),
     ])
@@ -179,6 +196,14 @@ class TestConfigValidation:
         assert validated["output"]["mmd_subsample_cap"] == 20_000
         assert validated["run"]["particles"] == 12
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_removed_binary_samples_knob_named(self, value):
+        cfg = tiny_config()
+        cfg["output"]["binary_samples"] = value
+        with pytest.raises(ConfigError, match=r"^output\.binary_samples: "
+                                              r"removed"):
+            validate_config(cfg)
+
 
 def full_config(kind):
     """A valid config with every field spelled out: floats for real-valued
@@ -212,8 +237,7 @@ def full_config(kind):
         "output": {"ground_truth": {"samples": 400, "seed": 1,
                                     "proposal_scale": 0.1, "burn_in": 10,
                                     "thinning": 2},
-                   "mmd": True, "mmd_subsample_cap": 100, "mmd_seed": 0,
-                   "binary_samples": False},
+                   "mmd": True, "mmd_subsample_cap": 100, "mmd_seed": 0},
     }
 
 
@@ -381,23 +405,192 @@ class TestRunExperiment:
         assert (rerun / "problem.yaml").read_bytes() == \
             (artifact / "problem.yaml").read_bytes()
 
-    def test_binary_ground_truth_used_when_present(self, tmp_path):
-        cfg = tiny_config()
-        cfg["output"]["binary_samples"] = True
-        artifact = run_experiment(cfg, tmp_path / "bin")
-        assert (artifact / "ground_truth.bin").exists()
-        metrics = yaml.safe_load((artifact / "metrics.yaml").read_text())
-        assert set(metrics["methods"]) == {"tr-svi-at", "mp-svgd-dlr"}
+    def test_negative_seed_override_named(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^--seed: must be >= 0$"):
+            run_experiment(tiny_config(), tmp_path / "neg", seed_override=-1)
+        assert not (tmp_path / "neg").exists()
 
     def test_worker_count_does_not_change_bytes(self, artifact, tmp_path):
         parallel = run_experiment(tiny_config(), tmp_path / "parallel",
                                   workers=3)
         for label in ("tr-svi-at", "mp-svgd-dlr"):
             for seed in (0, 1):
-                for name in ("trace.csv", "final.csv"):
+                for name in ("trace.csv", "final.csv", "final.bin"):
                     a = artifact / "runs" / label / f"seed_{seed}" / name
                     b = parallel / "runs" / label / f"seed_{seed}" / name
                     assert a.read_bytes() == b.read_bytes()
+        for name in ("ground_truth.csv", "ground_truth.bin", "samples.sha256"):
+            assert (artifact / name).read_bytes() == \
+                (parallel / name).read_bytes()
+
+
+def snlp_twin_config():
+    """A small SNLP experiment whose Metropolis ground truth repeats rows."""
+    return {
+        "problem": {"kind": "snlp", "unknowns": 4, "anchors": 2, "seed": 3},
+        "kernel": {"lengthscale": 1.0},
+        "method": [{"name": "tr-svi-at", "iterations": 3},
+                   {"name": "svgd", "iterations": 4, "step": 0.05}],
+        "run": {"particles": 10, "seeds": [0, 1]},
+        "output": {"ground_truth": {"samples": 300, "burn_in": 10,
+                                    "thinning": 2}},
+    }
+
+
+@pytest.fixture(scope="module")
+def snlp_artifact(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts") / "snlp"
+    return run_experiment(snlp_twin_config(), out)
+
+
+def _sample_csvs(artifact):
+    """Posix paths, relative to the artifact, of the CSVs evaluate reads."""
+    runs = artifact.glob("runs/*/seed_*/final.csv")
+    return ["ground_truth.csv"] + sorted(
+        path.relative_to(artifact).as_posix() for path in runs)
+
+
+def _evaluate_copy(artifact, dest, monkeypatch, *edits):
+    """metrics.yaml of `evaluate_artifact` on a copy of the artifact made
+    with each of `edits` applied, and the CSVs it parsed, relative posix
+    paths in the order read."""
+    copy = shutil.copytree(artifact, dest)
+    (copy / "metrics.yaml").unlink()
+    for edit in edits:
+        edit(copy)
+    parsed = []
+
+    def spy(path):
+        parsed.append(Path(path).relative_to(copy).as_posix())
+        return load_samples_csv(path)
+
+    monkeypatch.setattr(experiment, "load_samples_csv", spy)
+    evaluate_artifact(copy)
+    return (copy / "metrics.yaml").read_bytes(), parsed
+
+
+def _drop_index(copy):
+    (copy / SAMPLE_INDEX).unlink()
+
+
+class TestSampleTwins:
+    """`trsvi evaluate` reads a binary twin instead of its CSV only while
+    samples.sha256 vouches for both; the CSV path is the oracle."""
+
+    @pytest.fixture(params=["bayes_net", "snlp"])
+    def any_artifact(self, request, artifact, snlp_artifact):
+        return artifact if request.param == "bayes_net" else snlp_artifact
+
+    def test_twins_hold_the_csv_values(self, any_artifact):
+        for rel in _sample_csvs(any_artifact):
+            samples, _ = load_samples_csv(any_artifact / rel)
+            twin = load_samples_binary(any_artifact / (rel[:-4] + ".bin"))
+            assert twin.tobytes() == samples.tobytes(), rel
+
+    def test_snlp_ground_truth_repeats_rows(self, snlp_artifact):
+        truth, _ = load_samples_csv(snlp_artifact / "ground_truth.csv")
+        assert (truth[1:] == truth[:-1]).all(axis=1).sum() > 10
+
+    def test_twin_metrics_are_the_csv_metrics(self, any_artifact, tmp_path,
+                                             monkeypatch):
+        twins, parsed = _evaluate_copy(any_artifact, tmp_path / "twin",
+                                       monkeypatch)
+        assert parsed == []
+        csvs, parsed = _evaluate_copy(any_artifact, tmp_path / "csv",
+                                      monkeypatch, _drop_index)
+        assert sorted(parsed) == _sample_csvs(any_artifact)
+        assert twins == csvs == (any_artifact / "metrics.yaml").read_bytes()
+
+    def test_edited_csv_wins_over_its_twin(self, artifact, tmp_path,
+                                           monkeypatch):
+        rel = "runs/mp-svgd-dlr/seed_1/final.csv"
+
+        def edit(copy):
+            samples, names = load_samples_csv(copy / rel)
+            samples[0, 0] += 1.0
+            save_samples_csv(copy / rel, samples, names)
+
+        edited, parsed = _evaluate_copy(artifact, tmp_path / "edited",
+                                        monkeypatch, edit)
+        assert parsed == [rel]
+        oracle, _ = _evaluate_copy(artifact, tmp_path / "oracle", monkeypatch,
+                                   edit, _drop_index)
+        assert edited == oracle
+        before = yaml.safe_load((artifact / "metrics.yaml").read_text())
+        after = yaml.safe_load(edited)
+        assert after["methods"]["tr-svi-at"] == before["methods"]["tr-svi-at"]
+        old, new = (m["methods"]["mp-svgd-dlr"]["per_seed"]
+                    for m in (before, after))
+        assert new[0] == old[0] and new[1] != old[1]
+
+    @pytest.mark.parametrize("defect, parsed_csvs", [
+        ("truncated ground-truth twin", ["ground_truth.csv"]),
+        ("missing twin", ["runs/tr-svi-at/seed_0/final.csv"]),
+        ("twin of another run", ["runs/tr-svi-at/seed_0/final.csv"]),
+        ("damaged index line", ["ground_truth.csv"]),
+        ("missing index", "all"),
+    ])
+    def test_unverified_twin_falls_back_to_its_csv(self, artifact, tmp_path,
+                                                   monkeypatch, defect,
+                                                   parsed_csvs):
+        def edit(copy):
+            run = copy / "runs" / "tr-svi-at"
+            if defect == "truncated ground-truth twin":
+                twin = copy / "ground_truth.bin"
+                twin.write_bytes(twin.read_bytes()[:-8])
+            elif defect == "missing twin":
+                (run / "seed_0" / "final.bin").unlink()
+            elif defect == "twin of another run":
+                shutil.copy(run / "seed_1" / "final.bin",
+                            run / "seed_0" / "final.bin")
+            elif defect == "damaged index line":
+                index = copy / SAMPLE_INDEX
+                index.write_text(index.read_text().replace(
+                    "  ground_truth.bin", " ground_truth.bin"))
+            else:
+                _drop_index(copy)
+
+        metrics, parsed = _evaluate_copy(artifact, tmp_path / "defect",
+                                         monkeypatch, edit)
+        if parsed_csvs == "all":
+            parsed_csvs = _sample_csvs(artifact)
+        assert sorted(parsed) == parsed_csvs
+        assert metrics == (artifact / "metrics.yaml").read_bytes()
+
+    def test_missing_csv_named_beside_its_twin(self, artifact, tmp_path,
+                                               capsys):
+        copy = shutil.copytree(artifact, tmp_path / "art")
+        path = copy / "runs" / "tr-svi-at" / "seed_0" / "final.csv"
+        path.unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--artifact", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+
+    def test_index_checks_as_sha256sum_does(self, artifact):
+        text = (artifact / SAMPLE_INDEX).read_text()
+        assert text.endswith("\n")
+        entries = [re.fullmatch(r"([0-9a-f]{64})  (\S.*)", line).groups()
+                   for line in text.splitlines()]
+        paths = [rel for _, rel in entries]
+        assert paths == sorted(
+            twin for rel in _sample_csvs(artifact)
+            for twin in (rel, rel[:-4] + ".bin"))
+        for digest, rel in entries:
+            assert hashlib.sha256((artifact / rel).read_bytes()).hexdigest() \
+                == digest, rel
+        if shutil.which("sha256sum"):
+            done = subprocess.run(["sha256sum", "--check", "--strict",
+                                   SAMPLE_INDEX], cwd=artifact,
+                                  capture_output=True)
+            assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_index_written_without_mmd(self, tmp_path):
+        cfg = tiny_config()
+        cfg["output"]["mmd"] = False
+        artifact = run_experiment(cfg, tmp_path / "nommd")
+        assert not (artifact / "metrics.yaml").exists()
+        assert len((artifact / SAMPLE_INDEX).read_text().splitlines()) == 10
 
 
 def blas_thread_config():
@@ -569,7 +762,7 @@ class TestCliVerbs:
         cfg = full_config(kind)
         cfg["method"] = cfg["method"][:1]
         cfg["run"] = {"particles": 4, "seeds": [0]}
-        cfg["output"].update(mmd=False, binary_samples=True)
+        cfg["output"]["mmd"] = False
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["generate", "--config", str(path),
@@ -668,6 +861,46 @@ class TestCliVerbs:
         assert rc == 2
         assert err.count("\n") == 1 and named in err
         assert not (copy / "metrics.yaml").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "generate"])
+    @pytest.mark.parametrize("content", [b"problem: {kind: snlp\n",
+                                         b"\xff\xfe", None])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, verb,
+                                       content):
+        """A config that is not valid YAML, not UTF-8 or missing gives exit
+        status 2 and one config error line naming the file."""
+        bad = tmp_path / "bad.yaml"
+        if content is not None:
+            bad.write_bytes(content)
+        rc = main([verb, "--config", str(bad),
+                   "--output-dir", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {bad}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "generate"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, verb):
+        rc = main([verb, "--config", str(self._write_config(tmp_path)),
+                   "--output-dir", str(tmp_path / "x"), "--seed", "-1"])
+        assert rc == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_generate_seed_rejected_for_file_problem(self, artifact,
+                                                     tmp_path, capsys):
+        cfg = {"problem": {"kind": "file",
+                           "path": str(artifact / "problem.yaml")},
+               "method": {"name": "svgd"}}
+        path = tmp_path / "file.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        argv = ["generate", "--config", str(path), "--output-dir",
+                str(tmp_path / "gen")]
+        assert main(argv + ["--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --seed: ")
+        assert not (tmp_path / "gen").exists()
+        assert main(argv) == 0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

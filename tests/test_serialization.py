@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import oracles
 
 from trsvi.experiment import run_experiment
 from trsvi.model import (
+    SAMPLE_INDEX,
     BayesNetConfig,
     ancestral_sample,
     build_snlp,
@@ -18,11 +22,14 @@ from trsvi.model import (
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    load_verified_twin,
     load_yaml,
     problem_from_dict,
+    read_sample_index,
     save_problem,
     save_samples_binary,
     save_samples_csv,
+    write_sample_index,
 )
 from trsvi.model.snlp import SnlpConfig
 
@@ -268,3 +275,111 @@ def test_csv_blank_line_rejected(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_bytes(b"x0,x1\r\n1.0,2.0\r\n\r\n3.0,4.0\r\n")
     _raises_naming(path, load_samples_csv, "data row 2")
+
+
+# rows a Metropolis ground truth repeats, and rows float == would confuse:
+# 0.0 against -0.0, NaN against itself and NaNs of other sign or payload
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001]
+POOL_ROWS = [[0.0, 1.5], [-0.0, 1.5], [0.0, -0.0], [1.5, 0.0]] + [
+    [np.uint64(bits).view(float), 2.0] for bits in NAN_BITS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(picks=st.lists(st.integers(0, len(POOL_ROWS) - 1), max_size=12))
+def test_repeated_rows_written_as_the_repr_oracle(tmp_path_factory, picks):
+    samples = np.array([POOL_ROWS[k] for k in picks], dtype=float).reshape(
+        len(picks), 2)
+    folder = tmp_path_factory.mktemp("csv")
+    new, old = folder / "new.csv", folder / "old.csv"
+    save_samples_csv(new, samples, ["a", "b"])
+    oracles.repr_rows_save_samples(old, samples, ["a", "b"])
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_repeated_rows_keep_zero_signs_and_nans(tmp_path):
+    samples = np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0],
+                        [np.nan, 1.0], [-0.0, 1.0]])
+    path = tmp_path / "rows.csv"
+    save_samples_csv(path, samples, ["a", "b"])
+    assert path.read_bytes().split(b"\r\n")[1:-1] == [
+        b"0.0,1.0", b"0.0,1.0", b"-0.0,1.0", b"nan,1.0", b"nan,1.0",
+        b"-0.0,1.0"]
+
+
+# -- sample index and verified twins ----------------------------------------
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sample_index_escapes_paths_as_sha256sum_does(tmp_path):
+    names = ["plain.csv", "back\\slash.csv", "line\nfeed.csv",
+             "carriage\rreturn.csv", "sub/deep.bin"]
+    (tmp_path / "sub").mkdir()
+    for k, name in enumerate(names):
+        (tmp_path / name).write_bytes(bytes([k]) * (k + 1))
+    write_sample_index(tmp_path, [tmp_path / name for name in names])
+    lines = (tmp_path / SAMPLE_INDEX).read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == len(names) + 1
+    assert sum(line.startswith(b"\\") for line in lines) == 3
+    assert read_sample_index(tmp_path) == {
+        name: _digest(tmp_path / name) for name in names}
+    if shutil.which("sha256sum"):
+        done = subprocess.run(["sha256sum", "--check", "--strict",
+                               SAMPLE_INDEX], cwd=tmp_path,
+                              capture_output=True)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_sample_index_reader_skips_and_distrusts(tmp_path):
+    a, b, c = "a" * 64, "b" * 64, "c" * 64
+    (tmp_path / SAMPLE_INDEX).write_text(
+        f"{a}  x.csv\n{b} *x.bin\nnot an entry\n{a.upper()}  y.csv\n"
+        f"{a}  z.csv\n{c}  z.csv\n{b}  x.bin\n\n")
+    assert read_sample_index(tmp_path) == {"x.csv": a, "x.bin": b,
+                                           "z.csv": None}
+    assert read_sample_index(tmp_path / "nowhere") == {}
+
+
+def _twin_case(tmp_path, defect):
+    samples = np.arange(12.0).reshape(4, 3)
+    csv_path, twin = tmp_path / "s.csv", tmp_path / "s.bin"
+    save_samples_csv(csv_path, samples, ["a", "b", "c"])
+    save_samples_binary(twin, samples)
+    write_sample_index(tmp_path, [csv_path, twin])
+    if defect == "edited csv":
+        save_samples_csv(csv_path, samples + 1.0, ["a", "b", "c"])
+    elif defect == "truncated twin":
+        twin.write_bytes(twin.read_bytes()[:-8])
+    elif defect == "trailing bytes":
+        twin.write_bytes(twin.read_bytes() + bytes(8))
+    elif defect == "missing twin":
+        twin.unlink()
+    elif defect == "twin is a folder":
+        twin.unlink()
+        twin.mkdir()
+    elif defect == "missing csv":
+        csv_path.unlink()
+    elif defect == "twin of other values":
+        save_samples_binary(twin, samples + 1.0)
+    elif defect == "index lists only the csv":
+        (tmp_path / SAMPLE_INDEX).write_text(
+            f"{_digest(csv_path)}  s.csv\n")
+    elif defect == "missing index":
+        (tmp_path / SAMPLE_INDEX).unlink()
+    return samples, load_verified_twin(tmp_path, "s.csv",
+                                       read_sample_index(tmp_path))
+
+
+def test_verified_twin_read_when_both_digests_match(tmp_path):
+    samples, twin = _twin_case(tmp_path, None)
+    assert twin.dtype == np.float64 and twin.flags.writeable
+    assert twin.tobytes() == samples.tobytes()
+
+
+@pytest.mark.parametrize("defect", [
+    "edited csv", "truncated twin", "trailing bytes", "missing twin",
+    "twin is a folder", "missing csv", "twin of other values",
+    "index lists only the csv", "missing index"])
+def test_unverified_twin_is_not_read(tmp_path, defect):
+    assert _twin_case(tmp_path, defect)[1] is None
