@@ -121,11 +121,11 @@ class TestConfigValidation:
         ("output", "mmd_subsample_cap", "x"), ("run", "particles", 2.5),
         ("run", "particles", True), ("problem", "mean_range", ["a", "b"]),
         ("output", "mmd_seed", -1),
+        # MMD is on, and its median heuristic needs two ground-truth rows
+        ("output", "ground_truth", {"samples": 1}),
         # numpy's generators take no negative seed
         ("problem", "seed", -1), ("run", "seeds", [0, -1]),
         ("output", "ground_truth", {"samples": 400, "seed": -5}),
-        # MMD is on, and its median heuristic needs two ground-truth rows
-        ("output", "ground_truth", {"samples": 1}),
     ])
     def test_wrong_types_name_the_field(self, section, key, value):
         cfg = tiny_config()
