@@ -245,7 +245,7 @@ def validate_config(raw: dict) -> dict:
             "output.ground_truth.samples", "must be >= 2 with output.mmd on")
     _integer(output.setdefault("mmd_subsample_cap", 20_000),
              "output.mmd_subsample_cap", 1)
-    _integer(output.setdefault("mmd_seed", 0), "output.mmd_seed", 0)
+    check_seed(output.setdefault("mmd_seed", 0), "output.mmd_seed")
     _expect("binary_samples" not in output, "output.binary_samples",
             "removed; every sample CSV that evaluation reads now has a "
             "binary twin")
@@ -274,7 +274,7 @@ def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
 
     cap = _integer(field("output.mmd_subsample_cap"),
                    f"{path}: output.mmd_subsample_cap", 1)
-    mmd_seed = _integer(field("output.mmd_seed"), f"{path}: output.mmd_seed", 0)
+    mmd_seed = check_seed(field("output.mmd_seed"), f"{path}: output.mmd_seed")
     methods = field("method")
     _expect(isinstance(methods, list), f"{path}: method", "expected a list")
     for i, method in enumerate(methods):
@@ -283,7 +283,7 @@ def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
     seeds = field("run.seeds")
     _expect(isinstance(seeds, list), f"{path}: run.seeds", "expected a list")
     for i, seed in enumerate(seeds):
-        _integer(seed, f"{path}: run.seeds[{i}]")
+        check_seed(seed, f"{path}: run.seeds[{i}]")
     return cap, mmd_seed, [m["label"] for m in methods], seeds
 
 

@@ -30,9 +30,9 @@ from .snlp import SnlpEdge, SnlpProblem
 SCHEMA_VERSION = 1
 _HEADER_BYTES = 16
 SAMPLE_INDEX = "samples.sha256"
-# `<digest>  <path>` or `<digest> *<path>`, with a leading backslash when
-# sha256sum escaped a backslash, line feed or carriage return in the path
-_INDEX_LINE = re.compile(r"(\\?)([0-9a-f]{64}) [ *](.+)")
+# `<digest>  <path>`, with a leading backslash when a backslash, line feed
+# or carriage return in the path is escaped as sha256sum escapes it
+_INDEX_LINE = re.compile(r"(\\?)([0-9a-f]{64})  (.+)")
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
 _ESCAPE, _UNESCAPE = re.compile(r"[\\\n\r]"), re.compile(r"\\[\\nr]")
@@ -245,8 +245,13 @@ def twin_path(csv_path) -> Path:
 
 
 def _sha256(path) -> str:
+    # read through one small buffer, as hashlib.file_digest (3.11+) does
+    digest, buffer = hashlib.sha256(), bytearray(1 << 18)
+    view = memoryview(buffer)
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def write_sample_index(root, paths) -> None:
@@ -263,11 +268,11 @@ def write_sample_index(root, paths) -> None:
     (root / SAMPLE_INDEX).write_bytes(os.fsencode("".join(lines)))
 
 
-def read_sample_index(root) -> dict[str, str | None]:
+def read_sample_index(root) -> dict[str, str]:
     """Posix path relative to `root` -> SHA-256 hex digest, from
     `root/samples.sha256`; empty when the index is missing or unreadable.
-    Lines that are no digest entry are skipped, and a path listed with two
-    different digests maps to None."""
+    Lines that are no digest entry are skipped; the last entry for a path
+    wins."""
     try:
         text = os.fsdecode((Path(root) / SAMPLE_INDEX).read_bytes())
     except (OSError, ValueError):
@@ -280,7 +285,7 @@ def read_sample_index(root) -> dict[str, str | None]:
         escaped, digest, rel = match.groups()
         if escaped:
             rel = _UNESCAPE.sub(lambda m: _UNESCAPES[m[0]], rel)
-        index[rel] = digest if index.get(rel, digest) == digest else None
+        index[rel] = digest
     return index
 
 

@@ -232,9 +232,10 @@ def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
 
 def test_evaluate_records_one_median_heuristic_span(tracing, tmp_path):
     """`trsvi evaluate` reaches the median heuristic and the MMD reference
-    through the names the tracer wraps, once per artifact, and, where no
-    sample index vouches for binary twins, loads the ground truth and every
-    final sample through the wrapped CSV loader."""
+    through the names the tracer wraps, once per artifact.  On a fresh
+    artifact the sample index vouches for the binary twins, so no CSV goes
+    through the wrapped loader; without the index the ground truth and every
+    final sample do."""
     config = {
         "problem": {"kind": "bayes_net", "layer_sizes": [2, 2],
                     "max_parents": 2, "gmm_nodes": 1, "seed": 5},
@@ -244,15 +245,20 @@ def test_evaluate_records_one_median_heuristic_span(tracing, tmp_path):
         "output": {"ground_truth": {"samples": 300}, "mmd": False},
     }
     artifact = experiment.run_experiment(config, tmp_path / "run")
+
+    def traced_evaluate():
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer)
+            report = experiment.evaluate_artifact(artifact)
+            spans = tracer.aggregate()
+        finally:
+            tracer.uninstall()
+        assert spans["kernels.median_heuristic"]["calls"] == 1
+        assert spans["evaluation.mmd_reference_init"]["calls"] == 1
+        assert report["kernel_lengthscale"] > 0
+        return tracer.counts["load_samples_csv.rows"]
+
+    assert traced_evaluate() == 0
     (artifact / "samples.sha256").unlink()
-    tracer = tracing.Tracer()
-    try:
-        tracing.install(tracer)
-        report = experiment.evaluate_artifact(artifact)
-        spans = tracer.aggregate()
-    finally:
-        tracer.uninstall()
-    assert spans["kernels.median_heuristic"]["calls"] == 1
-    assert spans["evaluation.mmd_reference_init"]["calls"] == 1
-    assert tracer.counts["load_samples_csv.rows"] == 300 + 6
-    assert report["kernel_lengthscale"] > 0
+    assert traced_evaluate() == 300 + 6
