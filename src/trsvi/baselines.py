@@ -1,6 +1,6 @@
 """First-order SVI updates used as ablations: plain SVGD, and message-passing
-SVGD with static / decayed / AdaGrad step rules.  (The SVN-CTR ablation is
-the trust-region loop with a constant radius, in `trustregion`.)
+SVGD with static / decayed / AdaGrad step rules.  Each is one update of the
+loop in `trustregion`, which the runner drives with a `StepSchedule`.
 
 Every update is synchronous: all particle moves are computed from the
 pre-step particle matrix, then applied at once.  Each step function returns
@@ -9,57 +9,17 @@ the moved particles, the Stein field at the old positions and the step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .kernels import KernelSpec, LocalKernelFamily
 from .model.layout import TargetModel
 from .stein import (ParticleSet, SteinGradientField, global_stein_gradient,
                     graphical_stein_gradient)
+# the step rules that callers of the step functions build schedules from
+from .trustregion import ADAGRAD, DECAYED, StepSchedule  # noqa: F401
 
 # Not called here; perfbench/tracing.py patches these names in this module.
 from .stein import (  # noqa: F401
     field_from_context, global_context, hessian_stack_from_context)
 from .trustregion import solve_subproblems  # noqa: F401
-
-DECAYED = "decayed"
-ADAGRAD = "adagrad"
-
-
-@dataclass
-class StepSchedule:
-    """First-order step rule: geometrically decayed (constant at decay 1.0)
-    or AdaGrad."""
-
-    kind: str
-    initial_step: float
-    decay: float = 1.0
-    epsilon: float = 1e-8
-    accumulator: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (DECAYED, ADAGRAD):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.initial_step <= 0:
-            raise ValueError("initial step must be positive")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
-
-    def step_size(self, t: int) -> float:
-        """Step size of update t; AdaGrad's is its initial step."""
-        if self.kind == DECAYED:
-            return self.initial_step * self.decay**t
-        return self.initial_step
-
-    def scaled_step(self, direction: np.ndarray, t: int) -> np.ndarray:
-        """Displacement for one update; AdaGrad accumulates squared directions."""
-        if self.kind == DECAYED:
-            return self.step_size(t) * direction
-        if self.accumulator is None:
-            self.accumulator = np.zeros_like(direction)
-        self.accumulator = self.accumulator + direction**2
-        return self.initial_step * direction / (np.sqrt(self.accumulator) + self.epsilon)
 
 
 def svgd_step(

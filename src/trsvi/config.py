@@ -10,9 +10,14 @@ dimension; every resolved value lands in the run manifest.
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
-from .trustregion import default_nystrom_size
+from .trustregion import (ADAGRAD, DECAYED, AdaTrustState, ConstantRadius,
+                          StepSchedule, TrustRegionKLState,
+                          default_nystrom_size)
 
 
 class ConfigError(ValueError):
@@ -59,10 +64,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive_number(value, path: str) -> float:
+def _finite_number(value, path: str) -> None:
     _expect(_is_number(value), path, "expected a number")
+    # false for nan, +-inf and integers beyond the float range
+    _expect(abs(value) <= sys.float_info.max, path, "must be finite")
+
+
+def _positive_number(value, path: str) -> float:
+    _finite_number(value, path)
     _expect(value > 0, path, "must be positive")
     return float(value)
+
+
+def _reciprocal_is_normal(value, path: str, power: int = 1) -> None:
+    """1 / value**power must be a finite normal number: the models divide by
+    variances, and the local Hessians by lengthscales to the fourth."""
+    try:
+        reciprocal = 1.0 / float(value)**power
+    except (OverflowError, ZeroDivisionError):
+        reciprocal = 0.0
+    _expect(sys.float_info.min <= reciprocal < math.inf, path,
+            f"out of range: 1 / value**{power} must be a finite normal number")
 
 
 def _integer(value, path: str, minimum: int | None = None) -> int:
@@ -86,7 +108,7 @@ def _number_range(value, path: str) -> list:
     _expect(isinstance(value, list) and len(value) == 2, path,
             "expected [low, high]")
     for i, v in enumerate(value):
-        _expect(_is_number(v), f"{path}[{i}]", "expected a number")
+        _finite_number(v, f"{path}[{i}]")
     _expect(value[0] <= value[1], path, "low must not exceed high")
     return value
 
@@ -95,27 +117,46 @@ def _fraction(value, path: str) -> None:
     _expect(_positive_number(value, path) <= 1.0, path, "must lie in (0, 1]")
 
 
-# Every method's own fields as field -> (check, default), in the order
-# defaults are filled in.  A default is a constant or, as a string, a key of
-# the bundled tuning table or TENTH_OF_PARTICLES.  Besides its own fields a
-# method takes only COMMON_FIELDS.
+class Method(NamedTuple):
+    """A method's own fields as field -> (check, default), in fill order (a
+    string default is a key of the bundled table or TENTH_OF_PARTICLES); its
+    kernel context, "local" (per factor blanket) or "global"; its step
+    control as controller(resolved method fields, seed); its fewest
+    particles.  Besides its own fields a method takes only COMMON_FIELDS."""
+
+    fields: dict
+    context: str
+    controller: Callable
+    min_particles: int = 1
+
+
+def _first_order(kind: str) -> Callable:
+    return lambda m, seed: StepSchedule(kind, m["step"],
+                                        decay=m.get("decay", 1.0))
+
+
 TENTH_OF_PARTICLES = "tenth_of_particles"
 COMMON_FIELDS = ("name", "label", "iterations")
 METHODS = {
-    "tr-svi-at": {},
-    "tr-svi-kl": {"initial_radius": (_positive_number, 1.0),
-                  "nystrom_size": (partial(_integer, minimum=1),
-                                   TENTH_OF_PARTICLES)},
-    "mp-svgd-static": {"step": (_positive_number, "dlr_step")},
-    "mp-svgd-dlr": {"step": (_positive_number, "dlr_step"),
-                    "decay": (_fraction, "dlr_decay")},
-    "mp-svgd-ag": {"step": (_positive_number, "adagrad_step")},
-    "svgd": {"step": (_positive_number, "dlr_step")},
-    "svn-ctr": {"radius": (_positive_number, "svn_radius")},
+    "tr-svi-at": Method({}, "local", lambda m, seed: AdaTrustState()),
+    # tr-svi-kl takes the median heuristic of its proposal: two rows at least
+    "tr-svi-kl": Method({"initial_radius": (_positive_number, 1.0),
+                         "nystrom_size": (partial(_integer, minimum=1),
+                                          TENTH_OF_PARTICLES)},
+                        "local", lambda m, seed: TrustRegionKLState(
+                            m["initial_radius"], m["nystrom_size"], seed), 2),
+    "mp-svgd-static": Method({"step": (_positive_number, "dlr_step")},
+                             "local", _first_order(DECAYED)),
+    "mp-svgd-dlr": Method({"step": (_positive_number, "dlr_step"),
+                           "decay": (_fraction, "dlr_decay")},
+                          "local", _first_order(DECAYED)),
+    "mp-svgd-ag": Method({"step": (_positive_number, "adagrad_step")},
+                         "local", _first_order(ADAGRAD)),
+    "svgd": Method({"step": (_positive_number, "dlr_step")},
+                   "global", _first_order(DECAYED)),
+    "svn-ctr": Method({"radius": (_positive_number, "svn_radius")},
+                      "global", lambda m, seed: ConstantRadius(m["radius"])),
 }
-# Methods that cannot run on one particle: tr-svi-kl takes the median
-# heuristic of its proposal, which needs two rows.
-MIN_PARTICLES = {"tr-svi-kl": 2}
 
 
 def validate_config(raw: dict) -> dict:
@@ -147,6 +188,8 @@ def validate_config(raw: dict) -> dict:
                       "problem.variance_range")
         _expect(problem["variance_range"][0] > 0, "problem.variance_range",
                 "lower bound must be positive")
+        for i, v in enumerate(problem["variance_range"]):
+            _reciprocal_is_normal(v, f"problem.variance_range[{i}]")
     elif kind == "snlp":
         for key in ("unknowns", "anchors"):
             _expect(key in problem, f"problem.{key}", "field is required")
@@ -155,6 +198,7 @@ def validate_config(raw: dict) -> dict:
         for key, default in (("side", 6.0), ("radius", 3.0),
                              ("noise_variance", 0.01)):
             _positive_number(problem.setdefault(key, default), f"problem.{key}")
+        _reciprocal_is_normal(problem["noise_variance"], "problem.noise_variance")
         _boolean(problem.setdefault("noiseless", False), "problem.noiseless")
     else:
         _expect(isinstance(problem.get("path"), str), "problem.path",
@@ -170,6 +214,7 @@ def validate_config(raw: dict) -> dict:
                 'expected a positive number, "table", or "median"')
     else:
         _positive_number(ls, "kernel.lengthscale")
+        _reciprocal_is_normal(ls, "kernel.lengthscale", power=4)
     out["kernel"] = kernel
 
     _expect("method" in raw, "method", "section is required")
@@ -193,7 +238,7 @@ def validate_config(raw: dict) -> dict:
         _expect(label not in seen_labels, f"{path}.label",
                 "labels must be unique across methods")
         seen_labels.add(label)
-        fields = METHODS[name]
+        fields = METHODS[name].fields
         for key, value in m.items():
             if key not in COMMON_FIELDS:
                 _expect(key in fields, f"{path}.{key}",
@@ -215,15 +260,16 @@ def validate_config(raw: dict) -> dict:
     center = run.setdefault("init_center", None)
     if isinstance(center, list):
         for i, v in enumerate(center):
-            _expect(_is_number(v), f"run.init_center[{i}]", "expected a number")
-    else:
-        _expect(center is None or _is_number(center), "run.init_center",
+            _finite_number(v, f"run.init_center[{i}]")
+    elif center is not None:
+        _expect(_is_number(center), "run.init_center",
                 "expected a number or a list of numbers")
+        _finite_number(center, "run.init_center")
     if run.setdefault("init_scale", None) is not None:
         _positive_number(run["init_scale"], "run.init_scale")
     out["run"] = run
     for i, m in enumerate(methods):
-        need = MIN_PARTICLES.get(m["name"], 1)
+        need = METHODS[m["name"]].min_particles
         _expect(run["particles"] >= need, "run.particles",
                 f"must be >= {need} for method[{i}] ({m['name']})")
         _expect(m.get("nystrom_size", 1) <= run["particles"],
@@ -296,7 +342,7 @@ def resolve_method_defaults(config: dict, kind: str, total_dim: int) -> dict:
     resolved = dict(config)
     resolved["method"] = [
         {**m, **{key: table[default] if isinstance(default, str) else default
-                 for key, (_, default) in METHODS[m["name"]].items()
+                 for key, (_, default) in METHODS[m["name"]].fields.items()
                  if key not in m}}
         for m in config["method"]
     ]

@@ -39,9 +39,9 @@ from pathlib import Path
 import numpy as np
 from yaml import YAMLError
 
-from . import __version__
-from .baselines import ADAGRAD, DECAYED, StepSchedule, mp_svgd_step, svgd_step
+from . import __version__, stein
 from .config import (
+    METHODS,
     ConfigError,
     bundled_defaults,
     check_seed,
@@ -49,7 +49,7 @@ from .config import (
     resolve_method_defaults,
     validate_config,
 )
-from .evaluation import MmdReference, gradient_magnitude, metropolis_reference
+from .evaluation import MmdReference, metropolis_reference
 from .kernels import (
     MEDIAN_SUBSAMPLE,
     KernelSpec,
@@ -78,17 +78,16 @@ from .model import (
     twin_path,
     write_sample_index,
 )
-from .stein import ParticleSet, global_context
-from .trustregion import (ConstantRadius, IterationRecord, RunTrace,
-                          tr_svi_at_run, tr_svi_kl_run, trust_region_run)
+from .stein import ParticleSet
+from .trustregion import IterationRecord, RunTrace, trust_region_run
 
 # Not called here; perfbench/tracing.py patches these names in this module.
+from .baselines import mp_svgd_step, svgd_step  # noqa: F401
 from .stein import (  # noqa: F401
-    field_from_context, global_stein_gradient, graphical_stein_gradient,
-    hessian_stack_from_context)
-from .trustregion import solve_subproblems  # noqa: F401
-
-TRUST_REGION_METHODS = ("tr-svi-at", "tr-svi-kl", "svn-ctr")
+    field_from_context, global_context, global_stein_gradient,
+    graphical_stein_gradient, hessian_stack_from_context)
+from .trustregion import (  # noqa: F401
+    solve_subproblems, tr_svi_at_run, tr_svi_kl_run)
 
 TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
@@ -124,7 +123,7 @@ def build_problem(problem_cfg: dict):
             seed=problem_cfg["seed"],
         )
         return build_snlp(cfg)
-    return load_problem(problem_cfg["path"])
+    return _read_file(Path(problem_cfg["path"]), load_problem)
 
 
 def default_init(problem) -> tuple[np.ndarray, float]:
@@ -216,49 +215,22 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 def execute_method(problem, method_cfg: dict, lengthscale: float,
                    run_cfg: dict, seed: int,
                    model=None) -> tuple[ParticleSet, RunTrace]:
-    """Run one method from the shared per-seed initialization, on the
-    problem's model (built here unless given)."""
+    """Run one method as its METHODS entry describes it, from the shared
+    per-seed initialization, on the problem's model (built here unless
+    given)."""
     if model is None:
         model = make_model(problem)
-    particles = initialize_particles(problem, run_cfg, seed)
+    method = METHODS[method_cfg["name"]]
     kernel = KernelSpec(lengthscale)
     family = LocalKernelFamily(kernel, model.layout)
-    if method_cfg["name"] in TRUST_REGION_METHODS:
-        return _trust_region_run(method_cfg, particles, model, kernel, family,
-                                 seed)
-    step = _baseline_step(method_cfg, model, kernel, family)
-    trace = RunTrace()
-    for t in range(method_cfg["iterations"]):
-        particles, field, size = step(particles, t)
-        trace.append(IterationRecord(
-            iteration=t, gradient_magnitude=gradient_magnitude(field),
-            radius_or_step=size, accepted=True))
-    return particles, trace
-
-
-def _trust_region_run(cfg: dict, particles, model, kernel, family, seed: int):
-    """The trust-region loop under the method's kernels and step control."""
-    iterations = cfg["iterations"]
-    if cfg["name"] == "tr-svi-at":
-        return tr_svi_at_run(particles, model, family, iterations)
-    if cfg["name"] == "tr-svi-kl":
-        return tr_svi_kl_run(
-            particles, model, family, cfg["initial_radius"], iterations,
-            seed=seed, nystrom_size=cfg["nystrom_size"],
-        )
+    # looked up in `stein` at call time, where the benchmark's tracer wraps them
+    contexts = {
+        "local": lambda X: stein.local_context(X, family),
+        "global": lambda X: stein.global_context(X, model.layout, kernel)}
     return trust_region_run(
-        particles, model, lambda X: global_context(X, model.layout, kernel),
-        ConstantRadius(cfg["radius"]), iterations,
-    )
-
-
-def _baseline_step(cfg: dict, model, kernel, family):
-    """A first-order update (particles, t) -> (particles, field, step size)."""
-    if cfg["name"] == "svgd":
-        return lambda ps, t: svgd_step(ps, model, kernel, cfg["step"])
-    kind = ADAGRAD if cfg["name"] == "mp-svgd-ag" else DECAYED
-    schedule = StepSchedule(kind, cfg["step"], decay=cfg.get("decay", 1.0))
-    return lambda ps, t: mp_svgd_step(ps, model, family, schedule, t)
+        initialize_particles(problem, run_cfg, seed), model,
+        contexts[method.context], method.controller(method_cfg, seed),
+        method_cfg["iterations"])
 
 
 def _run_task(payload: dict) -> dict:
@@ -492,15 +464,20 @@ def evaluate_artifact(artifact_dir) -> dict:
 def export_marginals(samples_csv, problem_path, factor_indices,
                      output_dir) -> list[Path]:
     """Write one CSV per requested factor with that factor's columns."""
-    samples, names = load_samples_csv(samples_csv)
-    problem = load_problem(problem_path)
+    samples, names = _read_file(Path(samples_csv), load_samples_csv)
+    problem = _read_file(Path(problem_path), load_problem)
     layout = make_model(problem).layout
+    if samples.shape[1] != layout.total_dim:
+        raise ConfigError(f"{samples_csv}: {samples.shape[1]} columns, the "
+                          f"problem in {problem_path} has {layout.total_dim}")
+    for a in factor_indices:
+        if not 0 <= a < layout.n_factors:
+            raise ConfigError(f"--factors: unknown factor index {a}; the "
+                              f"problem has {layout.n_factors} factors")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for a in factor_indices:
-        if not 0 <= a < layout.n_factors:
-            raise ValueError(f"unknown factor index {a}")
         dims = layout.factors[a]
         path = out / f"factor_{a}.csv"
         save_samples_csv(path, samples[:, dims], [names[d] for d in dims])

@@ -89,10 +89,23 @@ def problem_to_dict(problem) -> dict:
 
 
 def problem_from_dict(data: dict):
+    """The problem of a `problem_to_dict` document; a document of another
+    shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a problem spec must be a mapping")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     kind = data.get("kind")
+    try:
+        return _problem_of_kind(kind, data)
+    except KeyError as exc:
+        raise ValueError(f"{kind} problem spec: missing field {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {kind} problem spec: {exc}") from None
+
+
+def _problem_of_kind(kind, data: dict):
     if kind == "bayes_net":
         layers = tuple(
             tuple(

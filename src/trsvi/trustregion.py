@@ -1,5 +1,5 @@
 """Trust-region machinery: the CG-Steihaug subproblem solver, the Nystrom
-KL-divergence estimate, and one trust-region loop with three controllers.
+KL-divergence estimate, and the one driver loop of every method.
 
 Each iteration of `trust_region_run` solves one decoupled Newton system per
 particle inside a shared radius; the max-over-particles step norm makes the
@@ -7,7 +7,8 @@ joint problem separable.  The controller sets the radius and judges each
 proposal: `AdaTrustState` (tr-svi-at) from gradient magnitudes alone, taking
 every step; `TrustRegionKLState` (tr-svi-kl) from the agreement between
 predicted and estimated KL change, rejecting some steps; `ConstantRadius`
-(svn-ctr, under the global kernel) keeps one radius and takes every step.
+(svn-ctr, under the global kernel) keeps one radius and takes every step;
+a `StepSchedule` (svgd, mp-svgd) steps along the field and solves nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 NEG_CURVATURE = "neg-curvature"
 STATUSES = (INTERIOR, BOUNDARY, NEG_CURVATURE)
+
+DECAYED = "decayed"
+ADAGRAD = "adagrad"
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,9 +320,6 @@ class TrustRegionKLState:
             self.radius = 1.5 * self.radius
         return not rho < 0.0
 
-    def begin(self, g0: float, warnings: list[str]) -> bool:
-        return True
-
     def trial_radius(self) -> float:
         return self.radius
 
@@ -414,9 +415,6 @@ class ConstantRadius:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def begin(self, g0: float, warnings: list[str]) -> bool:
-        return True
-
     def trial_radius(self) -> float:
         return self.radius
 
@@ -424,20 +422,56 @@ class ConstantRadius:
         return Verdict(True, {"gradient_magnitude": gradient_magnitude(trial.field)})
 
 
+@dataclass
+class StepSchedule:
+    """First-order step rule: geometrically decayed (constant at decay 1.0)
+    or AdaGrad.  As the controller of svgd and mp-svgd it takes every step."""
+
+    kind: str
+    initial_step: float
+    decay: float = 1.0
+    epsilon: float = 1e-8
+    accumulator: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in (DECAYED, ADAGRAD):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.initial_step <= 0:
+            raise ValueError("initial step must be positive")
+        if not 0.0 < self.decay <= 1.0:
+            raise ValueError("decay must lie in (0, 1]")
+
+    def step_size(self, t: int) -> float:
+        """Step size of update t; AdaGrad's is its initial step."""
+        if self.kind == DECAYED:
+            return self.initial_step * self.decay**t
+        return self.initial_step
+
+    def scaled_step(self, direction: np.ndarray, t: int) -> np.ndarray:
+        """Displacement for one update; AdaGrad accumulates squared directions."""
+        if self.kind == DECAYED:
+            return self.step_size(t) * direction
+        if self.accumulator is None:
+            self.accumulator = np.zeros_like(direction)
+        self.accumulator = self.accumulator + direction**2
+        return self.initial_step * direction / (np.sqrt(self.accumulator) + self.epsilon)
+
+
 def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
                      controller, iterations: int) -> tuple[ParticleSet, RunTrace]:
-    """The trust-region loop of tr-svi-at, tr-svi-kl and svn-ctr.
+    """The driver loop of every method.
 
     Each iteration builds the kernel context (`build_context(positions)`),
     Stein field and Hessian operator at the current particles, solves the
     subproblems at `controller.trial_radius()`, and lets
     `controller.judge(trial, target, field_at)` take or reject the proposal;
-    `controller.begin(g0, warnings)` may end the run before it starts.  The
+    `controller.begin(g0, warnings)`, if defined, may end the run early.  The
     three are kept with the positions array they were built at, so nothing is
     rebuilt after a rejection or at a proposal `field_at` already evaluated.
     Only one context is held: the old one is dropped before the next is
     built.  No rebuild comes of that, since tr-svi-at takes every proposal
-    it evaluates and tr-svi-kl evaluates none.
+    it evaluates and tr-svi-kl evaluates none.  A `StepSchedule` controller
+    steps along the negative field instead, with no Hessian operator.
     """
     trace = RunTrace()
     built = {"X": None}
@@ -449,12 +483,20 @@ def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
             built.update(X=X, ctx=ctx, field=field_from_context(ctx, target))
         return built["field"]
 
-    if not controller.begin(gradient_magnitude(field_at(particles.positions)),
-                            trace.warnings):
+    begin = getattr(controller, "begin", None)
+    if begin and not begin(gradient_magnitude(field_at(particles.positions)),
+                           trace.warnings):
         return particles, trace
     current = particles
     for t in range(iterations):
         field = field_at(current.positions)
+        if isinstance(controller, StepSchedule):
+            trace.append(IterationRecord(
+                iteration=t, gradient_magnitude=gradient_magnitude(field),
+                radius_or_step=controller.step_size(t), accepted=True))
+            current = current.advanced(
+                current.positions + controller.scaled_step(-field.values, t))
+            continue
         if built["hessians"] is None:
             built["hessians"] = hessian_stack_from_context(built["ctx"], target)
         radius = controller.trial_radius()

@@ -3,7 +3,9 @@ import pytest
 
 from oracles import baseline_loop_run
 from targets import GaussianTarget
+from test_trust_region_loop import METHODS as LOOP_METHODS
 from trsvi import baselines as bl
+from trsvi import config
 from trsvi import trustregion as tr
 from trsvi.experiment import execute_method, initialize_particles
 from trsvi.kernels import KernelSpec, LocalKernelFamily
@@ -210,9 +212,16 @@ BASELINES = [
 ]
 
 
+def test_oracle_lists_name_every_method():
+    """Every method the runner knows is checked bitwise against an oracle
+    loop, here or in test_trust_region_loop."""
+    names = [m["name"] for m in BASELINES + LOOP_METHODS]
+    assert set(names) == set(config.METHODS)
+
+
 class TestRunnerLoopMatchesOracle:
-    """The runner's one baseline loop against the per-method loops it
-    replaced: bitwise equal final positions and trace records."""
+    """The runner's driver loop against the per-method loops it replaced:
+    bitwise equal final positions and trace records."""
 
     @pytest.mark.parametrize("method", BASELINES, ids=lambda m: m["name"])
     @pytest.mark.parametrize("fixture", ["mixed_bn", "small_snlp"])

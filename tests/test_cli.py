@@ -126,6 +126,8 @@ class TestConfigValidation:
         # numpy's generators take no negative seed
         ("problem", "seed", -1), ("run", "seeds", [0, -1]),
         ("output", "ground_truth", {"samples": 400, "seed": -5}),
+        # the local Hessians divide by the lengthscale to the fourth
+        ("kernel", "lengthscale", 1e-150),
     ])
     def test_wrong_types_name_the_field(self, section, key, value):
         cfg = tiny_config()
@@ -190,6 +192,26 @@ class TestConfigValidation:
         # method list replaced by a single mapping) a field inside it
         field, leaf = str(err.value).split(":")[0], _path_text(path)
         assert leaf.startswith(field) or field.startswith(leaf), (path, wrong)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_non_finite_or_subnormal_leaf_gives_config_error(self, data):
+        """A real-valued leaf set to +-inf or nan, or a variance or
+        lengthscale leaf set to a subnormal number, is rejected naming the
+        leaf or its container."""
+        cfg = full_config(data.draw(st.sampled_from(["bayes_net", "snlp"])))
+        leaves = [p for p, v in _leaves(cfg) if type(v) is float]
+        path = data.draw(st.sampled_from(leaves))
+        wrong = [INF, -INF, NAN] + (
+            [1e-320] if path[:2] in RECIPROCAL_LEAVES else [])
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(wrong))
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        field, leaf = str(err.value).split(":")[0], _path_text(path)
+        assert leaf.startswith(field) or field.startswith(leaf), path
 
     def test_defaults_are_filled(self):
         validated = validate_config(tiny_config())
@@ -261,6 +283,12 @@ def _path_text(path):
         text += f"[{key}]" if isinstance(key, int) else f".{key}"
     return text.lstrip(".")
 
+
+INF, NAN = float("inf"), float("nan")
+
+# leaves whose reciprocal (or a power of it) the models and kernels use
+RECIPROCAL_LEAVES = {("problem", "variance_range"),
+                     ("problem", "noise_variance"), ("kernel", "lengthscale")}
 
 # values of the wrong type for a leaf, keyed by the type of its valid value;
 # init_center also takes a bare number, so a list there is not replaced, and
@@ -678,19 +706,71 @@ def run_cli(argv, env=None) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=600)
 
 
+SMALL_SNLP = {"kind": "snlp", "unknowns": 2, "anchors": 3, "side": 6.0,
+              "radius": 4.0, "noise_variance": 0.01, "seed": 3}
+
+
+def _problem_file(tmp_path, text):
+    path = tmp_path / "spec.yaml"
+    path.write_text(text)
+    return {"kind": "file", "path": str(path)}
+
+
 @pytest.mark.parametrize("edit, field", [
-    (lambda cfg: cfg["run"].update(seeds=[4, 7, 4]), "run.seeds[2]"),
-    (lambda cfg: cfg["run"].update(particles=1), "run.particles"),
+    (lambda cfg, tmp: cfg["run"].update(seeds=[4, 7, 4]), "run.seeds[2]"),
+    (lambda cfg, tmp: cfg["run"].update(particles=1), "run.particles"),
+    # inputs that validated but ended in a traceback and exit status 1
+    (lambda cfg, tmp: cfg["kernel"].update(lengthscale=INF),
+     "kernel.lengthscale"),
+    (lambda cfg, tmp: cfg["run"].update(init_scale=INF), "run.init_scale"),
+    (lambda cfg, tmp: cfg["run"].update(init_center=NAN), "run.init_center"),
+    (lambda cfg, tmp: cfg["problem"].update(mean_range=[-INF, 0.0]),
+     "problem.mean_range[0]"),
+    (lambda cfg, tmp: cfg["problem"].update(variance_range=[1e-3, INF]),
+     "problem.variance_range[1]"),
+    (lambda cfg, tmp: cfg["problem"].update(variance_range=[1e-320, 1e-320]),
+     "problem.variance_range[0]"),
+    (lambda cfg, tmp: cfg.update(problem={**SMALL_SNLP, "side": INF}),
+     "problem.side"),
+    (lambda cfg, tmp: cfg.update(problem={**SMALL_SNLP,
+                                          "noise_variance": INF}),
+     "problem.noise_variance"),
+    (lambda cfg, tmp: cfg.update(problem={**SMALL_SNLP,
+                                          "noise_variance": 1e-320}),
+     "problem.noise_variance"),
+    (lambda cfg, tmp: cfg["method"].append(
+        {"name": "mp-svgd-ag", "iterations": 2, "step": INF}),
+     "method[3].step"),
+    (lambda cfg, tmp: cfg["problem"].update(seed=-1), "problem.seed"),
+    (lambda cfg, tmp: cfg["run"].update(seeds=[-1]), "run.seeds[0]"),
+    (lambda cfg, tmp: cfg["output"]["ground_truth"].update(seed=-5),
+     "output.ground_truth.seed"),
+    (lambda cfg, tmp: cfg.update(problem={"kind": "file",
+                                          "path": str(tmp / "missing.yaml")}),
+     "missing.yaml: No such file"),
+    (lambda cfg, tmp: cfg.update(problem=_problem_file(tmp, "layers: [1,\n")),
+     "spec.yaml: not valid YAML"),
+    (lambda cfg, tmp: cfg.update(problem=_problem_file(
+        tmp, "schema_version: 1\nkind: bayes_net\nlayers: 3\n")),
+     "spec.yaml: malformed bayes_net problem spec"),
+    # these two validated and finished with exit status 0
+    (lambda cfg, tmp: cfg["method"][2].update(initial_radius=INF),
+     "method[2].initial_radius"),
+    (lambda cfg, tmp: cfg["method"].append(
+        {"name": "svn-ctr", "iterations": 2, "radius": INF}),
+     "method[3].radius"),
 ])
 def test_config_that_cannot_run_exits_2_before_any_output(tmp_path, edit,
                                                           field):
-    """A repeated seed, or one particle for a method that needs two
-    (tr-svi-kl's median heuristic), is a config error: `trsvi run` exits 2
-    with one stderr line naming the field, no traceback, and no output
-    directory."""
+    """A repeated seed, one particle for a method that needs two (tr-svi-kl's
+    median heuristic), a number that is not finite, a variance or
+    lengthscale whose reciprocal is not a finite normal number, a negative
+    seed, or a problem file that is missing, not YAML or not a problem spec
+    is a config error: `trsvi run` exits 2 with one stderr line naming the
+    field or file, no traceback, and no output directory."""
     cfg = tiny_config()
     cfg["method"].append({"name": "tr-svi-kl", "iterations": 2})
-    edit(cfg)
+    edit(cfg, tmp_path)
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "art"
@@ -798,6 +878,38 @@ class TestCliVerbs:
         assert rc == 0
         assert (tmp_path / "marg" / "factor_0.csv").exists()
         assert (tmp_path / "marg" / "factor_2.csv").exists()
+
+    @pytest.mark.parametrize("defect, named", [
+        ("missing samples", "none.csv: No such file"),
+        ("problem not YAML", "spec.yaml: not valid YAML"),
+        ("malformed problem", "spec.yaml: malformed bayes_net problem spec"),
+        ("unknown factor", "--factors: unknown factor index 99"),
+        ("samples of another problem", "3 columns"),
+    ])
+    def test_export_marginals_bad_input_exits_2(self, artifact, tmp_path,
+                                                capsys, defect, named):
+        samples = artifact / "runs" / "tr-svi-at" / "seed_0" / "final.csv"
+        problem, factors = artifact / "problem.yaml", "0"
+        if defect == "missing samples":
+            samples = tmp_path / "none.csv"
+        elif defect == "problem not YAML":
+            problem = tmp_path / "spec.yaml"
+            problem.write_text("layers: [1,\n")
+        elif defect == "malformed problem":
+            problem = tmp_path / "spec.yaml"
+            problem.write_text("schema_version: 1\nkind: bayes_net\nlayers: 3\n")
+        elif defect == "unknown factor":
+            factors = "99"
+        else:
+            samples = tmp_path / "narrow.csv"
+            save_samples_csv(samples, np.zeros((2, 3)), ["a", "b", "c"])
+        rc = main(["export-marginals", "--samples", str(samples), "--problem",
+                   str(problem), "--factors", factors,
+                   "--output-dir", str(tmp_path / "marg")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "marg").exists()
 
     @pytest.mark.parametrize("defect", ["missing manifest", "manifest yaml",
                                         "non-numeric final sample"])

@@ -64,12 +64,13 @@ def test_install_wraps_and_uninstall_restores(tracing, mixed_bn):
 
 
 def test_baseline_runs_record_their_spans(tracing, mixed_bn):
-    """The runner's baseline loop reaches the step, Hessian and subproblem
-    layers through names the tracer wraps."""
+    """The runner's driver loop reaches the baselines' context, field,
+    Hessian and subproblem layers through names the tracer wraps."""
     run_cfg = {"particles": 8, "init_center": None, "init_scale": None}
     methods = [
         {"name": "mp-svgd-dlr", "iterations": 3, "step": 0.05, "decay": 0.99},
         {"name": "svn-ctr", "iterations": 2, "radius": 0.1},
+        {"name": "svgd", "iterations": 2, "step": 0.05},
     ]
     tracer = tracing.Tracer()
     try:
@@ -79,8 +80,11 @@ def test_baseline_runs_record_their_spans(tracing, mixed_bn):
         spans = tracer.aggregate()
     finally:
         tracer.uninstall()
-    assert spans["experiment.execute_method"]["calls"] == 2
-    assert spans["baselines.mp_svgd_step"]["calls"] == 3
+    assert spans["experiment.execute_method"]["calls"] == len(methods)
+    # one context and field per iteration; none after the last step
+    assert spans["stein.local_context"]["calls"] == 3
+    assert spans["stein.global_context"]["calls"] == 2 + 2
+    assert spans["stein.field_from_context"]["calls"] == 3 + 2 + 2
     assert spans["trustregion.solve_subproblems"]["calls"] == 2
     assert spans["stein.hessian_stack_from_context"]["calls"] == 2
     assert tracer.counts["cg.statuses"] == 2 * 8

@@ -68,6 +68,23 @@ def test_schema_version_checked(tmp_path):
         problem_from_dict(data)
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"schema_version": 1, "kind": "bayes_net", "layers": 3},
+    {"schema_version": 1, "kind": "bayes_net"},
+    {"schema_version": 1, "kind": "bayes_net", "layers": [[5]]},
+    {"schema_version": 1, "kind": "bayes_net", "layers": [[{"kind": "root"}]]},
+    {"schema_version": 1, "kind": "snlp", "true_positions": [[0.0, 0.0]],
+     "anchor_positions": [], "edges": []},
+], ids=["list", "int layers", "no layers", "int node", "node without fields",
+        "snlp without noise"])
+def test_malformed_spec_is_a_value_error(data):
+    """A malformed spec raises ValueError, which the CLI turns into a
+    one-line config error naming the file, never TypeError or KeyError."""
+    with pytest.raises(ValueError, match="spec"):
+        problem_from_dict(data)
+
+
 def test_same_seed_serializes_byte_identically(tmp_path):
     cfg = BayesNetConfig(layer_sizes=(4, 4), max_parents=3, gmm_nodes=2, seed=31)
     p1, p2 = tmp_path / "a.yaml", tmp_path / "b.yaml"
