@@ -1,20 +1,21 @@
-"""Experiment configuration: schema validation with path-to-field
-diagnostics, bundled default hyperparameters, and default resolution.
+"""Experiment configuration: field tables with path-to-field diagnostics,
+bundled default hyperparameters, and default resolution.
 
 A config is a YAML tree with sections problem / method / kernel / run /
-output.  The method section may be a single mapping or a list of mappings.
-Defaults for step sizes, radii, and kernel lengthscales come from a bundled
-per-problem-family table and are resolved against the generated problem's
-dimension; every resolved value lands in the run manifest.
-"""
+output, each checked against its field table in SECTIONS.  The method
+section may be a single mapping or a list of mappings.  Defaults for step
+sizes, radii, and kernel lengthscales come from a bundled per-family table
+and are resolved against the generated problem's dimension; every resolved
+value lands in the run manifest."""
 
 from __future__ import annotations
 
-import math
+import copy
 import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
+from .model.layout import reciprocal_is_normal
 from .trustregion import (ADAGRAD, DECAYED, AdaTrustState, ConstantRadius,
                           StepSchedule, TrustRegionKLState,
                           default_nystrom_size)
@@ -60,43 +61,40 @@ def _as_mapping(value, path: str) -> dict:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# A check takes (value, path), raises a ConfigError naming `path` if the
+# value is bad, and returns what the config keeps.
 
-
-def _finite_number(value, path: str) -> None:
-    _expect(_is_number(value), path, "expected a number")
+def _finite_number(value, path: str):
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            path, "expected a number")
     # false for nan, +-inf and integers beyond the float range
     _expect(abs(value) <= sys.float_info.max, path, "must be finite")
-
-
-def _positive_number(value, path: str) -> float:
-    _finite_number(value, path)
-    _expect(value > 0, path, "must be positive")
-    return float(value)
-
-
-def _reciprocal_is_normal(value, path: str, power: int = 1) -> None:
-    """1 / value**power must be a finite normal number: the models divide by
-    variances, and the local Hessians by lengthscales to the fourth."""
-    try:
-        reciprocal = 1.0 / float(value)**power
-    except (OverflowError, ZeroDivisionError):
-        reciprocal = 0.0
-    _expect(sys.float_info.min <= reciprocal < math.inf, path,
-            f"out of range: 1 / value**{power} must be a finite normal number")
-
-
-def _integer(value, path: str, minimum: int | None = None) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            path, "expected an integer")
-    _expect(minimum is None or value >= minimum, path, f"must be >= {minimum}")
     return value
 
 
-def check_seed(value, path: str) -> int:
-    """A seed of numpy's generators, which take integers >= 0."""
-    return _integer(value, path, 0)
+def _positive_number(value, path: str):
+    _expect(_finite_number(value, path) > 0, path, "must be positive")
+    return value
+
+
+def _floored(value, path: str, power: int = 1):
+    """A positive number whose 1 / value**power is a finite normal number."""
+    _expect(reciprocal_is_normal(_positive_number(value, path), power), path,
+            f"out of range: 1 / value**{power} must be a finite normal number")
+    return value
+
+
+def _at_least(minimum: int) -> Callable:
+    def check(value, path: str) -> int:
+        _expect(isinstance(value, int) and not isinstance(value, bool),
+                path, "expected an integer")
+        _expect(value >= minimum, path, f"must be >= {minimum}")
+        return value
+    return check
+
+
+# a seed of numpy's generators, which take integers >= 0
+check_seed = _at_least(0)
 
 
 def _boolean(value, path: str) -> bool:
@@ -104,17 +102,108 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _number_range(value, path: str) -> list:
-    _expect(isinstance(value, list) and len(value) == 2, path,
-            "expected [low, high]")
-    for i, v in enumerate(value):
-        _finite_number(v, f"{path}[{i}]")
-    _expect(value[0] <= value[1], path, "low must not exceed high")
+def _string(value, path: str) -> str:
+    _expect(isinstance(value, str) and value, path, "expected a nonempty string")
     return value
 
 
-def _fraction(value, path: str) -> None:
+def _number_range(value, path: str) -> list:
+    _expect(isinstance(value, list) and len(value) == 2, path,
+            "expected [low, high]")
+    low, high = (_finite_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    _expect(low <= high, path, "low must not exceed high")
+    # the generators draw low + (high - low) * u
+    _expect(float(high) - float(low) <= sys.float_info.max, path,
+            "high - low must be finite")
+    return value
+
+
+def _variance_range(value, path: str) -> list:
+    for i, v in enumerate(_number_range(value, path)):
+        _floored(v, f"{path}[{i}]")
+    return value
+
+
+def _lengthscale(value, path: str):
+    if isinstance(value, str):
+        _expect(value in ("table", "median"), path,
+                'expected a positive number, "table", or "median"')
+        return value
+    return _floored(value, path, power=4)
+
+
+def _fraction(value, path: str):
     _expect(_positive_number(value, path) <= 1.0, path, "must lie in (0, 1]")
+    return value
+
+
+def _optional(check: Callable) -> Callable:
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _list_of(check: Callable, what: str) -> Callable:
+    def check_list(value, path: str) -> list:
+        _expect(isinstance(value, list) and value, path,
+                f"expected a nonempty list of {what}")
+        return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check_list
+
+
+def _center(value, path: str):
+    if isinstance(value, list):
+        return _list_of(_finite_number, "numbers")(value, path)
+    return _finite_number(value, path)
+
+
+def _seeds(value, path: str) -> list:
+    for i, seed in enumerate(_list_of(check_seed, "integers")(value, path)):
+        _expect(seed not in value[:i], f"{path}[{i}]",
+                f"repeats seed {seed}; seeds must be distinct")
+    return value
+
+
+# A field table maps field -> (check, default), in fill order.  A default is
+# REQUIRED (the field must be given), UNSET (left out unless given), REMOVED
+# (a former field, whose check says what replaced it), a callable of the
+# fields filled before it, or the value itself.
+REQUIRED, UNSET, REMOVED = object(), object(), object()
+
+
+def _check_section(mapping, path: str, fields: dict,
+                   owner: str | None = None) -> dict:
+    """A copy of `mapping` with each absent field of `fields` set to its
+    default and every field checked; a key outside the table is a
+    ConfigError naming it and the fields that `owner` (`path`) takes."""
+    mapping = dict(_as_mapping(mapping, path))
+    prefix = f"{path}." if path else ""
+    takes = ", ".join(k for k, (_, d) in fields.items() if d is not REMOVED)
+    for key in mapping:
+        _expect(key in fields, f"{prefix}{key}",
+                f"not a field of {owner or path}; it takes {takes}")
+    for key, (check, default) in fields.items():
+        if key not in mapping:
+            _expect(default is not REQUIRED, f"{prefix}{key}", "is required")
+            if default is UNSET or default is REMOVED:
+                continue
+            mapping[key] = (default(mapping) if callable(default)
+                            else copy.deepcopy(default))
+        mapping[key] = check(mapping[key], f"{prefix}{key}")
+    return mapping
+
+
+def _section(fields: dict) -> Callable:
+    return partial(_check_section, fields=fields)
+
+
+def _selected(key: str, tables: dict) -> Callable:
+    """The check of a mapping whose field `key` names its table."""
+    def check(value, path: str) -> dict:
+        choice = _as_mapping(value, path).get(key)
+        _expect(isinstance(choice, str) and choice in tables, f"{path}.{key}",
+                f"expected one of {', '.join(tables)}")
+        return _check_section(value, path, {key: (lambda v, _: v, REQUIRED),
+                                            **tables[choice]}, choice)
+    return check
 
 
 class Method(NamedTuple):
@@ -136,13 +225,11 @@ def _first_order(kind: str) -> Callable:
 
 
 TENTH_OF_PARTICLES = "tenth_of_particles"
-COMMON_FIELDS = ("name", "label", "iterations")
 METHODS = {
     "tr-svi-at": Method({}, "local", lambda m, seed: AdaTrustState()),
     # tr-svi-kl takes the median heuristic of its proposal: two rows at least
     "tr-svi-kl": Method({"initial_radius": (_positive_number, 1.0),
-                         "nystrom_size": (partial(_integer, minimum=1),
-                                          TENTH_OF_PARTICLES)},
+                         "nystrom_size": (_at_least(1), TENTH_OF_PARTICLES)},
                         "local", lambda m, seed: TrustRegionKLState(
                             m["initial_radius"], m["nystrom_size"], seed), 2),
     "mp-svgd-static": Method({"step": (_positive_number, "dlr_step")},
@@ -157,150 +244,83 @@ METHODS = {
     "svn-ctr": Method({"radius": (_positive_number, "svn_radius")},
                       "global", lambda m, seed: ConstantRadius(m["radius"])),
 }
+# a method entry's fields besides its name and its own, which stay unset
+# until resolve_method_defaults
+COMMON_FIELDS = {"iterations": (_at_least(0), 300),
+                 "label": (_string, lambda m: m["name"])}
+_METHOD_ENTRY = _selected("name", {name: {**COMMON_FIELDS, **{
+    key: (check, UNSET) for key, (check, _) in m.fields.items()}}
+    for name, m in METHODS.items()})
+
+
+def _methods(value, path: str) -> list:
+    """One method mapping or a nonempty list of them, labels distinct."""
+    methods = _list_of(_METHOD_ENTRY, "methods")(
+        [value] if isinstance(value, dict) else value, path)
+    for i, m in enumerate(methods):
+        _expect(m["label"] not in [n["label"] for n in methods[:i]],
+                f"{path}[{i}].label", "labels must be unique across methods")
+    return methods
+
+
+PROBLEMS = {
+    "bayes_net": {
+        "layer_sizes": (_list_of(_at_least(1), "layer sizes"), REQUIRED),
+        "max_parents": (_at_least(1), 3), "gmm_nodes": (_at_least(0), 0),
+        "mean_range": (_number_range, [0.0, 2.0]),
+        "variance_range": (_variance_range, [1e-3, 1.0]), "seed": (check_seed, 0)},
+    "snlp": {
+        "unknowns": (_at_least(1), REQUIRED), "anchors": (_at_least(0), REQUIRED),
+        "side": (_positive_number, 6.0), "radius": (_positive_number, 3.0),
+        "noise_variance": (_floored, 0.01), "noiseless": (_boolean, False),
+        "seed": (check_seed, 0)},
+    "file": {"path": (_string, REQUIRED)},
+}
+GROUND_TRUTH = {
+    "samples": (_at_least(0), 0), "seed": (check_seed, 1_000_003),
+    "proposal_scale": (_positive_number, 0.1),
+    "burn_in": (_at_least(0), 10_000), "thinning": (_at_least(1), 10)}
+SECTIONS = {
+    "problem": (_selected("kind", PROBLEMS), REQUIRED),
+    "kernel": (_section({"lengthscale": (_lengthscale, "table")}), {}),
+    "method": (_methods, REQUIRED),
+    "run": (_section({
+        "particles": (_at_least(1), 200), "seeds": (_seeds, [0, 1, 2, 3, 4]),
+        "init_center": (_optional(_center), None),
+        "init_scale": (_optional(_positive_number), None)}), {}),
+    "output": (_section({
+        "ground_truth": (_section(GROUND_TRUTH), {}),
+        "mmd": (_boolean, lambda out: out["ground_truth"]["samples"] > 0),
+        "mmd_subsample_cap": (_at_least(1), 20_000), "mmd_seed": (check_seed, 0),
+        "binary_samples": (lambda value, path: _expect(
+            False, path, "removed; every sample CSV that evaluation reads now "
+            "has a binary twin"), REMOVED)}), {}),
+}
 
 
 def validate_config(raw: dict) -> dict:
-    """Structural validation plus static defaults.
-
-    Every field is type-checked here, so a bad value fails with a
-    ConfigError naming it; a method field outside METHODS is rejected.
-    Returns a normalized copy; a table lengthscale stays as the string
-    "table", and method fields stay unset until resolve_method_defaults.
-    """
-    out = {}
+    """A copy of `raw` with every section checked against its table in
+    SECTIONS, then the rules that join sections; a bad value or a key
+    outside its table is a ConfigError naming it.  A table lengthscale stays
+    "table", and method fields stay unset until resolve_method_defaults."""
     _expect(isinstance(raw, dict), "<root>", "config must be a mapping")
-    _expect("problem" in raw, "problem", "section is required")
-    problem = dict(_as_mapping(raw["problem"], "problem"))
-    kind = problem.get("kind")
-    _expect(kind in ("bayes_net", "snlp", "file"), "problem.kind",
-            "expected one of bayes_net, snlp, file")
-    if kind == "bayes_net":
-        sizes = problem.get("layer_sizes")
-        _expect(isinstance(sizes, list) and sizes, "problem.layer_sizes",
-                "expected a nonempty list of layer sizes")
-        for i, s in enumerate(sizes):
-            _integer(s, f"problem.layer_sizes[{i}]", 1)
-        _integer(problem.setdefault("max_parents", 3), "problem.max_parents", 1)
-        _integer(problem.setdefault("gmm_nodes", 0), "problem.gmm_nodes", 0)
-        _number_range(problem.setdefault("mean_range", [0.0, 2.0]),
-                      "problem.mean_range")
-        _number_range(problem.setdefault("variance_range", [1e-3, 1.0]),
-                      "problem.variance_range")
-        _expect(problem["variance_range"][0] > 0, "problem.variance_range",
-                "lower bound must be positive")
-        for i, v in enumerate(problem["variance_range"]):
-            _reciprocal_is_normal(v, f"problem.variance_range[{i}]")
-    elif kind == "snlp":
-        for key in ("unknowns", "anchors"):
-            _expect(key in problem, f"problem.{key}", "field is required")
-        _integer(problem["unknowns"], "problem.unknowns", 1)
-        _integer(problem["anchors"], "problem.anchors", 0)
-        for key, default in (("side", 6.0), ("radius", 3.0),
-                             ("noise_variance", 0.01)):
-            _positive_number(problem.setdefault(key, default), f"problem.{key}")
-        _reciprocal_is_normal(problem["noise_variance"], "problem.noise_variance")
-        _boolean(problem.setdefault("noiseless", False), "problem.noiseless")
-    else:
-        _expect(isinstance(problem.get("path"), str), "problem.path",
-                "expected a path to a problem spec file")
-    if kind != "file":
-        check_seed(problem.setdefault("seed", 0), "problem.seed")
-    out["problem"] = problem
-
-    kernel = dict(_as_mapping(raw.get("kernel", {}), "kernel"))
-    ls = kernel.setdefault("lengthscale", "table")
-    if isinstance(ls, str):
-        _expect(ls in ("table", "median"), "kernel.lengthscale",
-                'expected a positive number, "table", or "median"')
-    else:
-        _positive_number(ls, "kernel.lengthscale")
-        _reciprocal_is_normal(ls, "kernel.lengthscale", power=4)
-    out["kernel"] = kernel
-
-    _expect("method" in raw, "method", "section is required")
-    methods_raw = raw["method"]
-    if isinstance(methods_raw, dict):
-        methods_raw = [methods_raw]
-    _expect(isinstance(methods_raw, list) and methods_raw, "method",
-            "expected a method mapping or a nonempty list of them")
-    methods = []
-    seen_labels = set()
-    for i, m in enumerate(methods_raw):
-        path = f"method[{i}]"
-        m = dict(_as_mapping(m, path))
-        name = m.get("name")
-        _expect(isinstance(name, str) and name in METHODS, f"{path}.name",
-                f"expected one of {', '.join(METHODS)}")
-        _integer(m.setdefault("iterations", 300), f"{path}.iterations", 0)
-        label = m.setdefault("label", name)
-        _expect(isinstance(label, str) and label, f"{path}.label",
-                "expected a nonempty string")
-        _expect(label not in seen_labels, f"{path}.label",
-                "labels must be unique across methods")
-        seen_labels.add(label)
-        fields = METHODS[name].fields
-        for key, value in m.items():
-            if key not in COMMON_FIELDS:
-                _expect(key in fields, f"{path}.{key}",
-                        f"not a field of {name}; it takes "
-                        f"{', '.join((*COMMON_FIELDS, *fields))}")
-                fields[key][0](value, f"{path}.{key}")
-        methods.append(m)
-    out["method"] = methods
-
-    run = dict(_as_mapping(raw.get("run", {}), "run"))
-    _integer(run.setdefault("particles", 200), "run.particles", 1)
-    seeds = run.setdefault("seeds", [0, 1, 2, 3, 4])
-    _expect(isinstance(seeds, list) and seeds, "run.seeds",
-            "expected a nonempty list of integers")
-    for i, s in enumerate(seeds):
-        check_seed(s, f"run.seeds[{i}]")
-        _expect(s not in seeds[:i], f"run.seeds[{i}]",
-                f"repeats seed {s}; seeds must be distinct")
-    center = run.setdefault("init_center", None)
-    if isinstance(center, list):
-        for i, v in enumerate(center):
-            _finite_number(v, f"run.init_center[{i}]")
-    elif center is not None:
-        _expect(_is_number(center), "run.init_center",
-                "expected a number or a list of numbers")
-        _finite_number(center, "run.init_center")
-    if run.setdefault("init_scale", None) is not None:
-        _positive_number(run["init_scale"], "run.init_scale")
-    out["run"] = run
-    for i, m in enumerate(methods):
+    config = _check_section(raw, "", SECTIONS, "a config")
+    particles = config["run"]["particles"]
+    for i, m in enumerate(config["method"]):
         need = METHODS[m["name"]].min_particles
-        _expect(run["particles"] >= need, "run.particles",
+        _expect(particles >= need, "run.particles",
                 f"must be >= {need} for method[{i}] ({m['name']})")
-        _expect(m.get("nystrom_size", 1) <= run["particles"],
+        _expect(m.get("nystrom_size", 1) <= particles,
                 f"method[{i}].nystrom_size", "must not exceed run.particles")
-
-    output = dict(_as_mapping(raw.get("output", {}), "output"))
-    gt = dict(_as_mapping(output.get("ground_truth", {}), "output.ground_truth"))
-    _integer(gt.setdefault("samples", 0), "output.ground_truth.samples", 0)
-    check_seed(gt.setdefault("seed", 1_000_003), "output.ground_truth.seed")
-    _positive_number(gt.setdefault("proposal_scale", 0.1),
-                     "output.ground_truth.proposal_scale")
-    _integer(gt.setdefault("burn_in", 10_000), "output.ground_truth.burn_in", 0)
-    _integer(gt.setdefault("thinning", 10), "output.ground_truth.thinning", 1)
-    output["ground_truth"] = gt
-    _boolean(output.setdefault("mmd", gt["samples"] > 0), "output.mmd")
-    # the MMD kernel's lengthscale is the median pair distance of the
-    # ground truth, which needs two rows
-    _expect(not output["mmd"] or gt["samples"] >= 2,
+    # the MMD kernel's lengthscale and a "median" one are median pair
+    # distances of the ground truth, which needs two rows
+    samples = config["output"]["ground_truth"]["samples"]
+    _expect(not config["output"]["mmd"] or samples >= 2,
             "output.ground_truth.samples", "must be >= 2 with output.mmd on")
-    _integer(output.setdefault("mmd_subsample_cap", 20_000),
-             "output.mmd_subsample_cap", 1)
-    check_seed(output.setdefault("mmd_seed", 0), "output.mmd_seed")
-    _expect("binary_samples" not in output, "output.binary_samples",
-            "removed; every sample CSV that evaluation reads now has a "
-            "binary twin")
-    out["output"] = output
-
-    if ls == "median":
-        _expect(gt["samples"] >= 2, "output.ground_truth.samples",
-                'must be >= 2 with kernel.lengthscale "median"')
-    return out
+    _expect(config["kernel"]["lengthscale"] != "median" or samples >= 2,
+            "output.ground_truth.samples",
+            'must be >= 2 with kernel.lengthscale "median"')
+    return config
 
 
 def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
@@ -318,19 +338,15 @@ def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
             node = node[key]
         return node
 
-    cap = _integer(field("output.mmd_subsample_cap"),
-                   f"{path}: output.mmd_subsample_cap", 1)
+    cap = _at_least(1)(field("output.mmd_subsample_cap"),
+                       f"{path}: output.mmd_subsample_cap")
     mmd_seed = check_seed(field("output.mmd_seed"), f"{path}: output.mmd_seed")
-    methods = field("method")
-    _expect(isinstance(methods, list), f"{path}: method", "expected a list")
-    for i, method in enumerate(methods):
-        _expect(isinstance(method, dict) and isinstance(method.get("label"), str),
-                f"{path}: method[{i}].label", "expected a string")
-    seeds = field("run.seeds")
-    _expect(isinstance(seeds, list), f"{path}: run.seeds", "expected a list")
-    for i, seed in enumerate(seeds):
-        check_seed(seed, f"{path}: run.seeds[{i}]")
-    return cap, mmd_seed, [m["label"] for m in methods], seeds
+    labels = _list_of(lambda m, at: _string(_as_mapping(m, at).get("label"),
+                                            f"{at}.label"), "methods")(
+        field("method"), f"{path}: method")
+    seeds = _list_of(check_seed, "integers")(field("run.seeds"),
+                                             f"{path}: run.seeds")
+    return cap, mmd_seed, labels, seeds
 
 
 def resolve_method_defaults(config: dict, kind: str, total_dim: int) -> dict:

@@ -42,6 +42,7 @@ from yaml import YAMLError
 from . import __version__, stein
 from .config import (
     METHODS,
+    PROBLEMS,
     ConfigError,
     bundled_defaults,
     check_seed,
@@ -101,59 +102,42 @@ def make_model(problem):
 
 
 def build_problem(problem_cfg: dict):
+    """The problem of a validated problem section: generated from its PROBLEMS
+    fields, or read from its file."""
     kind = problem_cfg["kind"]
-    if kind == "bayes_net":
-        cfg = BayesNetConfig(
-            layer_sizes=tuple(problem_cfg["layer_sizes"]),
-            max_parents=problem_cfg["max_parents"],
-            gmm_nodes=problem_cfg["gmm_nodes"],
-            mean_range=tuple(problem_cfg["mean_range"]),
-            variance_range=tuple(problem_cfg["variance_range"]),
-            seed=problem_cfg["seed"],
-        )
-        return generate_bayes_net(cfg)
-    if kind == "snlp":
-        cfg = SnlpConfig(
-            unknowns=problem_cfg["unknowns"],
-            anchors=problem_cfg["anchors"],
-            side=problem_cfg["side"],
-            radius=problem_cfg["radius"],
-            noise_variance=problem_cfg["noise_variance"],
-            noiseless=problem_cfg["noiseless"],
-            seed=problem_cfg["seed"],
-        )
-        return build_snlp(cfg)
-    return _read_file(Path(problem_cfg["path"]), load_problem)
+    if kind == "file":
+        return _read_file(Path(problem_cfg["path"]), load_problem)
+    make_config, generate = {"bayes_net": (BayesNetConfig, generate_bayes_net),
+                             "snlp": (SnlpConfig, build_snlp)}[kind]
+    return generate(make_config(**{key: problem_cfg[key]
+                                   for key in PROBLEMS[kind]}))
 
 
-def default_init(problem) -> tuple[np.ndarray, float]:
-    """Problem-family default for the Gaussian particle initializer."""
+def init_distribution(problem, run_cfg: dict) -> tuple[np.ndarray, float]:
+    """Center and scale of the Gaussian particle initializer: the configured
+    ones, else the problem family's defaults."""
     if isinstance(problem, SnlpProblem):
-        center = np.tile([problem.side / 2.0, problem.side / 2.0],
-                         problem.n_unknowns)
-        return center, problem.side / 4.0
-    return np.zeros(problem.total_dim), 1.0
+        center = np.full(2 * problem.n_unknowns, problem.side / 2.0)
+        scale = problem.side / 4.0
+    else:
+        center, scale = np.zeros(problem.total_dim), 1.0
+    if run_cfg.get("init_center") is not None:
+        configured = np.asarray(run_cfg["init_center"], dtype=float)
+        if configured.ndim and configured.shape != center.shape:
+            raise ConfigError(f"run.init_center: {configured.size} entries, "
+                              f"the problem has {center.size} dimensions")
+        center = np.full_like(center, configured)
+    if run_cfg.get("init_scale") is not None:
+        scale = float(run_cfg["init_scale"])
+    return center, scale
 
 
 def initialize_particles(problem, run_cfg: dict, seed: int) -> ParticleSet:
-    """I.i.d. Gaussian cloud around the configured (or default) center."""
-    center, scale = default_init(problem)
-    if run_cfg.get("init_center") is not None:
-        configured = run_cfg["init_center"]
-        if isinstance(configured, (int, float)):
-            center = np.full_like(center, float(configured))
-        else:
-            configured = np.asarray(configured, dtype=float)
-            if configured.shape != center.shape:
-                raise ConfigError("run.init_center: wrong length for this problem")
-            center = configured
-    if run_cfg.get("init_scale") is not None:
-        scale = float(run_cfg["init_scale"])
+    """I.i.d. Gaussian cloud of `init_distribution`."""
+    center, scale = init_distribution(problem, run_cfg)
     rng = np.random.default_rng(seed)
-    positions = center + scale * rng.standard_normal(
-        (run_cfg["particles"], center.size)
-    )
-    return ParticleSet(positions, seed=seed)
+    return ParticleSet(center + scale * rng.standard_normal(
+        (run_cfg["particles"], center.size)), seed=seed)
 
 
 def ground_truth_sample(problem, gt_cfg: dict) -> np.ndarray:
@@ -306,7 +290,7 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         bundled_defaults(kind, model.layout.total_dim), ground_truth,
         config["output"]["mmd_seed"])
 
-    init_center, init_scale = default_init(problem)
+    init_center, init_scale = init_distribution(problem, config["run"])
     manifest = {
         "schema_version": 1,
         "package_version": __version__,
@@ -315,17 +299,8 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         "kernel": {"lengthscale": float(lengthscale),
                    "lengthscale_source": ls_source},
         "method": config["method"],
-        "run": {
-            **config["run"],
-            "resolved_init_center": [float(v) for v in np.atleast_1d(
-                config["run"]["init_center"]
-                if config["run"]["init_center"] is not None else init_center
-            )],
-            "resolved_init_scale": float(
-                config["run"]["init_scale"]
-                if config["run"]["init_scale"] is not None else init_scale
-            ),
-        },
+        "run": {**config["run"], "resolved_init_center": init_center.tolist(),
+                "resolved_init_scale": init_scale},
         "output": {
             **config["output"],
             "median_heuristic_subsample_cap": MEDIAN_SUBSAMPLE,

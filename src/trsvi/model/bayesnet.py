@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .layout import FactorLayout, TargetModel
+from .layout import (FactorLayout, TargetModel, csr_in_order,
+                     reciprocal_is_normal)
 
 ROOT = "root"
 LINEAR = "linear"
@@ -60,8 +61,9 @@ class BayesNode:
     def __post_init__(self):
         if self.kind not in (ROOT, LINEAR, GMM):
             raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.variance <= 0 or not np.isfinite(self.variance):
-            raise ValueError("variance must be positive and finite")
+        if not reciprocal_is_normal(self.variance):
+            raise ValueError(f"variance {self.variance!r}: 1 / variance must "
+                             "be a finite normal number")
         if self.kind == ROOT:
             if self.parents:
                 raise ValueError("root nodes have no parents")
@@ -261,15 +263,6 @@ class _Components:
         return np.subtract(XT.take(self.owner, axis=0), mean, out=mean)
 
 
-def _csr(values, rows, cols, shape) -> sparse.csr_matrix:
-    """A CSR matrix whose rows keep their entries in the order given."""
-    order = np.argsort(rows, kind="stable")
-    return sparse.csr_matrix(
-        (values[order], cols[order],
-         np.searchsorted(rows[order], np.arange(shape[0] + 1))),
-        shape=shape)
-
-
 class BayesNetModel(TargetModel):
     """Joint density of a layered net with hand-coded derivatives.
 
@@ -410,8 +403,8 @@ class BayesNetModel(TargetModel):
         values = np.vstack([-np.ones(comps.owner.size), comps.weights]).T
         cols = np.broadcast_to(np.arange(comps.owner.size)[:, None], rows.shape)
         keep = rows < d                     # the row of ones is no coordinate
-        return _csr(values[keep], rows[keep], cols[keep],
-                    (d, comps.owner.size))
+        return csr_in_order(values[keep], rows[keep], cols[keep],
+                            (d, comps.owner.size))
 
     def _build_hessian(self):
         """The Hessian's x-independent pattern row, its roots' and linear
@@ -451,6 +444,6 @@ class BayesNetModel(TargetModel):
                     values.append(block.ravel())
         if not rows:
             return constant, None
-        scatter = _csr(np.concatenate(values), np.concatenate(rows),
-                       np.concatenate(cols), (pattern.nnz, 5 * g))
+        scatter = csr_in_order(np.concatenate(values), np.concatenate(rows),
+                               np.concatenate(cols), (pattern.nnz, 5 * g))
         return constant, scatter

@@ -9,14 +9,37 @@ this structure.
 
 from __future__ import annotations
 
+import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 class SingularityError(ValueError):
     """A log-density derivative is undefined at the requested point."""
+
+
+def reciprocal_is_normal(value, power: int = 1) -> bool:
+    """Whether 1 / value**power is a finite normal number: the floor of a
+    variance, which the models divide by, and (power 4) of a kernel
+    lengthscale, whose fourth power the local Hessians divide by."""
+    try:
+        return sys.float_info.min <= 1.0 / math.pow(value, power) < math.inf
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
+def csr_in_order(values, rows, cols, shape) -> sparse.csr_matrix:
+    """A CSR matrix whose rows keep their entries in the order given, so a
+    product with it adds each row's terms in that order."""
+    order = np.argsort(rows, kind="stable")
+    return sparse.csr_matrix(
+        (values[order], cols[order],
+         np.searchsorted(rows[order], np.arange(shape[0] + 1))),
+        shape=shape)
 
 
 def _index_array(values) -> np.ndarray:

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .layout import FactorLayout, SingularityError, TargetModel
+from .layout import (FactorLayout, SingularityError, TargetModel,
+                     csr_in_order, reciprocal_is_normal)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -57,8 +58,9 @@ class SnlpProblem:
         object.__setattr__(
             self, "anchor_positions", np.asarray(self.anchor_positions, dtype=float)
         )
-        if self.noise_variance <= 0:
-            raise ValueError("noise variance must be positive")
+        if not reciprocal_is_normal(self.noise_variance):
+            raise ValueError(f"noise_variance {self.noise_variance!r}: 1 / "
+                             "noise_variance must be a finite normal number")
         if self.radius <= 0:
             raise ValueError("sensing radius must be positive")
         n = self.n_unknowns + self.n_anchors
@@ -88,10 +90,6 @@ def build_snlp(config: SnlpConfig) -> SnlpProblem:
     Anchor-anchor pairs are skipped: their measurements do not depend on the
     state and would only add a constant to the log-density.
     """
-    if config.radius <= 0:
-        raise ValueError("radius must be positive")
-    if config.noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
     if config.unknowns < 1:
         raise ValueError("need at least one unknown sensor")
     rng = np.random.default_rng(config.seed)
@@ -264,14 +262,8 @@ class SnlpModel(TargetModel):
         rows = (2 * self._ends[edge, end, None] + np.arange(2)).ravel()
         cols = (2 * edge[:, None] + np.arange(2)).ravel()
         signs = np.repeat(1.0 - 2.0 * end, 2)
-        # a stable sort by row keeps each row's terms in the order above
-        order = np.argsort(rows, kind="stable")
-        dim = self.layout.total_dim
-        return sparse.csr_matrix(
-            (signs[order], cols[order],
-             np.searchsorted(rows[order], np.arange(dim + 1))),
-            shape=(dim, 2 * every.size),
-        )
+        return csr_in_order(signs, rows, cols,
+                            (self.layout.total_dim, 2 * every.size))
 
     @cached_property
     def _hessian_scatter(self):

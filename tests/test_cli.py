@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import os
 import re
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trsvi
@@ -31,12 +32,20 @@ from trsvi.experiment import (
 )
 from trsvi.model import (
     SAMPLE_INDEX,
+    BayesNetConfig,
+    SnlpConfig,
+    build_snlp,
+    dump_yaml,
+    generate_bayes_net,
     load_problem,
     load_samples_binary,
     load_samples_csv,
+    problem_to_dict,
     save_samples_csv,
 )
 from trsvi.trustregion import IterationRecord
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**overrides):
@@ -167,6 +176,23 @@ class TestConfigValidation:
             "svn-ctr": {"radius": 1.0},
         }
 
+    @pytest.mark.parametrize("section, key", [
+        ("run", "particle"), ("kernel", "lenghtscale"),
+        ("problem", "max_parent"), ("problem", "gmm_node"),
+        ("output", "mmd_sed"), ("output.ground_truth", "sample"),
+        (None, "outputs"),
+    ])
+    def test_unknown_key_named_in_every_section(self, section, key):
+        cfg = tiny_config()
+        node = cfg
+        for name in section.split(".") if section else ():
+            node = node[name]
+        node[key] = 1
+        named = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"^{re.escape(named)}: not a "
+                                              r"field of .*; it takes "):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("kind", ["bayes_net", "snlp", "file"])
     def test_full_configs_are_valid(self, kind):
         validate_config(full_config(kind))
@@ -225,6 +251,62 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^output\.binary_samples: "
                                               r"removed"):
             validate_config(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_misspelled_key_gives_config_error(self, data):
+        """A misspelled key, added beside the key it misspells in any
+        mapping of a full config (every section, the ground truth, each
+        method), is rejected naming it and the fields its mapping takes."""
+        cfg = full_config(data.draw(st.sampled_from(["bayes_net", "snlp",
+                                                     "file"])))
+        path, node = data.draw(st.sampled_from(list(_mappings(cfg))))
+        key = data.draw(st.sampled_from(sorted(node)))
+        i = data.draw(st.integers(0, len(key) - 1))
+        typo = data.draw(st.sampled_from([key[:i] + key[i + 1:],
+                                          key[:i] + key[i] + key[i:]]))
+        assume(typo and typo not in node)
+        node[typo] = node[key]
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        named = _path_text(path + (typo,))
+        assert str(err.value).startswith(f"{named}: not a field of "), named
+        takes = str(err.value).split("; it takes ")[1].split(", ")
+        assert typo not in takes and set(node) - {typo} <= set(takes)
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (ROOT / "configs").glob("*.yaml")))
+    def test_bundled_configs_are_valid(self, name):
+        validate_config(yaml.safe_load((ROOT / "configs" / name).read_text()))
+
+    def test_benchmark_configs_are_valid(self):
+        """Every config the benchmark derives from a bundled one validates."""
+        workloads = _benchmark_workloads()
+        assert workloads
+        for workload in workloads.values():
+            validate_config(workload.derive(ROOT))
+
+
+def _benchmark_workloads():
+    """The benchmark's workloads, `perfbench.workloads.WORKLOADS`."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _mappings(node, path=()):
+    """(path, mapping) of the config tree's root and every mapping in it."""
+    if isinstance(node, dict):
+        yield path, node
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _mappings(child, path + (key,))
 
 
 def full_config(kind):
@@ -379,6 +461,18 @@ class TestRunExperiment:
         dlr = next(m for m in manifest["method"] if m["name"] == "mp-svgd-dlr")
         assert dlr["step"] == 0.05 and dlr["decay"] == 0.99
         assert manifest["problem"]["total_dim"] == 4
+
+    def test_scalar_init_center_resolves_to_every_dimension(self, tmp_path):
+        """A number as run.init_center centers every coordinate, and the
+        manifest records the center the particles were drawn around."""
+        cfg = tiny_config(method=[{"name": "tr-svi-at", "iterations": 0}],
+                          output={})
+        cfg["run"].update(init_center=1.5, init_scale=1e-3, seeds=[0])
+        artifact = run_experiment(cfg, tmp_path / "art")
+        manifest = yaml.safe_load((artifact / "manifest.yaml").read_text())
+        assert manifest["run"]["resolved_init_center"] == [1.5] * 4
+        init, _ = load_samples_csv(artifact / "inits" / "seed_0.csv")
+        assert np.abs(init - 1.5).max() < 0.01
 
     def test_metrics_per_method_stats(self, artifact):
         metrics = yaml.safe_load((artifact / "metrics.yaml").read_text())
@@ -716,6 +810,18 @@ def _problem_file(tmp_path, text):
     return {"kind": "file", "path": str(path)}
 
 
+def _spec_file(tmp_path, kind, **edit):
+    """A problem file holding a small problem of `kind` with `edit` applied
+    to its first node (a net) or to the problem (SNLP)."""
+    if kind == "bayes_net":
+        spec = problem_to_dict(generate_bayes_net(BayesNetConfig((2, 2))))
+        spec["layers"][0][0].update(edit)
+    else:
+        fields = {k: v for k, v in SMALL_SNLP.items() if k != "kind"}
+        spec = {**problem_to_dict(build_snlp(SnlpConfig(**fields))), **edit}
+    return _problem_file(tmp_path, dump_yaml(spec))
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda cfg, tmp: cfg["run"].update(seeds=[4, 7, 4]), "run.seeds[2]"),
     (lambda cfg, tmp: cfg["run"].update(particles=1), "run.particles"),
@@ -753,6 +859,16 @@ def _problem_file(tmp_path, text):
     (lambda cfg, tmp: cfg.update(problem=_problem_file(
         tmp, "schema_version: 1\nkind: bayes_net\nlayers: 3\n")),
      "spec.yaml: malformed bayes_net problem spec"),
+    # finite values whose arithmetic overflowed
+    (lambda cfg, tmp: cfg["problem"].update(mean_range=[-1.0e308, 1.0e308]),
+     "problem.mean_range: high - low must be finite"),
+    # a problem file whose variance the models cannot divide by
+    (lambda cfg, tmp: cfg.update(problem=_spec_file(tmp, "bayes_net",
+                                                    variance=1e-320)),
+     "spec.yaml: variance"),
+    (lambda cfg, tmp: cfg.update(problem=_spec_file(tmp, "snlp",
+                                                    noise_variance=INF)),
+     "spec.yaml: noise_variance"),
     # these two validated and finished with exit status 0
     (lambda cfg, tmp: cfg["method"][2].update(initial_radius=INF),
      "method[2].initial_radius"),

@@ -17,7 +17,7 @@ from trsvi.model import (
     build_snlp,
     generate_bayes_net,
 )
-from trsvi.model.layout import TargetModel
+from trsvi.model.layout import TargetModel, reciprocal_is_normal
 
 
 def test_single_factor_layout():
@@ -230,3 +230,15 @@ def test_pattern_index_rejects_entries_off_the_pattern():
     for rows, cols in ((0, 5), ([1, 6], [1, 0]), (6, 7)):
         with pytest.raises(ValueError, match="outside the Hessian pattern"):
             pattern.index(rows, cols)
+
+
+@pytest.mark.parametrize("value, power, normal", [
+    (1e-3, 1, True), (1e-300, 1, True), (1e-320, 1, False), (1e307, 1, True),
+    (1e308, 1, False), (0.0, 1, False), (-1.0, 1, False),
+    (float("inf"), 1, False), (float("nan"), 1, False), (1e-77, 4, True),
+    (1e-150, 4, False), (1e100, 4, False),
+])
+def test_reciprocal_is_normal(value, power, normal):
+    """The floor that config checks and the model classes share: 1 / v**p
+    must be a finite normal number."""
+    assert reciprocal_is_normal(value, power) is normal
