@@ -53,6 +53,7 @@ from .config import (
 from .evaluation import MmdReference, metropolis_reference
 from .kernels import (
     MEDIAN_SUBSAMPLE,
+    DegenerateSampleError,
     KernelSpec,
     LocalKernelFamily,
     median_heuristic,
@@ -246,9 +247,21 @@ def resolve_lengthscale(configured, table: dict, ground_truth, mmd_seed: int):
     if configured == "table":
         return table["lengthscale"], "bundled table"
     if configured == "median":
-        return (median_heuristic(ground_truth, seed=mmd_seed),
+        return (_ground_truth_median(ground_truth, mmd_seed,
+                                    "output.ground_truth"),
                 "median of ground truth")
     return float(configured), "config"
+
+
+def _ground_truth_median(ground_truth, seed: int, where: str) -> float:
+    """The median heuristic of a ground truth; one without a positive
+    median pair distance is a one-line ConfigError naming `where`."""
+    try:
+        return median_heuristic(ground_truth, seed=seed)
+    except DegenerateSampleError:
+        raise ConfigError(f"{where}: over half of its row pairs coincide, so "
+                          "the median heuristic gives no kernel lengthscale"
+                          ) from None
 
 
 def run_experiment(config, output_dir, seed_override: int | None = None,
@@ -387,10 +400,15 @@ def evaluate_artifact(artifact_dir) -> dict:
     index = read_sample_index(out)
 
     def read_samples(path: Path) -> np.ndarray:
-        twin = load_verified_twin(out, path.relative_to(out).as_posix(), index)
-        if twin is not None:
-            return twin
-        return _read_file(path, load_samples_csv)[0]
+        samples = load_verified_twin(out, path.relative_to(out).as_posix(),
+                                     index)
+        if samples is None:
+            samples = _read_file(path, load_samples_csv)[0]
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+            raise ConfigError(f"{path}: data row {bad[0] + 1} holds NaN or "
+                              "inf; evaluation needs finite samples")
+        return samples
 
     truth_path = out / "ground_truth.csv"
     if not truth_path.exists():
@@ -407,7 +425,8 @@ def evaluate_artifact(artifact_dir) -> dict:
         rng = np.random.default_rng(mmd_seed)
         keep = np.sort(rng.choice(reference.shape[0], size=cap, replace=False))
         reference = reference[keep]
-    kernel = KernelSpec(median_heuristic(ground_truth, seed=mmd_seed))
+    kernel = KernelSpec(_ground_truth_median(ground_truth, mmd_seed,
+                                            str(truth_path)))
     scorer = MmdReference(reference, kernel)
 
     report = {

@@ -52,8 +52,11 @@ def median_heuristic(samples: np.ndarray, seed: int = 0) -> float:
     Samples beyond MEDIAN_SUBSAMPLE rows are first reduced to a seeded
     uniform subsample, whose error in the median is already that of a
     statistic.  The value is exactly ``np.median(pdist(samples))``: one
-    `pdist` of the (sub)sample, at most 4 MB, is partitioned in place at
-    the one or two middle ranks, and those are averaged as np.median does.
+    `pdist` of the (sub)sample, at most 4 MB, is partitioned in place once,
+    at the upper middle rank.  For an even pair count the lower middle
+    value is the largest distance below that rank, and the two are
+    averaged with np.mean as np.median does; a one-rank partition costs a
+    third or less of a two-rank one.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -72,9 +75,11 @@ def median_heuristic(samples: np.ndarray, seed: int = 0) -> float:
         samples = samples[np.sort(idx)]
     dists = pdist(samples)
     half = dists.size // 2
-    middle = [half] if dists.size % 2 else [half - 1, half]
-    dists.partition(middle)
-    value = float(np.mean(dists[middle]))
+    dists.partition(half)
+    value = dists[half]
+    if dists.size % 2 == 0:
+        value = np.mean([dists[:half].max(), value])
+    value = float(value)
     if value == 0.0:
         raise DegenerateSampleError(
             "median pairwise distance is zero (coincident sample rows)"

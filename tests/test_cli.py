@@ -822,6 +822,13 @@ def _spec_file(tmp_path, kind, **edit):
     return _problem_file(tmp_path, dump_yaml(spec))
 
 
+def _coincident_truth(output):
+    """`output` with a Metropolis ground truth that never moves: every
+    proposal of scale 1e-200 rounds back to the chain's start, so on an
+    SNLP problem all of its rows coincide."""
+    output["ground_truth"].update(proposal_scale=1.0e-200)
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda cfg, tmp: cfg["run"].update(seeds=[4, 7, 4]), "run.seeds[2]"),
     (lambda cfg, tmp: cfg["run"].update(particles=1), "run.particles"),
@@ -869,6 +876,15 @@ def _spec_file(tmp_path, kind, **edit):
     (lambda cfg, tmp: cfg.update(problem=_spec_file(tmp, "snlp",
                                                     noise_variance=INF)),
      "spec.yaml: noise_variance"),
+    # a ground truth whose rows all coincide: the MMD kernel's median
+    # heuristic, or a "median" lengthscale's, ended in a traceback
+    (lambda cfg, tmp: (cfg.update(problem=dict(SMALL_SNLP)),
+                       _coincident_truth(cfg["output"])),
+     "ground_truth.csv: over half of its row pairs coincide"),
+    (lambda cfg, tmp: (cfg.update(problem=dict(SMALL_SNLP)),
+                       cfg["kernel"].update(lengthscale="median"),
+                       _coincident_truth(cfg["output"])),
+     "output.ground_truth: over half of its row pairs coincide"),
     # these two validated and finished with exit status 0
     (lambda cfg, tmp: cfg["method"][2].update(initial_radius=INF),
      "method[2].initial_radius"),
@@ -881,9 +897,10 @@ def test_config_that_cannot_run_exits_2_before_any_output(tmp_path, edit,
     """A repeated seed, one particle for a method that needs two (tr-svi-kl's
     median heuristic), a number that is not finite, a variance or
     lengthscale whose reciprocal is not a finite normal number, a negative
-    seed, or a problem file that is missing, not YAML or not a problem spec
-    is a config error: `trsvi run` exits 2 with one stderr line naming the
-    field or file, no traceback, and no output directory."""
+    seed, a problem file that is missing, not YAML or not a problem spec,
+    or a ground truth whose rows all coincide is a config error: `trsvi run`
+    exits 2 with one stderr line naming the field or file, no traceback,
+    and no output directory."""
     cfg = tiny_config()
     cfg["method"].append({"name": "tr-svi-kl", "iterations": 2})
     edit(cfg, tmp_path)
@@ -1057,13 +1074,20 @@ class TestCliVerbs:
         ("manifest that is a list", "manifest.yaml"),
         ("final sample narrower than the ground truth", "final.csv"),
         ("ground truth of one row", "ground_truth.csv"),
+        # a value the CSV parser reads as a number; the edit breaks the
+        # CSV's digest, so evaluate parses it instead of reading its twin
+        ("nan in the ground truth", "ground_truth.csv: data row 3 holds"),
+        ("inf in the ground truth", "ground_truth.csv: data row 3 holds"),
+        ("nan in a final sample", "final.csv: data row 3 holds"),
+        ("inf in a final sample", "final.csv: data row 3 holds"),
     ])
     def test_evaluate_unusable_artifact_exits_2(self, artifact, tmp_path,
                                                 capsys, defect, named):
         """A manifest that lacks a field evaluate reads, or is no mapping,
-        a final sample whose width is not the ground truth's and a ground
-        truth too small for the median heuristic give exit status 2, one
-        stderr line naming the field or the file, and no metrics.yaml."""
+        a final sample whose width is not the ground truth's, a ground
+        truth too small for the median heuristic and a sample holding NaN
+        or inf give exit status 2, one stderr line naming the field or the
+        file, and no metrics.yaml."""
         copy = shutil.copytree(artifact, tmp_path / "art")
         (copy / "metrics.yaml").unlink()
         manifest_path = copy / "manifest.yaml"
@@ -1078,6 +1102,12 @@ class TestCliVerbs:
             path = copy / "ground_truth.csv"
             samples, names = load_samples_csv(path)
             save_samples_csv(path, samples[:1], names)
+        elif defect.startswith(("nan", "inf")):
+            path = copy / ("ground_truth.csv" if "ground" in defect else
+                           "runs/mp-svgd-dlr/seed_1/final.csv")
+            samples, names = load_samples_csv(path)
+            samples[2, 1] = float(defect[:3])
+            save_samples_csv(path, samples, names)
         else:
             path = copy / "runs" / "mp-svgd-dlr" / "seed_1" / "final.csv"
             samples, names = load_samples_csv(path)
@@ -1089,6 +1119,29 @@ class TestCliVerbs:
         assert rc == 2
         assert err.count("\n") == 1 and named in err
         assert not (copy / "metrics.yaml").exists()
+
+    def test_evaluate_coincident_ground_truth_exits_2(self, tmp_path,
+                                                      capsys):
+        """An artifact built without MMD, at a numeric lengthscale, whose
+        ground truth rows all coincide: exit status 2, one config error
+        line naming the file, and every file left as it was."""
+        cfg = tiny_config(problem=dict(SMALL_SNLP))
+        cfg["output"]["mmd"] = False
+        _coincident_truth(cfg["output"])
+        out = run_experiment(cfg, tmp_path / "art")
+
+        def files():
+            return {path: path.read_bytes() for path in out.rglob("*")
+                    if path.is_file()}
+
+        before = files()
+        rc = main(["evaluate", "--artifact", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"config error: {out / 'ground_truth.csv'}: over half "
+                       "of its row pairs coincide, so the median heuristic "
+                       "gives no kernel lengthscale\n")
+        assert files() == before
 
     @pytest.mark.parametrize("verb", ["run", "generate"])
     @pytest.mark.parametrize("content", [b"problem: {kind: snlp\n",

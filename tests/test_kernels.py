@@ -185,6 +185,12 @@ def _same_as_oracle(X, seed=0):
          offset=1e6, flat=False, seed=4)     # a large common offset
 @example(n=1500, d=1, log_scale=6, rounded=True, duplicated=False,
          offset=-1e6, flat=True, seed=5)     # 1-D input
+# even pair counts: the lower middle distance repeats below a larger upper
+# one (400 rows), and the two middle distances are equal (401 rows)
+@example(n=400, d=2, log_scale=0, rounded=False, duplicated=True,
+         offset=0.0, flat=False, seed=0)
+@example(n=401, d=2, log_scale=0, rounded=False, duplicated=True,
+         offset=0.0, flat=False, seed=1)
 def test_median_heuristic_is_bitwise_pdist_median(n, d, log_scale, rounded,
                                                    duplicated, offset, flat,
                                                    seed):
@@ -207,6 +213,20 @@ class TestMedianHeuristicExact:
         cfg = yaml.safe_load((root / "configs" / "bn10_desk.yaml").read_text())
         X = ground_truth_sample(build_problem(cfg["problem"]),
                                 {"samples": 6000, "seed": 1000})
+        _same_as_oracle(X)
+
+    def test_snlp50_large_ground_truth(self):
+        """The d = 100 benchmark's 2000-row Metropolis ground truth, whose
+        rejected proposals repeat rows: 1516 of them are distinct."""
+        root = Path(__file__).resolve().parents[1]
+        cfg = validate_config(yaml.safe_load(
+            (root / "configs" / "snlp_large.yaml").read_text()))
+        X = ground_truth_sample(build_problem(cfg["problem"]),
+                                {"samples": 2000, "seed": 1000,
+                                 "proposal_scale": 0.01, "burn_in": 1000,
+                                 "thinning": 2})
+        assert X.shape == (2000, 100)
+        assert np.unique(X, axis=0).shape[0] == 1516
         _same_as_oracle(X)
 
     def test_above_subsample_cap(self):
