@@ -9,7 +9,7 @@ the moved particles, the Stein field at the old positions and the step size.
 
 from __future__ import annotations
 
-from .kernels import KernelSpec, LocalKernelFamily
+from .kernels import KernelSpec
 from .model.layout import TargetModel
 from .stein import (ParticleSet, SteinGradientField, global_stein_gradient,
                     graphical_stein_gradient)
@@ -39,12 +39,12 @@ def svgd_step(
 def mp_svgd_step(
     particles: ParticleSet,
     target: TargetModel,
-    local_kernels: LocalKernelFamily,
+    kernel: KernelSpec,
     schedule: StepSchedule,
     t: int,
 ) -> tuple[ParticleSet, SteinGradientField, float]:
     """One first-order update along the local-kernel functional gradient."""
-    field = graphical_stein_gradient(particles, target, local_kernels)
+    field = graphical_stein_gradient(particles, target, kernel)
     displacement = schedule.scaled_step(-field.values, t)
     return (particles.advanced(particles.positions + displacement), field,
             schedule.step_size(t))

@@ -11,6 +11,7 @@ value lands in the run manifest."""
 from __future__ import annotations
 
 import copy
+import re
 import sys
 from functools import partial
 from typing import Callable, NamedTuple
@@ -104,6 +105,15 @@ def _boolean(value, path: str) -> bool:
 
 def _string(value, path: str) -> str:
     _expect(isinstance(value, str) and value, path, "expected a nonempty string")
+    return value
+
+
+def _label(value, path: str) -> str:
+    """A method label, which names its runs' folder: one path component."""
+    _expect(isinstance(value, str) and value not in (".", "..")
+            and re.fullmatch(r"[A-Za-z0-9._+-]+", value) is not None, path,
+            "expected one path component of letters, digits and ._+-, "
+            "not . or ..")
     return value
 
 
@@ -247,7 +257,7 @@ METHODS = {
 # a method entry's fields besides its name and its own, which stay unset
 # until resolve_method_defaults
 COMMON_FIELDS = {"iterations": (_at_least(0), 300),
-                 "label": (_string, lambda m: m["name"])}
+                 "label": (_label, lambda m: m["name"])}
 _METHOD_ENTRY = _selected("name", {name: {**COMMON_FIELDS, **{
     key: (check, UNSET) for key, (check, _) in m.fields.items()}}
     for name, m in METHODS.items()})
@@ -341,8 +351,8 @@ def manifest_fields(manifest, path) -> tuple[int, int, list[str], list[int]]:
     cap = _at_least(1)(field("output.mmd_subsample_cap"),
                        f"{path}: output.mmd_subsample_cap")
     mmd_seed = check_seed(field("output.mmd_seed"), f"{path}: output.mmd_seed")
-    labels = _list_of(lambda m, at: _string(_as_mapping(m, at).get("label"),
-                                            f"{at}.label"), "methods")(
+    labels = _list_of(lambda m, at: _label(_as_mapping(m, at).get("label"),
+                                           f"{at}.label"), "methods")(
         field("method"), f"{path}: method")
     seeds = _list_of(check_seed, "integers")(field("run.seeds"),
                                              f"{path}: run.seeds")

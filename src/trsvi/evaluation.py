@@ -77,16 +77,13 @@ def mmd(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
         raise ValueError("samples must share a column count")
     if X.shape[0] < 1 or Y.shape[0] < 1:
         raise ValueError("samples must be nonempty")
-    ell = kernel.lengthscale
-    return _mmd_from_self_sums(X, _self_sum(X, ell), Y, _self_sum(Y, ell), ell)
+    return MmdReference(Y, kernel).value(X)
 
 
 class MmdReference:
     """Repeated MMD evaluations against one fixed reference sample.
 
-    Precomputes the reference self-term once; values are identical to
-    mmd(X, reference, kernel) because the same sums and the same argument
-    canonicalization are used.
+    Precomputes the reference self-term once; `mmd` is one such value.
     """
 
     def __init__(self, reference: np.ndarray, kernel: KernelSpec):

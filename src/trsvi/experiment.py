@@ -55,7 +55,6 @@ from .kernels import (
     MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
     KernelSpec,
-    LocalKernelFamily,
     median_heuristic,
 )
 from .model import (
@@ -207,10 +206,9 @@ def execute_method(problem, method_cfg: dict, lengthscale: float,
         model = make_model(problem)
     method = METHODS[method_cfg["name"]]
     kernel = KernelSpec(lengthscale)
-    family = LocalKernelFamily(kernel, model.layout)
     # looked up in `stein` at call time, where the benchmark's tracer wraps them
     contexts = {
-        "local": lambda X: stein.local_context(X, family),
+        "local": lambda X: stein.local_context(X, model.layout, kernel),
         "global": lambda X: stein.global_context(X, model.layout, kernel)}
     return trust_region_run(
         initialize_particles(problem, run_cfg, seed), model,
@@ -302,6 +300,10 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         config["kernel"]["lengthscale"],
         bundled_defaults(kind, model.layout.total_dim), ground_truth,
         config["output"]["mmd_seed"])
+    if config["output"]["mmd"]:
+        # the MMD kernel's lengthscale, checked before any method runs
+        _ground_truth_median(ground_truth, config["output"]["mmd_seed"],
+                             str(out / "ground_truth.csv"))
 
     init_center, init_scale = init_distribution(problem, config["run"])
     manifest = {

@@ -1,9 +1,9 @@
-"""RBF kernel, blanket-restricted local kernels, and the median heuristic.
+"""RBF kernel and the median heuristic.
 
 The RBF convention throughout is k(x, y) = exp(-||x - y||^2 / (2 l^2)); all
 bundled default lengthscales are interpreted under it.  A local kernel k_a is
-the same RBF restricted to the coordinates of blanket S_a, so it is invariant
-to every coordinate outside the blanket.
+the same RBF restricted to the coordinates of blanket S_a of the target's
+layout, so it is invariant to every coordinate outside the blanket.
 
 Every kernel matrix in the package, the Stein contexts' and the MMD sums'
 alike, comes from `rbf_matrix`: one matrix product of centred, augmented
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
-
-from .model.layout import FactorLayout
 
 # ground truths above this many rows give the median of a seeded subsample
 MEDIAN_SUBSAMPLE = 1000
@@ -36,14 +34,6 @@ class KernelSpec:
     def __post_init__(self):
         if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError("lengthscale must be positive and finite")
-
-
-@dataclass(frozen=True)
-class LocalKernelFamily:
-    """Per-factor RBF kernels restricted to blanket coordinates."""
-
-    kernel: KernelSpec
-    layout: FactorLayout
 
 
 def median_heuristic(samples: np.ndarray, seed: int = 0) -> float:

@@ -413,7 +413,7 @@ class BayesNetModel(TargetModel):
         r_0 r_1 e_0 e_1, r_0 r_1 e_1^2) to pattern entries; a row adds
         them in mixture and coefficient order, so an entry and its
         transpose take the same steps."""
-        pattern = self.layout.pattern()
+        pattern = self.layout.pattern
         constant = np.zeros(pattern.nnz)
         g = self._mixtures.size
         rows, cols, values = [], [], []

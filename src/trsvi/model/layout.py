@@ -13,6 +13,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -171,6 +172,7 @@ class HessianPattern:
 @dataclass(frozen=True, eq=False)
 class FactorLayout:
     """Partition of the state dimensions into factors plus per-factor blankets.
+    The tables derived from them are cached properties, built on first use.
 
     Attributes:
         factors: ordered contiguous index ranges covering every dimension.
@@ -204,11 +206,11 @@ class FactorLayout:
             if bl.size and (bl[0] < 0 or bl[-1] >= self.total_dim):
                 raise ValueError(f"blanket {a} indexes outside the state space")
         owner = np.repeat(np.arange(len(factors)), self._sizes())
-        own = self.membership()[owner, np.arange(self.total_dim)]
+        own = self.membership[owner, np.arange(self.total_dim)]
         if not own.all():
             a = owner[np.argmin(own)]
             raise ValueError(f"blanket {a} must contain its own factor")
-        overlap = self.overlap_matrix()
+        overlap = self.overlap_matrix
         if not np.array_equal(overlap, overlap.T):
             raise ValueError("blanket structure must be symmetric at factor level")
 
@@ -219,103 +221,83 @@ class FactorLayout:
     def _sizes(self) -> list[int]:
         return [f.size for f in self.factors]
 
+    @cached_property
     def membership(self) -> np.ndarray:
         """Boolean (D, total_dim) matrix: entry (a, j) true iff dimension j
         lies in blanket a."""
-        cached = getattr(self, "_membership", None)
-        if cached is None:
-            cached = np.zeros((self.n_factors, self.total_dim), dtype=bool)
-            for a, bl in enumerate(self.blankets):
-                cached[a, bl] = True
-            object.__setattr__(self, "_membership", cached)
-        return cached
+        member = np.zeros((self.n_factors, self.total_dim), dtype=bool)
+        for a, bl in enumerate(self.blankets):
+            member[a, bl] = True
+        return member
 
+    @cached_property
     def overlap_matrix(self) -> np.ndarray:
         """Boolean (D, D) matrix: entry (a, b) true iff factor b meets blanket a."""
-        cached = getattr(self, "_overlap_matrix", None)
-        if cached is None:
-            # factors are contiguous, so OR-ing each factor's run of columns
-            # asks whether any of its dimensions lies in the blanket
-            starts = np.cumsum([0] + self._sizes()[:-1])
-            cached = np.logical_or.reduceat(self.membership(), starts, axis=1)
-            object.__setattr__(self, "_overlap_matrix", cached)
-        return cached
+        # factors are contiguous, so OR-ing each factor's run of columns
+        # asks whether any of its dimensions lies in the blanket
+        starts = np.cumsum([0] + self._sizes()[:-1])
+        return np.logical_or.reduceat(self.membership, starts, axis=1)
 
+    @cached_property
     def overlapping_pairs(self) -> list[tuple[int, int]]:
         """Factor pairs (a, b), a <= b, whose blocks can be nonzero."""
-        cached = getattr(self, "_overlapping_pairs", None)
-        if cached is None:
-            upper = np.nonzero(np.triu(self.overlap_matrix()))
-            cached = [(int(a), int(b)) for a, b in zip(*upper)]
-            object.__setattr__(self, "_overlapping_pairs", cached)
-        return cached
+        upper = np.nonzero(np.triu(self.overlap_matrix))
+        return [(int(a), int(b)) for a, b in zip(*upper)]
 
+    @cached_property
     def factor_groups(self) -> list[FactorGroup]:
         """Factors grouped by size, in factor order."""
-        cached = getattr(self, "_factor_groups", None)
-        if cached is None:
-            by_size: dict[int, list[int]] = {}
-            for a, f in enumerate(self.factors):
-                by_size.setdefault(f.size, []).append(a)
-            cached = [FactorGroup(np.array(members, dtype=np.intp),
-                                  np.stack([self.factors[a] for a in members]))
-                      for members in by_size.values()]
-            object.__setattr__(self, "_factor_groups", cached)
-        return cached
+        by_size: dict[int, list[int]] = {}
+        for a, f in enumerate(self.factors):
+            by_size.setdefault(f.size, []).append(a)
+        return [FactorGroup(np.array(members, dtype=np.intp),
+                            np.stack([self.factors[a] for a in members]))
+                for members in by_size.values()]
 
+    @cached_property
     def padded_blankets(self) -> tuple[np.ndarray, np.ndarray]:
         """Every blanket as a row of one (D, w) index array, w the widest
         blanket's size, each row padded past its blanket by repeating the
         blanket's last index; and the (D,) blanket sizes."""
-        cached = getattr(self, "_padded_blankets", None)
-        if cached is None:
-            widths = np.array([b.size for b in self.blankets], dtype=np.intp)
-            index = np.stack([np.pad(b, (0, widths.max() - b.size), mode="edge")
-                              for b in self.blankets])
-            cached = (index, widths)
-            object.__setattr__(self, "_padded_blankets", cached)
-        return cached
+        widths = np.array([b.size for b in self.blankets], dtype=np.intp)
+        index = np.stack([np.pad(b, (0, widths.max() - b.size), mode="edge")
+                          for b in self.blankets])
+        return index, widths
 
+    @cached_property
     def pair_groups(self) -> list[PairGroup]:
         """Overlapping pairs grouped by block shape, in pair order, with the
         diagonal pairs (a, a) of blocks larger than 1 x 1 apart."""
-        cached = getattr(self, "_pair_groups", None)
-        if cached is None:
-            f, member, pattern = self.factors, self.membership(), self.pattern()
-            by_shape: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
-            for a, b in self.overlapping_pairs():
-                diagonal = a == b and f[a].size > 1
-                by_shape.setdefault((f[a].size, f[b].size, diagonal),
-                                    []).append((a, b))
-            cached = []
-            for (*_, diagonal), pairs in by_shape.items():
-                a = np.array([a for a, _ in pairs], dtype=np.intp)
-                b = np.array([b for _, b in pairs], dtype=np.intp)
-                rows = np.stack([f[k] for k in a])
-                cols = np.stack([f[k] for k in b])
-                in_b = member[b[:, None], rows]           # C_a's dims in blanket b
-                in_a = member[a[:, None], cols]           # C_b's dims in blanket a
-                mask = (in_b[:, :, None] & in_a[:, None, :]).astype(float)
-                cached.append(PairGroup(
-                    diagonal=diagonal, a=a, b=b, rows=rows, cols=cols,
-                    mask=mask,
-                    entries=pattern.index(rows[:, :, None], cols[:, None, :]),
-                    twins=pattern.index(cols[:, :, None], rows[:, None, :])))
-            object.__setattr__(self, "_pair_groups", cached)
-        return cached
+        f, member, pattern = self.factors, self.membership, self.pattern
+        by_shape: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
+        for a, b in self.overlapping_pairs:
+            diagonal = a == b and f[a].size > 1
+            by_shape.setdefault((f[a].size, f[b].size, diagonal),
+                                []).append((a, b))
+        groups = []
+        for (*_, diagonal), pairs in by_shape.items():
+            a = np.array([a for a, _ in pairs], dtype=np.intp)
+            b = np.array([b for _, b in pairs], dtype=np.intp)
+            rows = np.stack([f[k] for k in a])
+            cols = np.stack([f[k] for k in b])
+            in_b = member[b[:, None], rows]           # C_a's dims in blanket b
+            in_a = member[a[:, None], cols]           # C_b's dims in blanket a
+            mask = (in_b[:, :, None] & in_a[:, None, :]).astype(float)
+            groups.append(PairGroup(
+                diagonal=diagonal, a=a, b=b, rows=rows, cols=cols, mask=mask,
+                entries=pattern.index(rows[:, :, None], cols[:, None, :]),
+                twins=pattern.index(cols[:, :, None], rows[:, None, :])))
+        return groups
 
+    @cached_property
     def pattern(self) -> HessianPattern:
         """The entries that the blocks of overlapping factor pairs cover,
         in both triangles: where a model or Stein Hessian can be nonzero."""
-        cached = getattr(self, "_pattern", None)
-        if cached is None:
-            sizes = self._sizes()
-            covered = np.repeat(np.repeat(self.overlap_matrix(), sizes, axis=0),
-                                sizes, axis=1)
-            cached = HessianPattern.from_flat(np.flatnonzero(covered),
-                                              self.total_dim)
-            object.__setattr__(self, "_pattern", cached)
-        return cached
+        sizes = self._sizes()
+        covered = np.repeat(np.repeat(self.overlap_matrix, sizes, axis=0),
+                            sizes, axis=1)
+        return HessianPattern.from_flat(np.flatnonzero(covered),
+                                        self.total_dim)
 
     @classmethod
     def single_factor(cls, total_dim: int) -> "FactorLayout":
@@ -376,7 +358,7 @@ class TargetModel(ABC):
     @abstractmethod
     def hessian_batch(self, X: np.ndarray) -> np.ndarray:
         """Hessians of log p at the rows of X, as (n, nnz) values over
-        `layout.pattern()`; every entry off the pattern is zero.  The
+        `layout.pattern`; every entry off the pattern is zero.  The
         transpose of a C-ordered (nnz, n) array, the bundled models' form,
         is read as rows without a copy."""
 
@@ -388,7 +370,7 @@ class TargetModel(ABC):
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Dense Hessian of log p at x, scattered from `hessian_batch`."""
         x = self._check_point(x)
-        return self.layout.pattern().dense(self.hessian_batch(x[None, :]))[0]
+        return self.layout.pattern.dense(self.hessian_batch(x[None, :]))[0]
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

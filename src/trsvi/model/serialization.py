@@ -30,12 +30,8 @@ from .snlp import SnlpEdge, SnlpProblem
 SCHEMA_VERSION = 1
 _HEADER_BYTES = 16
 SAMPLE_INDEX = "samples.sha256"
-# `<digest>  <path>`, with a leading backslash when a backslash, line feed
-# or carriage return in the path is escaped as sha256sum escapes it
-_INDEX_LINE = re.compile(r"(\\?)([0-9a-f]{64})  (.+)")
-_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {v: k for k, v in _ESCAPES.items()}
-_ESCAPE, _UNESCAPE = re.compile(r"[\\\n\r]"), re.compile(r"\\[\\nr]")
+# `<digest>  <path>`; a path never holds a character sha256sum would escape
+_INDEX_LINE = re.compile(r"([0-9a-f]{64})  (.+)")
 
 # libyaml's safe loader and dumper when PyYAML was built with it: the same
 # documents and bytes as the pure-Python classes, several times faster
@@ -270,14 +266,16 @@ def _sha256(path) -> str:
 def write_sample_index(root, paths) -> None:
     """Write `root/samples.sha256`: one `<sha256 hex>  <path>` line for each
     of `paths` (files under `root`), the path posix and relative to `root`,
-    lines sorted by path, escaped as sha256sum escapes them, so that
-    `sha256sum -c samples.sha256` run in `root` checks every file."""
+    lines sorted by path, so that `sha256sum -c samples.sha256` run in
+    `root` checks every file.  A path holding a backslash, line feed or
+    carriage return, which sha256sum would escape, is a ValueError."""
     root = Path(root)
     lines = []
     for rel in sorted(Path(p).relative_to(root).as_posix() for p in paths):
-        escaped = _ESCAPE.sub(lambda m: _ESCAPES[m[0]], rel)
-        flag = "\\" if escaped != rel else ""
-        lines.append(f"{flag}{_sha256(root / rel)}  {escaped}\n")
+        if any(c in rel for c in "\\\n\r"):
+            raise ValueError(f"sample index path {rel!r} holds a backslash, "
+                             "line feed or carriage return")
+        lines.append(f"{_sha256(root / rel)}  {rel}\n")
     (root / SAMPLE_INDEX).write_bytes(os.fsencode("".join(lines)))
 
 
@@ -295,9 +293,7 @@ def read_sample_index(root) -> dict[str, str]:
         match = _INDEX_LINE.fullmatch(line)
         if match is None:
             continue
-        escaped, digest, rel = match.groups()
-        if escaped:
-            rel = _UNESCAPE.sub(lambda m: _UNESCAPES[m[0]], rel)
+        digest, rel = match.groups()
         index[rel] = digest
     return index
 

@@ -277,7 +277,7 @@ class SnlpModel(TargetModel):
         Entry (p, q) of a block reads C's entry (p, q), the xy entry for
         both (0, 1) and (1, 0).
         """
-        pattern = self.layout.pattern()
+        pattern = self.layout.pattern
         dim = pattern.dim
         # an anchor edge's second end is the anchor and is never used
         ends = self._ends

@@ -1,11 +1,12 @@
 """Stein functional gradients and second-variation Hessians over a particle set.
 
-The graphical variants use one local kernel per factor, so each factor's
-gradient block and each Hessian block depends only on blanket coordinates;
-the global variants use a single kernel over full state vectors.  Every
-expectation over the particle distribution is the empirical mean over all
-particles, including the particle being updated, summed in ascending particle
-order so results do not depend on how work is scheduled.
+The graphical variants use one local kernel per factor, over that factor's
+blanket in the target's layout, so each factor's gradient block and each
+Hessian block depends only on blanket coordinates; the global variants use
+a single kernel over full state vectors.  Every expectation over the
+particle distribution is the empirical mean over all particles, including
+the particle being updated, summed in ascending particle order so results
+do not depend on how work is scheduled.
 
 The per-factor layers are batched.  A local context's kernels are built a
 chunk of consecutive blankets at a time, by one batched product of the
@@ -18,14 +19,13 @@ _CHUNK_BYTES, which bounds the temporaries.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from scipy import sparse
 
-from .kernels import KernelSpec, LocalKernelFamily, rbf_matrix
+from .kernels import KernelSpec, rbf_matrix
 from .model.layout import FactorLayout, HessianPattern, PairGroup, TargetModel
 
 # kernels built, field products taken and Hessian pairs assembled for as
@@ -73,38 +73,27 @@ class SteinGradientField:
             raise ValueError("gradient field must be finite")
 
 
-def _check_layouts(target: TargetModel, layout: FactorLayout) -> None:
-    t = target.layout
-    if t is layout:
-        return
-    if t.total_dim != layout.total_dim or t.n_factors != layout.n_factors:
-        raise ValueError("target and kernel layouts disagree")
-    for fa, fb in zip(t.factors, layout.factors):
-        if not np.array_equal(fa, fb):
-            raise ValueError("target and kernel layouts disagree")
-
-
 @dataclass
 class AssemblyContext:
     """Kernel matrices shared by gradient and Hessian assembly at one particle
-    configuration: one per factor (views of one (n_factors, n, n) array), or
-    the same global kernel for all."""
+    configuration: one per factor (an (n_factors, n, n) array), or the
+    global kernel alone (a one-tuple)."""
 
     X: np.ndarray
     layout: FactorLayout
     lengthscale: float
-    kmats: Sequence[np.ndarray]
+    kmats: np.ndarray | tuple[np.ndarray]
     is_global: bool = False
 
 
-def local_context(X: np.ndarray, family: LocalKernelFamily) -> AssemblyContext:
+def local_context(X: np.ndarray, layout: FactorLayout,
+                  kernel: KernelSpec) -> AssemblyContext:
     """Every blanket's kernel, bitwise its own
-    `rbf_matrix(X, X, l, dims=blanket)`, as views of one (n_factors, n, n)
-    array filled one chunk of consecutive factors at a time."""
-    layout = family.layout
-    ls = family.kernel.lengthscale
+    `rbf_matrix(X, X, l, dims=blanket)`, as one (n_factors, n, n) array
+    filled one chunk of consecutive factors at a time."""
+    ls = kernel.lengthscale
     n = X.shape[0]
-    index, widths = layout.padded_blankets()
+    index, widths = layout.padded_blankets
     kmats = np.empty((layout.n_factors, n, n))
     step = _factors_per_chunk(n)
     for start in range(0, layout.n_factors, step):
@@ -151,9 +140,7 @@ def global_context(
     X: np.ndarray, layout: FactorLayout, kernel: KernelSpec
 ) -> AssemblyContext:
     K = rbf_matrix(X, X, kernel.lengthscale)
-    return AssemblyContext(
-        X, layout, kernel.lengthscale, [K] * layout.n_factors, is_global=True
-    )
+    return AssemblyContext(X, layout, kernel.lengthscale, (K,), is_global=True)
 
 
 def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradientField:
@@ -172,7 +159,7 @@ def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradie
             layout, _field_terms(ctx.kmats[0].T @ rhs, rhs, ctx.lengthscale))
     out = np.empty_like(X)
     step = _factors_per_chunk(X.shape[0])
-    for group in layout.factor_groups():
+    for group in layout.factor_groups:
         for start in range(0, group.factors.size, step):
             g = group.chunk(slice(start, start + step))
             first, last = g.factors[0], g.factors[-1]
@@ -286,7 +273,7 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     """
     X, layout = ctx.X, ctx.layout
     n = X.shape[0]
-    pattern = layout.pattern()
+    pattern = layout.pattern
     model = target.hessian_batch(X)
     if ctx.is_global:
         return _global_hessians(ctx, pattern, model)
@@ -297,7 +284,7 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     inv_ls4 = (1.0 / ctx.lengthscale**2)**2
     values = np.empty((pattern.nnz, n))
     W = np.empty((n, n))
-    for g in layout.pair_groups():
+    for g in layout.pair_groups:
         step = _pairs_per_chunk(n, *g.mask.shape[1:])
         for start in range(0, g.a.size, step):
             _pair_rows(g, slice(start, start + step), ctx.kmats, model, XcT,
@@ -384,11 +371,12 @@ def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,
 
 
 def graphical_stein_gradient(
-    particles: ParticleSet, target: TargetModel, local_kernels: LocalKernelFamily
+    particles: ParticleSet, target: TargetModel, kernel: KernelSpec
 ) -> SteinGradientField:
-    """Functional gradient under the product of local-kernel spaces."""
-    _check_layouts(target, local_kernels.layout)
-    return field_from_context(local_context(particles.positions, local_kernels), target)
+    """Functional gradient under the product of local-kernel spaces, one per
+    blanket of the target's layout."""
+    ctx = local_context(particles.positions, target.layout, kernel)
+    return field_from_context(ctx, target)
 
 
 def global_stein_gradient(

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluation import gradient_magnitude
-from .kernels import (DegenerateSampleError, KernelSpec, LocalKernelFamily,
-                      median_heuristic, rbf_matrix)
+from .kernels import (DegenerateSampleError, KernelSpec, median_heuristic,
+                      rbf_matrix)
 from .model.layout import TargetModel
 from .stein import (
     ParticleSet,
@@ -519,7 +519,7 @@ def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
 def tr_svi_kl_run(
     particles: ParticleSet,
     target: TargetModel,
-    local_kernels: LocalKernelFamily,
+    kernel: KernelSpec,
     initial_radius: float,
     iterations: int,
     seed: int,
@@ -527,17 +527,17 @@ def tr_svi_kl_run(
 ) -> tuple[ParticleSet, RunTrace]:
     """Local-kernel trust-region run with KL-ratio step control."""
     return trust_region_run(
-        particles, target, lambda X: local_context(X, local_kernels),
+        particles, target, lambda X: local_context(X, target.layout, kernel),
         TrustRegionKLState(initial_radius, nystrom_size, seed), iterations)
 
 
 def tr_svi_at_run(
     particles: ParticleSet,
     target: TargetModel,
-    local_kernels: LocalKernelFamily,
+    kernel: KernelSpec,
     iterations: int,
 ) -> tuple[ParticleSet, RunTrace]:
     """Local-kernel trust-region run with gradient-magnitude step control."""
     return trust_region_run(
-        particles, target, lambda X: local_context(X, local_kernels),
+        particles, target, lambda X: local_context(X, target.layout, kernel),
         AdaTrustState(), iterations)

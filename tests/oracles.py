@@ -305,7 +305,7 @@ def operator_matrix(hessians) -> np.ndarray:
 
 def dense_model_hessians(target, X) -> np.ndarray:
     """The model Hessians of `target.hessian_batch` as a dense stack."""
-    return target.layout.pattern().dense(target.hessian_batch(X))
+    return target.layout.pattern.dense(target.hessian_batch(X))
 
 
 def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
@@ -321,7 +321,7 @@ def pair_loop_hessian_stack(X, target, kmats, lengthscale) -> np.ndarray:
     inv_ls2 = 1.0 / lengthscale**2
     factors = layout.factors
     stack = np.zeros((n, dim, dim))
-    for a, b in layout.overlapping_pairs():
+    for a, b in layout.overlapping_pairs:
         Ca, Cb = factors[a], factors[b]
         model_block = model_hessians[np.ix_(np.arange(n), Ca, Cb)]
         weight = kmats[a] * kmats[b]
@@ -368,7 +368,7 @@ def moment_hessian_stack(ctx, target) -> np.ndarray:
     inv_ls2 = 1.0 / ctx.lengthscale**2
     if ctx.is_global:
         K = ctx.kmats[0]
-        pattern = layout.pattern()
+        pattern = layout.pattern
         upper = pattern.flat[pattern.upper]
         model = (K * K).T @ model_hessians.reshape(n, dim * dim)[:, upper] / n
         r, c = np.divmod(np.arange(dim * dim), dim)
@@ -384,7 +384,7 @@ def moment_hessian_stack(ctx, target) -> np.ndarray:
 
     Xc = X - X.mean(axis=0)
     stack = np.zeros((n, dim, dim))
-    for g in layout.pair_groups():
+    for g in layout.pair_groups:
         rows, cols = g.rows[:, :, None], g.cols[:, None, :]
         P, ca, cb = g.mask.shape
         m = ca * cb
@@ -439,7 +439,7 @@ def moment_term_magnitudes(ctx, target) -> np.ndarray:
     A = np.abs(X - X.mean(axis=0))
     inv_ls4 = (1.0 / ctx.lengthscale**2) ** 2
     out = np.zeros((n, dim, dim))
-    for a, b in layout.overlapping_pairs():
+    for a, b in layout.overlapping_pairs:
         Ca, Cb = layout.factors[a], layout.factors[b]
         W = ctx.kmats[a] * ctx.kmats[b]
         xa, xb = A[:, Ca], A[:, Cb]
@@ -582,7 +582,7 @@ def grouped_snlp_hessian_batch(model, X) -> np.ndarray:
     diffs, dists, meas = grouped_snlp_geometry(model.problem,
                                                X.reshape(n, -1, 2))
     if not diffs:
-        return np.zeros((n, model.layout.pattern().nnz))
+        return np.zeros((n, model.layout.pattern.nnz))
     d, dist = np.concatenate(diffs, axis=1), np.concatenate(dists, axis=1)
     m = np.concatenate(meas)
     u = d / dist[:, :, None]
@@ -613,7 +613,7 @@ def four_entry_snlp_scatter(model):
     """The former `SnlpModel._hessian_scatter`: a sparse +-1 matrix from
     each edge's four curvature entries, columns 4 k + 2 p + q, to the
     layout's pattern; its rows sum edges in edge order."""
-    pattern = model.layout.pattern()
+    pattern = model.layout.pattern
     dim = pattern.dim
     ends = model._ends
     every = np.arange(len(ends))
@@ -752,7 +752,7 @@ def node_loop_bayesnet_hessian_batch(model, X) -> np.ndarray:
     gbar^T, which cancels when the components' gradients are large."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    pattern = model.layout.pattern()
+    pattern = model.layout.pattern
     out = np.zeros((n, pattern.nnz))
     for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
         idx = np.concatenate(([j], parents))
@@ -824,7 +824,7 @@ def bayesnet_term_magnitudes(model, X) -> tuple[np.ndarray, np.ndarray]:
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    pattern = model.layout.pattern()
+    pattern = model.layout.pattern
     grad = np.zeros_like(X)
     hess = np.zeros((n, pattern.nnz))
     for j, kind, parents, weights, comp_w, mu, s2 in _bayesnet_nodes(model):
@@ -993,15 +993,16 @@ def blanket_loop_kmats(X, layout, lengthscale: float) -> np.ndarray:
 
 def factor_loop_field(ctx, target) -> np.ndarray:
     """The Stein field one factor at a time, two products and a column sum
-    each, with `ctx.kmats[a][j, i] = k_a(x_j, x_i)`: the loop that computed
-    local and global fields before factors were batched."""
+    each, with `ctx.kmats[a][j, i] = k_a(x_j, x_i)` (a global context's one
+    kernel for every factor): the loop that computed local and global
+    fields before factors were batched."""
     X = ctx.X
     scores = target.gradient_batch(X)
     n = X.shape[0]
     out = np.empty_like(X)
     inv_ls2 = 1.0 / ctx.lengthscale**2
     for a, dims in enumerate(ctx.layout.factors):
-        Ka = ctx.kmats[a]
+        Ka = ctx.kmats[0 if ctx.is_global else a]
         colsum = Ka.sum(axis=0)
         term1 = Ka.T @ scores[:, dims]
         term2 = -inv_ls2 * (Ka.T @ X[:, dims] - X[:, dims] * colsum[:, None])
@@ -1084,12 +1085,12 @@ def rbf_eval(x, y, lengthscale: float):
     return value, -diff / lengthscale**2 * value
 
 
-def local_kernel_eval(family, a: int, x, y):
-    """Value of k_a plus the x-gradient sliced over C_a and over S_a.
+def local_kernel_eval(layout, kernel, a: int, x, y):
+    """Value of k_a, the kernel restricted to blanket S_a of the layout,
+    plus the x-gradient sliced over C_a and over S_a.
 
     Both state vectors are full-length; only the S_a coordinates matter.
     """
-    layout = family.layout
     if not 0 <= a < layout.n_factors:
         raise IndexError("factor index out of range")
     x = np.asarray(x, dtype=float)
@@ -1097,7 +1098,7 @@ def local_kernel_eval(family, a: int, x, y):
     if x.shape != (layout.total_dim,) or y.shape != (layout.total_dim,):
         raise ValueError("state vectors must have length total_dim")
     blanket = layout.blankets[a]
-    value, grad_s = rbf_eval(x[blanket], y[blanket], family.kernel.lengthscale)
+    value, grad_s = rbf_eval(x[blanket], y[blanket], kernel.lengthscale)
     factor = layout.factors[a]
     grad_c = np.zeros(factor.size)
     pos = np.searchsorted(blanket, factor)
@@ -1105,7 +1106,7 @@ def local_kernel_eval(family, a: int, x, y):
     return value, grad_c, grad_s
 
 
-def baseline_loop_run(method_cfg, particles, model, kernel, family):
+def baseline_loop_run(method_cfg, particles, model, kernel):
     """The runner's three per-method baseline loops as they were before the
     baselines shared one loop: SVGD, the message-passing SVGD step rules
     (static / decayed / AdaGrad) and SVN-CTR, whose records now also carry
@@ -1138,7 +1139,7 @@ def baseline_loop_run(method_cfg, particles, model, kernel, family):
         return current, records
     accumulator = None
     for t in range(method_cfg["iterations"]):
-        field = graphical_stein_gradient(current, model, family)
+        field = graphical_stein_gradient(current, model, kernel)
         direction = -field.values
         scale = step
         if name == "mp-svgd-static":
@@ -1260,7 +1261,7 @@ def per_particle_solve_subproblems(G, hessians, radius):
     return steps, statuses, decrease, np.array(iterations)
 
 
-def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
+def tr_svi_kl_oracle(particles, target, kernel, initial_radius,
                      iterations, seed, nystrom_size=None):
     """The KL trust-region driver as its own loop, before the trust-region
     methods shared one: every iteration rebuilds the kernel context, field
@@ -1273,7 +1274,7 @@ def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
     nystrom = max(1, current.n // 10) if nystrom_size is None else int(nystrom_size)
     rng = np.random.default_rng(seed)
     for t in range(iterations):
-        ctx = local_context(current.positions, local_kernels)
+        ctx = local_context(current.positions, target.layout, kernel)
         field = field_from_context(ctx, target)
         hessians = hessian_stack_from_context(ctx, target)
         gmag = gradient_magnitude(field)
@@ -1314,11 +1315,11 @@ def tr_svi_kl_oracle(particles, target, local_kernels, initial_radius,
     return current, trace
 
 
-def tr_svi_at_oracle(particles, target, local_kernels, iterations):
+def tr_svi_at_oracle(particles, target, kernel, iterations):
     """The AdaTrust driver as its own loop, before the trust-region methods
     shared one; its records now also carry the model decrease."""
     trace = RunTrace()
-    ctx = local_context(particles.positions, local_kernels)
+    ctx = local_context(particles.positions, target.layout, kernel)
     field = field_from_context(ctx, target)
     g0 = gradient_magnitude(field)
     if g0 == 0.0:
@@ -1336,7 +1337,7 @@ def tr_svi_at_oracle(particles, target, local_kernels, iterations):
         radius_used = state.radius()
         solution = tr.solve_subproblems(field, hessians, radius_used)
         current = current.advanced(current.positions + solution.steps)
-        ctx = local_context(current.positions, local_kernels)
+        ctx = local_context(current.positions, target.layout, kernel)
         field = field_from_context(ctx, target)
         g_new = gradient_magnitude(field)
         state.update(g_new)

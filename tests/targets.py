@@ -25,9 +25,9 @@ def bundled(name: str):
                                                      0).positions
 
 
-def local_hessians(particles, target, family) -> np.ndarray:
+def local_hessians(particles, target, kernel) -> np.ndarray:
     """(n, dim, dim) local-kernel Stein Hessians of a particle set."""
-    ctx = local_context(particles.positions, family)
+    ctx = local_context(particles.positions, target.layout, kernel)
     return operator_matrix(hessian_stack_from_context(ctx, target))
 
 
@@ -99,7 +99,7 @@ class GaussianTarget(TargetModel):
         """The precision's entries on the layout's pattern; those off it
         are taken as zero."""
         n = np.asarray(X).shape[0]
-        values = -self.precision.ravel()[self.layout.pattern().flat]
+        values = -self.precision.ravel()[self.layout.pattern.flat]
         return np.broadcast_to(values, (n, values.size)).copy()
 
     def dimension_names(self):

@@ -23,7 +23,7 @@ from trsvi import trustregion as tr
 from trsvi.baselines import DECAYED, StepSchedule, mp_svgd_step
 from trsvi.evaluation import gradient_magnitude
 from trsvi.experiment import run_experiment
-from trsvi.kernels import KernelSpec, LocalKernelFamily, median_heuristic
+from trsvi.kernels import KernelSpec, median_heuristic
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
@@ -101,15 +101,14 @@ def test_criterion_2_reduction_equivalence():
     rng = np.random.default_rng(0)
     ps = ParticleSet(rng.normal(size=(10, 3)))
     kernel = KernelSpec(1.0)
-    family = LocalKernelFamily(kernel, target.layout)
 
-    field_g = graphical_stein_gradient(ps, target, family)
+    field_g = graphical_stein_gradient(ps, target, kernel)
     field_glob = global_stein_gradient(ps, target, kernel)
     grad_diff = np.abs(field_g.values - field_glob.values).max()
     assert grad_diff <= 1e-12
 
     hess_diff = 0.0
-    for hg, hglob in zip(local_hessians(ps, target, family),
+    for hg, hglob in zip(local_hessians(ps, target, kernel),
                          global_hessians(ps, target, kernel)):
         hess_diff = max(hess_diff, np.abs(hg - hglob).max())
     assert hess_diff <= 1e-12
@@ -162,14 +161,14 @@ def test_criterion_3_algorithm_fidelity():
     root = BayesNode("root", (), ((),), (1.0,), 1.0, 1.0)
     child = BayesNode("linear", (0,), ((0.8,),), (1.0,), 0.0, 0.5)
     target = BayesNetModel(BayesNetSpec(layers=((root,), (child,))))
-    family = LocalKernelFamily(KernelSpec(1.0), target.layout)
+    kernel = KernelSpec(1.0)
     ps = ParticleSet(np.random.default_rng(1).normal(size=(10, 2)), seed=1)
     original_approx_kl = tr.approx_kl
     try:
         values = iter([10.0, 0.0] * 3)
         tr.approx_kl = lambda *a, **k: next(values)
         before = ps.positions.tobytes()
-        final, trace = tr.tr_svi_kl_run(ps, target, family, 1.0, 3, seed=0)
+        final, trace = tr.tr_svi_kl_run(ps, target, kernel, 1.0, 3, seed=0)
     finally:
         tr.approx_kl = original_approx_kl
     assert final.positions.tobytes() == before
@@ -261,11 +260,10 @@ def test_criterion_6_gaussian_convergence():
     true_mean, true_cov, _ = linear_gaussian_moments(spec)
 
     ground_truth = ancestral_sample(spec, 20_000, seed=99)
-    family = LocalKernelFamily(KernelSpec(median_heuristic(ground_truth)),
-                               model.layout)
+    kernel = KernelSpec(median_heuristic(ground_truth))
     rng = np.random.default_rng(0)
     ps = ParticleSet(rng.standard_normal((100, 2)), seed=0)
-    final, trace = tr.tr_svi_at_run(ps, model, family, 300)
+    final, trace = tr.tr_svi_at_run(ps, model, kernel, 300)
 
     emp_mean = final.positions.mean(axis=0)
     emp_cov = np.cov(final.positions.T, ddof=1)
@@ -347,12 +345,12 @@ def test_criterion_8_small_snlp_convergence_behavior():
                                     radius=3.0, noise_variance=0.01,
                                     noiseless=True, seed=7))
     model = SnlpModel(problem)
-    family = LocalKernelFamily(KernelSpec(1.0), model.layout)
+    kernel = KernelSpec(1.0)
     center = np.tile([3.0, 3.0], 6)
     rng = np.random.default_rng(0)
     ps = ParticleSet(center + 1.5 * rng.standard_normal((200, 12)), seed=0)
 
-    _, trace = tr.tr_svi_at_run(ps, model, family, 500)
+    _, trace = tr.tr_svi_at_run(ps, model, kernel, 500)
     mags = trace.gradient_magnitudes()
     g0 = mags[0]
     below = np.nonzero(mags < 1e-2 * g0)[0]
@@ -366,7 +364,7 @@ def test_criterion_8_small_snlp_convergence_behavior():
     static_mags = []
     bumped = False
     for t in range(500):
-        static, field, _ = mp_svgd_step(static, model, family, schedule, t)
+        static, field, _ = mp_svgd_step(static, model, kernel, schedule, t)
         static_mags.append(gradient_magnitude(field))
         if t > 0 and static_mags[-1] >= 1.1 * static_mags[-2]:
             bumped = True

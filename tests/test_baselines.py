@@ -8,7 +8,7 @@ from trsvi import baselines as bl
 from trsvi import config
 from trsvi import trustregion as tr
 from trsvi.experiment import execute_method, initialize_particles
-from trsvi.kernels import KernelSpec, LocalKernelFamily
+from trsvi.kernels import KernelSpec
 from trsvi.model import (
     BayesNetModel,
     BayesNetSpec,
@@ -108,13 +108,13 @@ class TestMpSvgdStep:
         assert schedule.decay == 0.99
 
     def test_moves_along_negative_field(self, mixed_bn):
-        fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(3)
         ps = ParticleSet(rng.normal(size=(7, mixed_bn.layout.total_dim)))
-        field = graphical_stein_gradient(ps, mixed_bn, fam)
+        field = graphical_stein_gradient(ps, mixed_bn, kernel)
         schedule = bl.StepSchedule(bl.DECAYED, 0.1, decay=0.5)
-        moved, own_field, step = bl.mp_svgd_step(ps, mixed_bn, fam, schedule,
-                                                 t=2)
+        moved, own_field, step = bl.mp_svgd_step(ps, mixed_bn, kernel,
+                                                 schedule, t=2)
         np.testing.assert_allclose(
             moved.positions,
             ps.positions - 0.1 * 0.5**2 * field.values,
@@ -124,13 +124,14 @@ class TestMpSvgdStep:
         assert step == 0.1 * 0.5**2
 
     def test_synchronous_update_permutation_invariant(self, mixed_bn):
-        fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(11, mixed_bn.layout.total_dim))
         perm = rng.permutation(11)
         schedule = bl.StepSchedule(bl.DECAYED, 0.05)
-        moved, _, _ = bl.mp_svgd_step(ParticleSet(X), mixed_bn, fam, schedule, 0)
-        moved_p, _, _ = bl.mp_svgd_step(ParticleSet(X[perm]), mixed_bn, fam,
+        moved, _, _ = bl.mp_svgd_step(ParticleSet(X), mixed_bn, kernel,
+                                      schedule, 0)
+        moved_p, _, _ = bl.mp_svgd_step(ParticleSet(X[perm]), mixed_bn, kernel,
                                         bl.StepSchedule(bl.DECAYED, 0.05), 0)
         np.testing.assert_allclose(moved_p.positions, moved.positions[perm],
                                    rtol=1e-10, atol=1e-12)
@@ -166,10 +167,9 @@ class TestSvnCtrStep:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 2))
         kernel = KernelSpec(1.0)
-        fam = LocalKernelFamily(kernel, target.layout)
 
         # one gradient-driven iteration starts at radius g0/b0 = 1 exactly
-        final_at, _ = tr.tr_svi_at_run(ParticleSet(X), target, fam, 1)
+        final_at, _ = tr.tr_svi_at_run(ParticleSet(X), target, kernel, 1)
         final_svn, _ = svn_ctr(ParticleSet(X), target, radius=1.0)
         np.testing.assert_allclose(final_at.positions, final_svn.positions,
                                    rtol=1e-12, atol=1e-12)
@@ -187,14 +187,14 @@ class TestStaticStepInstability:
                        noise_variance=0.01, noiseless=True, seed=7)
         )
         model = SnlpModel(problem)
-        fam = LocalKernelFamily(KernelSpec(1.0), model.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(0)
         center = np.tile([3.0, 3.0], 6)
         ps = ParticleSet(center + 1.5 * rng.standard_normal((50, 12)), seed=0)
         schedule = bl.StepSchedule(bl.DECAYED, 0.1)   # static: decay 1.0
         mags = []
         for t in range(200):
-            ps, field, _ = bl.mp_svgd_step(ps, model, fam, schedule, t)
+            ps, field, _ = bl.mp_svgd_step(ps, model, kernel, schedule, t)
             mags.append(np.linalg.norm(field.values))
             if len(mags) > 2 and mags[-1] >= 1.1 * mags[-2]:
                 break
@@ -233,7 +233,6 @@ class TestRunnerLoopMatchesOracle:
         final, trace = execute_method(problem, cfg, 1.0, run_cfg, seed=3)
         kernel = KernelSpec(1.0)
         ref, records = baseline_loop_run(
-            cfg, initialize_particles(problem, run_cfg, 3), model, kernel,
-            LocalKernelFamily(kernel, model.layout))
+            cfg, initialize_particles(problem, run_cfg, 3), model, kernel)
         np.testing.assert_array_equal(final.positions, ref.positions)
         assert trace.records == records

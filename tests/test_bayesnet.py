@@ -135,7 +135,7 @@ class TestEvalTarget:
 class TestHessian:
     def test_block_outside_blanket_is_zero(self, mixed_bn):
         layout = mixed_bn.layout
-        overlap = layout.overlap_matrix()
+        overlap = layout.overlap_matrix
         x = np.random.default_rng(0).normal(size=layout.total_dim)
         pairs = [(a, b) for a in range(layout.n_factors)
                  for b in range(layout.n_factors) if not overlap[a, b]]
@@ -295,7 +295,7 @@ class TestNodeBatching:
         residuals, the r_0 r_1 (g_0 - g_1)(g_0 - g_1)^T form errs no more
         than the loop's cancelling sum_l r_l g_l g_l^T - gbar gbar^T."""
         model, X = make()
-        flat = model.layout.pattern().flat
+        flat = model.layout.pattern.flat
         for scale in (0.0, 1.0, 3.0):
             Y = moved(X, scale)
             errors = [
@@ -308,7 +308,7 @@ class TestNodeBatching:
 
     def test_hessian_exactly_symmetric(self, make):
         model, X = make()
-        pattern = model.layout.pattern()
+        pattern = model.layout.pattern
         twin = pattern.upper[pattern.from_upper]
         for Y in (X, moved(X, 3.0)):
             values = model.hessian_batch(Y)
@@ -331,7 +331,7 @@ def test_saturated_mixture_responsibilities_stay_finite_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grad = model.gradient_batch(X)
-        hess = model.layout.pattern().dense(model.hessian_batch(X))
+        hess = model.layout.pattern.dense(model.hessian_batch(X))
         logp = model.log_density_batch(X)
         bn30, P = bundled("bn30_paper")
         far = moved(P, 100.0)

@@ -885,6 +885,14 @@ def _coincident_truth(output):
                        cfg["kernel"].update(lengthscale="median"),
                        _coincident_truth(cfg["output"])),
      "output.ground_truth: over half of its row pairs coincide"),
+    # labels that are no path component wrote runs outside the artifact
+    (lambda cfg, tmp: cfg["method"][0].update(label="../x"),
+     "method[0].label"),
+    (lambda cfg, tmp: cfg["method"][0].update(label="/x"), "method[0].label"),
+    (lambda cfg, tmp: cfg["method"][0].update(label="a/b"), "method[0].label"),
+    (lambda cfg, tmp: cfg["method"][1].update(label=".."), "method[1].label"),
+    (lambda cfg, tmp: cfg["method"][2].update(label="a\nb"),
+     "method[2].label"),
     # these two validated and finished with exit status 0
     (lambda cfg, tmp: cfg["method"][2].update(initial_radius=INF),
      "method[2].initial_radius"),
@@ -898,9 +906,9 @@ def test_config_that_cannot_run_exits_2_before_any_output(tmp_path, edit,
     median heuristic), a number that is not finite, a variance or
     lengthscale whose reciprocal is not a finite normal number, a negative
     seed, a problem file that is missing, not YAML or not a problem spec,
-    or a ground truth whose rows all coincide is a config error: `trsvi run`
-    exits 2 with one stderr line naming the field or file, no traceback,
-    and no output directory."""
+    a method label that is no path component, or a ground truth whose rows
+    all coincide is a config error: `trsvi run` exits 2 with one stderr
+    line naming the field or file, no traceback, and no output directory."""
     cfg = tiny_config()
     cfg["method"].append({"name": "tr-svi-kl", "iterations": 2})
     edit(cfg, tmp_path)
@@ -1072,6 +1080,7 @@ class TestCliVerbs:
         ("manifest without output.mmd_seed", "output.mmd_seed"),
         ("manifest with a negative output.mmd_seed", "output.mmd_seed"),
         ("manifest that is a list", "manifest.yaml"),
+        ("manifest with a label outside the artifact", "method[0].label"),
         ("final sample narrower than the ground truth", "final.csv"),
         ("ground truth of one row", "ground_truth.csv"),
         # a value the CSV parser reads as a number; the edit breaks the
@@ -1083,11 +1092,11 @@ class TestCliVerbs:
     ])
     def test_evaluate_unusable_artifact_exits_2(self, artifact, tmp_path,
                                                 capsys, defect, named):
-        """A manifest that lacks a field evaluate reads, or is no mapping,
-        a final sample whose width is not the ground truth's, a ground
-        truth too small for the median heuristic and a sample holding NaN
-        or inf give exit status 2, one stderr line naming the field or the
-        file, and no metrics.yaml."""
+        """A manifest that lacks a field evaluate reads, is no mapping or
+        holds a label that is no path component, a final sample whose width
+        is not the ground truth's, a ground truth too small for the median
+        heuristic and a sample holding NaN or inf give exit status 2, one
+        stderr line naming the field or the file, and no metrics.yaml."""
         copy = shutil.copytree(artifact, tmp_path / "art")
         (copy / "metrics.yaml").unlink()
         manifest_path = copy / "manifest.yaml"
@@ -1098,6 +1107,8 @@ class TestCliVerbs:
             manifest["output"]["mmd_seed"] = -1
         elif defect == "manifest that is a list":
             manifest = [manifest]
+        elif defect == "manifest with a label outside the artifact":
+            manifest["method"][0]["label"] = "../../escaped"
         elif defect == "ground truth of one row":
             path = copy / "ground_truth.csv"
             samples, names = load_samples_csv(path)
@@ -1142,6 +1153,19 @@ class TestCliVerbs:
                        "of its row pairs coincide, so the median heuristic "
                        "gives no kernel lengthscale\n")
         assert files() == before
+
+    def test_coincident_ground_truth_stops_run_before_any_method(
+            self, tmp_path, monkeypatch):
+        """With MMD on, a ground truth whose rows all coincide is a config
+        error before the first (method, seed) run starts."""
+        cfg = tiny_config(problem=dict(SMALL_SNLP))
+        _coincident_truth(cfg["output"])
+        runs = []
+        monkeypatch.setattr(experiment, "_run_task", runs.append)
+        with pytest.raises(ConfigError, match="ground_truth.csv: over half"):
+            run_experiment(cfg, tmp_path / "art")
+        assert runs == []
+        assert not (tmp_path / "art").exists()
 
     @pytest.mark.parametrize("verb", ["run", "generate"])
     @pytest.mark.parametrize("content", [b"problem: {kind: snlp\n",

@@ -20,7 +20,6 @@ from trsvi.kernels import (
     MEDIAN_SUBSAMPLE,
     DegenerateSampleError,
     KernelSpec,
-    LocalKernelFamily,
     median_heuristic,
     rbf_matrix,
 )
@@ -72,50 +71,50 @@ class TestRbf:
 
 
 class TestLocalKernel:
-    @pytest.fixture
-    def family(self):
-        layout = FactorLayout.from_factor_neighbors([1, 2, 1], [[1], [0], []])
-        return LocalKernelFamily(KernelSpec(1.5), layout)
+    KERNEL = KernelSpec(1.5)
 
-    def test_match_on_blanket_means_unit_value(self, family):
+    @pytest.fixture
+    def layout(self):
+        return FactorLayout.from_factor_neighbors([1, 2, 1], [[1], [0], []])
+
+    def test_match_on_blanket_means_unit_value(self, layout):
         rng = np.random.default_rng(1)
         x = rng.normal(size=4)
         y = x.copy()
         y[3] = 99.0   # outside blanket of factor 0 ({0,1,2})
-        value, grad_c, grad_s = local_kernel_eval(family, 0, x, y)
+        value, grad_c, grad_s = local_kernel_eval(layout, self.KERNEL, 0, x, y)
         assert value == 1.0
         np.testing.assert_array_equal(grad_c, 0.0)
         np.testing.assert_array_equal(grad_s, 0.0)
 
     def test_single_factor_reduces_to_rbf(self):
         layout = FactorLayout.single_factor(3)
-        family = LocalKernelFamily(KernelSpec(0.7), layout)
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(2, 3))
-        value, grad_c, grad_s = local_kernel_eval(family, 0, x, y)
+        value, grad_c, grad_s = local_kernel_eval(layout, KernelSpec(0.7), 0,
+                                                  x, y)
         ref_value, ref_grad = rbf_eval(x, y, 0.7)
         assert value == ref_value
         np.testing.assert_array_equal(grad_c, ref_grad)
         np.testing.assert_array_equal(grad_s, ref_grad)
 
-    def test_invariant_to_out_of_blanket_coordinates(self, family):
+    def test_invariant_to_out_of_blanket_coordinates(self, layout):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 4))
-        before = local_kernel_eval(family, 0, x, y)
+        before = local_kernel_eval(layout, self.KERNEL, 0, x, y)
         x2 = x.copy()
         x2[3] += rng.normal()    # factor 2 is outside factor 0's blanket
-        after = local_kernel_eval(family, 0, x2, y)
+        after = local_kernel_eval(layout, self.KERNEL, 0, x2, y)
         assert before[0] == after[0]
         np.testing.assert_array_equal(before[1], after[1])
         np.testing.assert_array_equal(before[2], after[2])
 
-    def test_gradient_slices_match_full_rbf(self, family):
+    def test_gradient_slices_match_full_rbf(self, layout):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(2, 4))
-        layout = family.layout
         a = 1
         blanket = layout.blankets[a]
-        value, grad_c, grad_s = local_kernel_eval(family, a, x, y)
+        value, grad_c, grad_s = local_kernel_eval(layout, self.KERNEL, a, x, y)
         ref_value, ref_grad = rbf_eval(x[blanket], y[blanket], 1.5)
         assert value == ref_value
         np.testing.assert_array_equal(grad_s, ref_grad)

@@ -24,7 +24,7 @@ def test_single_factor_layout():
     layout = FactorLayout.single_factor(4)
     assert layout.n_factors == 1
     assert np.array_equal(layout.factors[0], np.arange(4))
-    assert layout.overlapping_pairs() == [(0, 0)]
+    assert layout.overlapping_pairs == [(0, 0)]
 
 
 def test_partition_must_be_contiguous_and_exhaustive():
@@ -64,7 +64,7 @@ def test_generated_layouts_satisfy_invariants(seed):
     assert np.array_equal(concat, np.arange(layout.total_dim))
     for a in range(layout.n_factors):
         assert np.isin(layout.factors[a], layout.blankets[a]).all()
-    overlap = layout.overlap_matrix()
+    overlap = layout.overlap_matrix
     assert np.array_equal(overlap, overlap.T)
 
 
@@ -117,33 +117,33 @@ def _assert_matches_isin_oracles(layout):
     bit for bit, and the factor groups and padded blankets list every
     factor and blanket."""
     grouped = []
-    for g in layout.factor_groups():
+    for g in layout.factor_groups:
         assert np.all(np.diff(g.factors) > 0)
         for a, dims in zip(g.factors, g.dims):
             grouped.append(a)
             np.testing.assert_array_equal(dims, layout.factors[a])
     assert sorted(grouped) == list(range(layout.n_factors))
-    sizes = [g.dims.shape[1] for g in layout.factor_groups()]
+    sizes = [g.dims.shape[1] for g in layout.factor_groups]
     assert len(set(sizes)) == len(sizes)
-    index, widths = layout.padded_blankets()
+    index, widths = layout.padded_blankets
     assert index.shape == (layout.n_factors, max(widths))
     for row, width, blanket in zip(index, widths, layout.blankets):
         assert width == blanket.size
         np.testing.assert_array_equal(row[:width], blanket)
         assert np.all(row[width:] == blanket[-1])
-    overlap = layout.overlap_matrix()
+    overlap = layout.overlap_matrix
     assert overlap.dtype == bool
     np.testing.assert_array_equal(overlap, isin_overlap_matrix(layout))
     pairs = []
-    for g in layout.pair_groups():
+    for g in layout.pair_groups:
         assert g.mask.dtype == float
         sizes = np.array([f.size for f in layout.factors])
         assert np.all((g.a == g.b) & (sizes[g.a] > 1) == g.diagonal)
         for p, (a, b) in enumerate(zip(g.a, g.b)):
             pairs.append((a, b))
             np.testing.assert_array_equal(g.mask[p], isin_pair_mask(layout, a, b))
-    assert sorted(pairs) == layout.overlapping_pairs()
-    pattern = layout.pattern()
+    assert sorted(pairs) == layout.overlapping_pairs
+    pattern = layout.pattern
     np.testing.assert_array_equal(pattern.flat, loop_pattern(layout))
     dim = layout.total_dim
     np.testing.assert_array_equal(pattern.flat, pattern.rows * dim + pattern.cols)
@@ -157,7 +157,7 @@ def _assert_matches_isin_oracles(layout):
     np.testing.assert_array_equal(
         pattern.starts, [np.searchsorted(pattern.rows, r) for r in range(dim + 1)])
     assert np.all(np.diff(pattern.starts) > 0)
-    for g in layout.pair_groups():
+    for g in layout.pair_groups:
         np.testing.assert_array_equal(
             pattern.flat[g.entries], g.rows[:, :, None] * dim + g.cols[:, None, :])
         np.testing.assert_array_equal(
@@ -225,7 +225,7 @@ def test_asymmetric_blankets_raise_the_symmetry_error():
 def test_pattern_index_rejects_entries_off_the_pattern():
     # factors 0 (dims 0, 1) and 2 (dims 5, 6) of the partial layout do not
     # overlap, so their block is off the pattern; the last entry is past it
-    pattern = partial_blanket_layout().pattern()
+    pattern = partial_blanket_layout().pattern
     assert pattern.flat[pattern.index(0, 1)] == 1
     for rows, cols in ((0, 5), ([1, 6], [1, 0]), (6, 7)):
         with pytest.raises(ValueError, match="outside the Hessian pattern"):

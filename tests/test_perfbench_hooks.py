@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from trsvi import baselines, cli, evaluation, experiment, stein, trustregion
-from trsvi.kernels import KernelSpec, LocalKernelFamily
+from trsvi.kernels import KernelSpec
 from trsvi.model import BayesNetModel, SnlpModel
 from trsvi.stein import ParticleSet
 
@@ -49,8 +49,7 @@ def test_install_wraps_and_uninstall_restores(tracing, mixed_bn):
         for ns, name in HOOKS:
             assert vars(ns)[name] is not originals[(id(ns), name)], name
         X = np.random.default_rng(0).normal(size=(4, mixed_bn.layout.total_dim))
-        ctx = stein.local_context(
-            X, LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout))
+        ctx = stein.local_context(X, mixed_bn.layout, KernelSpec(1.0))
         stack = trustregion.hessian_stack_from_context(ctx, mixed_bn)
         assert stack.shape == X.shape and stack.nbytes > 0
         assert tracer.counts["hessian_stack.out_bytes"] == stack.nbytes
@@ -201,7 +200,7 @@ def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
     CG counts equal the statuses and the driver's trace columns."""
     assert callable(vars(trustregion)["cg_steihaug"])
     n = 10
-    fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+    kernel = KernelSpec(1.0)
     X = np.random.default_rng(3).normal(size=(n, mixed_bn.layout.total_dim))
     results = []
     tracer = tracing.Tracer()
@@ -214,7 +213,8 @@ def test_cg_hooks_see_the_batched_solver(tracing, mixed_bn):
             return results[-1]
 
         trustregion.solve_subproblems = capture
-        _, trace = trustregion.tr_svi_at_run(ParticleSet(X), mixed_bn, fam, 4)
+        _, trace = trustregion.tr_svi_at_run(ParticleSet(X), mixed_bn, kernel,
+                                             4)
         spans = tracer.aggregate()
     finally:
         trustregion.solve_subproblems = traced

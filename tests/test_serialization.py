@@ -329,16 +329,15 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_sample_index_escapes_paths_as_sha256sum_does(tmp_path):
-    names = ["plain.csv", "back\\slash.csv", "line\nfeed.csv",
-             "carriage\rreturn.csv", "sub/deep.bin"]
-    (tmp_path / "sub").mkdir()
+def test_sample_index_lists_plain_paths_as_sha256sum_does(tmp_path):
+    names = ["plain.csv", "sub/deep.bin", "runs/a+b_c-1.0/seed_0/final.csv"]
     for k, name in enumerate(names):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_bytes(bytes([k]) * (k + 1))
     write_sample_index(tmp_path, [tmp_path / name for name in names])
-    lines = (tmp_path / SAMPLE_INDEX).read_bytes().split(b"\n")
-    assert lines[-1] == b"" and len(lines) == len(names) + 1
-    assert sum(line.startswith(b"\\") for line in lines) == 3
+    text = (tmp_path / SAMPLE_INDEX).read_text()
+    assert text == "".join(f"{_digest(tmp_path / name)}  {name}\n"
+                           for name in sorted(names))
     assert read_sample_index(tmp_path) == {
         name: _digest(tmp_path / name) for name in names}
     if shutil.which("sha256sum"):
@@ -348,10 +347,21 @@ def test_sample_index_escapes_paths_as_sha256sum_does(tmp_path):
         assert done.returncode == 0, done.stdout + done.stderr
 
 
+@pytest.mark.parametrize("name", ["back\\slash.csv", "line\nfeed.csv",
+                                  "carriage\rreturn.csv"])
+def test_sample_index_rejects_paths_sha256sum_would_escape(tmp_path, name):
+    for path in (tmp_path / "plain.csv", tmp_path / name):
+        path.write_bytes(b"x")
+    with pytest.raises(ValueError, match="sample index path"):
+        write_sample_index(tmp_path, [tmp_path / "plain.csv", tmp_path / name])
+    assert not (tmp_path / SAMPLE_INDEX).exists()
+
+
 def test_sample_index_reader_skips_lines_that_are_no_entry(tmp_path):
     a, b = "a" * 64, "b" * 64
     (tmp_path / SAMPLE_INDEX).write_text(
-        f"{a}  x.csv\nnot an entry\n{a.upper()}  y.csv\n{b}  x.bin\n\n")
+        f"{a}  x.csv\nnot an entry\n{a.upper()}  y.csv\n{b}  x.bin\n\n"
+        f"\\{b}  back\\\\slash.csv\n")
     assert read_sample_index(tmp_path) == {"x.csv": a, "x.bin": b}
     assert read_sample_index(tmp_path / "nowhere") == {}
 

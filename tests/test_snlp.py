@@ -120,7 +120,7 @@ class TestDensity:
 
     def test_hessian_blocks_zero_outside_blanket(self, small_snlp):
         layout = small_snlp.layout
-        overlap = layout.overlap_matrix()
+        overlap = layout.overlap_matrix
         x = small_snlp.problem.true_positions.reshape(-1)
         hess = small_snlp.hessian(x)
         for a in range(layout.n_factors):

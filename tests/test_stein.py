@@ -29,13 +29,12 @@ from targets import (
     partial_blanket_layout,
 )
 from trsvi import stein
-from trsvi.kernels import KernelSpec, LocalKernelFamily, rbf_matrix
+from trsvi.kernels import KernelSpec, rbf_matrix
 from trsvi.model import (
     BayesNetConfig,
     BayesNetModel,
     BayesNetSpec,
     BayesNode,
-    FactorLayout,
     SnlpConfig,
     SnlpModel,
     build_snlp,
@@ -58,10 +57,6 @@ def standard_normal_1d():
     return BayesNetModel(BayesNetSpec(layers=((node,),)))
 
 
-def family_for(target, lengthscale=1.0):
-    return LocalKernelFamily(KernelSpec(lengthscale), target.layout)
-
-
 class TestParticleSet:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +74,7 @@ class TestGradient:
     def test_single_particle_is_negative_score(self):
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[2.0]]))
-        field = graphical_stein_gradient(ps, target, family_for(target))
+        field = graphical_stein_gradient(ps, target, KernelSpec(1.0))
         # k(x,x)=1 and the kernel gradient vanishes at zero distance
         np.testing.assert_allclose(field.values, [[2.0]], rtol=1e-14)
 
@@ -99,7 +94,7 @@ class TestGradient:
         target = standard_normal_1d()
         x1, x2 = 0.5, -1.0
         ps = ParticleSet(np.array([[x1], [x2]]))
-        field = graphical_stein_gradient(ps, target, family_for(target, 1.0))
+        field = graphical_stein_gradient(ps, target, KernelSpec(1.0))
 
         def k(a, b):
             return np.exp(-0.5 * (a - b) ** 2)
@@ -123,9 +118,9 @@ class TestGradient:
         cov = np.array([[1.0, 0.4, 0.1], [0.4, 1.2, -0.2], [0.1, -0.2, 0.8]])
         target = GaussianTarget(np.zeros(3), cov)
         ps = ParticleSet(rng.normal(size=(10, 3)))
-        fam = family_for(target, 1.3)
-        graph = graphical_stein_gradient(ps, target, fam)
-        glob = global_stein_gradient(ps, target, KernelSpec(1.3))
+        kernel = KernelSpec(1.3)
+        graph = graphical_stein_gradient(ps, target, kernel)
+        glob = global_stein_gradient(ps, target, kernel)
         np.testing.assert_allclose(graph.values, glob.values, atol=1e-12)
 
     def test_vanishes_in_expectation_at_equilibrium(self):
@@ -134,27 +129,28 @@ class TestGradient:
         ps = ParticleSet(rng.standard_normal((2000, 1)))
         from trsvi.kernels import median_heuristic
 
-        fam = family_for(target, median_heuristic(ps.positions))
-        field = graphical_stein_gradient(ps, target, fam)
+        kernel = KernelSpec(median_heuristic(ps.positions))
+        field = graphical_stein_gradient(ps, target, kernel)
         mean_norm = np.linalg.norm(field.values, axis=1).mean()
         assert mean_norm < 0.1
 
     def test_permutation_invariance(self, mixed_bn):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(15, mixed_bn.layout.total_dim))
-        fam = family_for(mixed_bn, 1.0)
-        field = graphical_stein_gradient(ParticleSet(X), mixed_bn, fam)
+        kernel = KernelSpec(1.0)
+        field = graphical_stein_gradient(ParticleSet(X), mixed_bn, kernel)
         perm = rng.permutation(15)
-        field_p = graphical_stein_gradient(ParticleSet(X[perm]), mixed_bn, fam)
+        field_p = graphical_stein_gradient(ParticleSet(X[perm]), mixed_bn,
+                                           kernel)
         np.testing.assert_allclose(field_p.values, field.values[perm],
                                    rtol=1e-10, atol=1e-12)
 
     def test_block_depends_only_on_blanket_coordinates(self, mixed_bn):
         layout = mixed_bn.layout
-        fam = family_for(mixed_bn, 1.0)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(12)
         X = rng.normal(size=(9, layout.total_dim))
-        field = graphical_stein_gradient(ParticleSet(X), mixed_bn, fam)
+        field = graphical_stein_gradient(ParticleSet(X), mixed_bn, kernel)
         for a in range(layout.n_factors):
             outside = np.setdiff1d(np.arange(layout.total_dim),
                                    layout.blankets[a])
@@ -162,29 +158,11 @@ class TestGradient:
                 continue
             X2 = X.copy()
             X2[:, outside] += rng.normal(size=(9, outside.size))
-            field2 = graphical_stein_gradient(ParticleSet(X2), mixed_bn, fam)
+            field2 = graphical_stein_gradient(ParticleSet(X2), mixed_bn,
+                                              kernel)
             dims = layout.factors[a]
             np.testing.assert_array_equal(field2.values[:, dims],
                                           field.values[:, dims])
-
-    def test_equal_layout_objects_accepted(self, mixed_bn):
-        """Layout agreement is checked in full only between distinct
-        objects; an equal copy passes, as the same object does."""
-        layout = mixed_bn.layout
-        copy = FactorLayout(factors=layout.factors, blankets=layout.blankets,
-                            total_dim=layout.total_dim)
-        X = np.random.default_rng(13).normal(size=(5, layout.total_dim))
-        fields = [graphical_stein_gradient(
-            ParticleSet(X), mixed_bn, LocalKernelFamily(KernelSpec(1.0), lay))
-            for lay in (layout, copy)]
-        assert fields[0].values.tobytes() == fields[1].values.tobytes()
-
-    def test_layout_mismatch_rejected(self, mixed_bn):
-        other = FactorLayout.single_factor(mixed_bn.layout.total_dim)
-        fam = LocalKernelFamily(KernelSpec(1.0), other)
-        ps = ParticleSet(np.zeros((2, mixed_bn.layout.total_dim)))
-        with pytest.raises(ValueError):
-            graphical_stein_gradient(ps, mixed_bn, fam)
 
 
 class TestHessian:
@@ -192,7 +170,7 @@ class TestHessian:
         rng = np.random.default_rng(2)
         x = rng.normal(size=mixed_bn.layout.total_dim)
         ps = ParticleSet(x[None, :])
-        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[0]
+        hess = local_hessians(ps, mixed_bn, KernelSpec(1.0))[0]
         np.testing.assert_allclose(hess, -mixed_bn.hessian(x), atol=1e-12)
 
     def test_gaussian_single_particle_gives_precision(self):
@@ -207,13 +185,13 @@ class TestHessian:
     def test_assembled_matrix_is_exactly_symmetric(self, mixed_bn):
         rng = np.random.default_rng(3)
         ps = ParticleSet(rng.normal(size=(8, mixed_bn.layout.total_dim)))
-        for hess in local_hessians(ps, mixed_bn, family_for(mixed_bn)):
+        for hess in local_hessians(ps, mixed_bn, KernelSpec(1.0)):
             np.testing.assert_array_equal(hess, hess.T)
 
     def test_block_transpose_symmetry_under_index_swap(self, mixed_bn):
         rng = np.random.default_rng(4)
         ps = ParticleSet(rng.normal(size=(6, mixed_bn.layout.total_dim)))
-        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[2]
+        hess = local_hessians(ps, mixed_bn, KernelSpec(1.0))[2]
         factors = mixed_bn.layout.factors
         for Ca in factors:
             for Cb in factors:
@@ -225,8 +203,8 @@ class TestHessian:
         target = GaussianTarget(np.ones(3), cov)
         rng = np.random.default_rng(5)
         ps = ParticleSet(rng.normal(size=(10, 3)))
-        fam = family_for(target, 0.8)
-        graph = local_hessians(ps, target, fam)
+        kernel = KernelSpec(0.8)
+        graph = local_hessians(ps, target, kernel)
         glob = global_hessians(ps, target, KernelSpec(0.8))
         for hg, hgl in zip(graph, glob):
             np.testing.assert_allclose(hg, hgl, atol=1e-12)
@@ -240,8 +218,8 @@ class TestHessian:
         target = GaussianTarget(np.zeros(3), cov, layout)
         rng = np.random.default_rng(6)
         ps = ParticleSet(rng.normal(size=(7, 3)))
-        fam = LocalKernelFamily(KernelSpec(1.0), layout)
-        graph = local_hessians(ps, target, fam)
+        kernel = KernelSpec(1.0)
+        graph = local_hessians(ps, target, kernel)
         glob = global_hessians(ps, target, KernelSpec(1.0))
         for hg, hgl in zip(graph, glob):
             np.testing.assert_allclose(hg, hgl, atol=1e-13)
@@ -250,8 +228,8 @@ class TestHessian:
         layout = mixed_bn.layout
         rng = np.random.default_rng(7)
         ps = ParticleSet(rng.normal(size=(5, layout.total_dim)))
-        hess = local_hessians(ps, mixed_bn, family_for(mixed_bn))[0]
-        pairs = set(layout.overlapping_pairs())
+        hess = local_hessians(ps, mixed_bn, KernelSpec(1.0))[0]
+        pairs = set(layout.overlapping_pairs)
         for a, Ca in enumerate(layout.factors):
             for b, Cb in enumerate(layout.factors):
                 block = hess[np.ix_(Ca, Cb)]
@@ -263,7 +241,7 @@ class TestHessian:
     def test_index_guards(self, mixed_bn):
         ps = ParticleSet(np.zeros((2, mixed_bn.layout.total_dim)))
         with pytest.raises(IndexError):
-            local_hessians(ps, mixed_bn, family_for(mixed_bn))[5]
+            local_hessians(ps, mixed_bn, KernelSpec(1.0))[5]
 
 
 class TestHessianApply:
@@ -272,17 +250,17 @@ class TestHessianApply:
     def _field_and_stack(self, mixed_bn, n=6, seed=0):
         rng = np.random.default_rng(seed)
         ps = ParticleSet(rng.normal(size=(n, mixed_bn.layout.total_dim)))
-        fam = family_for(mixed_bn)
-        return (graphical_stein_gradient(ps, mixed_bn, fam),
-                local_hessians(ps, mixed_bn, fam))
+        kernel = KernelSpec(1.0)
+        return (graphical_stein_gradient(ps, mixed_bn, kernel),
+                local_hessians(ps, mixed_bn, kernel))
 
     def test_zero_vector(self, mixed_bn):
         ps = ParticleSet(np.random.default_rng(0).normal(
             size=(6, mixed_bn.layout.total_dim)))
-        fam = family_for(mixed_bn)
-        field = graphical_stein_gradient(ps, mixed_bn, fam)
-        hessians = hessian_stack_from_context(local_context(ps.positions, fam),
-                                              mixed_bn)
+        kernel = KernelSpec(1.0)
+        field = graphical_stein_gradient(ps, mixed_bn, kernel)
+        hessians = hessian_stack_from_context(
+            local_context(ps.positions, mixed_bn.layout, kernel), mixed_bn)
         field.values[:] = 0.0
         steps, statuses, decrease, _ = solve_subproblems(field, hessians, 1.0)
         np.testing.assert_array_equal(steps, np.zeros_like(steps))
@@ -304,7 +282,7 @@ class TestHessianApply:
         for hess in stack:
             v = rng.normal(size=layout.total_dim)
             out = np.zeros_like(v)
-            for a, b in layout.overlapping_pairs():
+            for a, b in layout.overlapping_pairs:
                 Ca, Cb = layout.factors[a], layout.factors[b]
                 block = hess[np.ix_(Ca, Cb)]
                 out[Ca] += block @ v[Cb]
@@ -352,7 +330,7 @@ def test_local_context_kernels_share_one_array(mixed_bn, small_snlp):
     each bitwise the blanket's own `rbf_matrix`."""
     for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
         layout = target.layout
-        ctx = local_context(X, LocalKernelFamily(KernelSpec(ls), layout))
+        ctx = local_context(X, layout, KernelSpec(ls))
         base = ctx.kmats[0].base
         assert base is not None
         assert base.shape == (layout.n_factors, len(X), len(X))
@@ -368,7 +346,7 @@ BUNDLED = ["bn10_desk", "bn30_paper", "snlp_small", "snlp_large"]
 def _context(kind, X, target, lengthscale):
     kernel = KernelSpec(lengthscale)
     if kind == "local":
-        return local_context(X, LocalKernelFamily(kernel, target.layout))
+        return local_context(X, target.layout, kernel)
     return global_context(X, target.layout, kernel)
 
 
@@ -388,7 +366,7 @@ def field_bound(ctx, target) -> np.ndarray:
     S, A = np.abs(target.gradient_batch(X)), np.abs(X)
     scale = np.empty_like(X)
     for a, dims in enumerate(ctx.layout.factors):
-        K = ctx.kmats[a]
+        K = ctx.kmats[0 if ctx.is_global else a]
         scale[:, dims] = (K.T @ S[:, dims] + (
             K.T @ A[:, dims] + A[:, dims] * K.sum(axis=0)[:, None]
         ) / ctx.lengthscale**2) / n
@@ -435,7 +413,7 @@ class TestFactorBatching:
         """Interleaved one- and two-dimensional factors: each size's group
         is not consecutive, so its kernels are gathered."""
         target = _mixed_size_target()
-        groups = target.layout.factor_groups()
+        groups = target.layout.factor_groups
         assert [g.dims.shape[1] for g in groups] == [1, 2]
         assert all(np.any(np.diff(g.factors) > 1) for g in groups)
         X = np.random.default_rng(27).normal(size=(30, target.layout.total_dim))
@@ -480,13 +458,12 @@ class TestStackAssembly:
     """The moment-GEMM assembly against the per-pair difference-tensor loop."""
 
     def test_partial_blanket_masks_are_not_all_ones(self):
-        groups = partial_blanket_layout().pair_groups()
+        groups = partial_blanket_layout().pair_groups
         assert any(0.0 < m.mean() < 1.0 for g in groups for m in g.mask)
 
     def test_matches_pair_loop_oracle(self, mixed_bn, small_snlp):
         for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
-            fam = LocalKernelFamily(KernelSpec(ls), target.layout)
-            ctx = local_context(X, fam)
+            ctx = local_context(X, target.layout, KernelSpec(ls))
             stack = operator_matrix(hessian_stack_from_context(ctx, target))
             oracle = pair_loop_hessian_stack(X, target, ctx.kmats, ls)
             assert stack.shape == oracle.shape
@@ -506,21 +483,19 @@ class TestStackAssembly:
         pairs, more than one default chunk holds at n = 200."""
         cases = list(_assembly_cases(mixed_bn, small_snlp))
         n50 = cases[2][2].shape[0]
-        sizes = [g.a.size for g in _snlp50().layout.pair_groups()]
+        sizes = [g.a.size for g in _snlp50().layout.pair_groups]
         assert sorted(sizes) == [50, 71]
         assert stein._pairs_per_chunk(200, 2, 2) < 50
         whole = {}
         for name, target, X, ls in cases:
-            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
-                                                     target.layout))
+            ctx = local_context(X, target.layout, KernelSpec(ls))
             whole[name] = operator_matrix(
                 hessian_stack_from_context(ctx, target)).tobytes()
         monkeypatch.setattr(stein, "_CHUNK_BYTES",
                             chunk * stein._pair_bytes(n50, 2, 2))
         assert stein._pairs_per_chunk(n50, 2, 2) == chunk
         for name, target, X, ls in cases:
-            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
-                                                     target.layout))
+            ctx = local_context(X, target.layout, KernelSpec(ls))
             stack = operator_matrix(hessian_stack_from_context(ctx, target))
             assert stack.tobytes() == whole[name], name
 
@@ -541,11 +516,10 @@ class TestStackAssembly:
         3).  Every matrix is exactly symmetric."""
         target, X = bundled(name)
         n = X.shape[0]
-        pattern = target.layout.pattern()
+        pattern = target.layout.pattern
         eps = np.finfo(float).eps
         for ls in (0.5, 3.0):
-            ctx = local_context(X, LocalKernelFamily(KernelSpec(ls),
-                                                     target.layout))
+            ctx = local_context(X, target.layout, KernelSpec(ls))
             hessians = hessian_stack_from_context(ctx, target)
             values = pattern.dense(hessians._matrix.data.reshape(n, -1))
             oracle = moment_hessian_stack(ctx, target)
@@ -564,7 +538,7 @@ class TestStackAssembly:
             base = model.problem.true_positions.reshape(-1)
             X = base + rng.normal(scale=0.5, size=(13, base.size))
             oracle = per_edge_snlp_hessian_batch(model, X)
-            batch = model.layout.pattern().dense(model.hessian_batch(X))
+            batch = model.layout.pattern.dense(model.hessian_batch(X))
             assert np.abs(batch - oracle).max() <= 1e-12 * np.abs(oracle).max()
             np.testing.assert_array_equal(batch, batch.transpose(0, 2, 1))
 
@@ -646,7 +620,7 @@ class TestGlobalStack:
 
     @staticmethod
     def _check_pattern(model, X, dense, rtol=0.0, bound=None):
-        pattern = model.layout.pattern()
+        pattern = model.layout.pattern
         inside = np.zeros(pattern.dim**2, dtype=bool)
         inside[pattern.flat] = True
         flat = dense.reshape(X.shape[0], -1)
@@ -697,7 +671,7 @@ class TestHessianOperators:
         rng = np.random.default_rng(31)
         for name, target, X in _global_cases(mixed_bn, small_snlp, 30):
             kernel = KernelSpec(lengthscale)
-            ctx = (local_context(X, LocalKernelFamily(kernel, target.layout))
+            ctx = (local_context(X, target.layout, kernel)
                    if kind == "local" else
                    global_context(X, target.layout, kernel))
             hessians = hessian_stack_from_context(ctx, target)
@@ -709,10 +683,10 @@ class TestHessianOperators:
         values per particle where the dense stack held 10,000."""
         X = 10.0 + 5.0 * np.random.default_rng(32).standard_normal((40, 100))
         target = _snlp50()
-        assert target.layout.pattern().nnz == 768
+        assert target.layout.pattern.nnz == 768
         kernel = KernelSpec(3.0)
         local = hessian_stack_from_context(
-            local_context(X, LocalKernelFamily(kernel, target.layout)), target)
+            local_context(X, target.layout, kernel), target)
         glob = hessian_stack_from_context(
             global_context(X, target.layout, kernel), target)
         dense = 40 * 100 * 100 * 8

@@ -12,8 +12,7 @@ from oracles import baseline_loop_run, tr_svi_at_oracle, tr_svi_kl_oracle
 from trsvi import trustregion as tr
 from trsvi.experiment import execute_method, initialize_particles
 from trsvi.evaluation import gradient_magnitude
-from trsvi.kernels import (DegenerateSampleError, KernelSpec, LocalKernelFamily,
-                           median_heuristic)
+from trsvi.kernels import DegenerateSampleError, KernelSpec, median_heuristic
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
 from trsvi.stein import ParticleSet, SteinGradientField, local_context
 
@@ -24,14 +23,14 @@ METHODS = [
 ]
 
 
-def oracle_run(cfg, particles, model, family, seed):
+def oracle_run(cfg, particles, model, kernel, seed):
     if cfg["name"] == "tr-svi-at":
-        return tr_svi_at_oracle(particles, model, family, cfg["iterations"])
+        return tr_svi_at_oracle(particles, model, kernel, cfg["iterations"])
     if cfg["name"] == "tr-svi-kl":
-        return tr_svi_kl_oracle(particles, model, family, cfg["initial_radius"],
-                                cfg["iterations"], seed, cfg["nystrom_size"])
-    final, records = baseline_loop_run(cfg, particles, model,
-                                       family.kernel, family)
+        return tr_svi_kl_oracle(particles, model, kernel,
+                                cfg["initial_radius"], cfg["iterations"], seed,
+                                cfg["nystrom_size"])
+    final, records = baseline_loop_run(cfg, particles, model, kernel)
     return final, tr.RunTrace(records)
 
 
@@ -54,8 +53,7 @@ def standard_normal_1d():
     return BayesNetModel(BayesNetSpec(layers=((node,),)))
 
 
-def family_of(target):
-    return LocalKernelFamily(KernelSpec(1.0), target.layout)
+KERNEL = KernelSpec(1.0)
 
 
 class TestLoopMatchesOracles:
@@ -69,7 +67,7 @@ class TestLoopMatchesOracles:
         run_cfg = {"particles": 20, "init_center": None, "init_scale": None}
         got = execute_method(problem, cfg, 1.0, run_cfg, seed)
         ref = oracle_run(cfg, initialize_particles(problem, run_cfg, seed),
-                         model, family_of(model), seed)
+                         model, KERNEL, seed)
         assert_same_run(got, ref)
         # every trust-region method fills the subproblem columns
         assert len(got[1].records) == 12
@@ -109,19 +107,18 @@ class TestKLPaths:
     def test_rejections_reuse_the_assembly_and_the_median_kernel(
             self, monkeypatch):
         target = chain_target()
-        fam = family_of(target)
         ps = ParticleSet(np.random.default_rng(0).normal(size=(12, 2)), seed=0)
         # (u, o) per iteration: u < o accepts, u > o rejects
         accept, reject = [0.0, 1.0], [10.0, 0.0]
         script = accept + reject + reject + accept + accept + reject + accept
         restart = scripted_kl(monkeypatch, script)
-        ref = tr_svi_kl_oracle(ps, target, fam, 1.0, 7, seed=4)
+        ref = tr_svi_kl_oracle(ps, target, KERNEL, 1.0, 7, seed=4)
         restart()
         kl_calls = Counter(monkeypatch, "approx_kl")
         medians = Counter(monkeypatch, "median_heuristic")
         contexts = Counter(monkeypatch, "local_context")
         stacks = Counter(monkeypatch, "hessian_stack_from_context")
-        got = tr.tr_svi_kl_run(ps, target, fam, 1.0, 7, seed=4)
+        got = tr.tr_svi_kl_run(ps, target, KERNEL, 1.0, 7, seed=4)
         assert_same_run(got, ref)
         accepted = [r.accepted for r in got[1].records]
         assert accepted == [True, False, False, True, True, False, True]
@@ -133,7 +130,6 @@ class TestKLPaths:
 
     def test_model_without_decrease_shrinks_and_keeps(self, monkeypatch):
         target = chain_target()
-        fam = family_of(target)
         ps = ParticleSet(np.random.default_rng(1).normal(size=(10, 2)), seed=1)
         real_solve = tr.solve_subproblems
         count = {"n": 0}
@@ -146,10 +142,10 @@ class TestKLPaths:
             return out
 
         monkeypatch.setattr(tr, "solve_subproblems", second_predicts_increase)
-        ref = tr_svi_kl_oracle(ps, target, fam, 1.0, 4, seed=2)
+        ref = tr_svi_kl_oracle(ps, target, KERNEL, 1.0, 4, seed=2)
         count["n"] = 0
         stacks = Counter(monkeypatch, "hessian_stack_from_context")
-        got = tr.tr_svi_kl_run(ps, target, fam, 1.0, 4, seed=2)
+        got = tr.tr_svi_kl_run(ps, target, KERNEL, 1.0, 4, seed=2)
         assert_same_run(got, ref)
         second, third = got[1].records[1:3]
         assert not second.accepted and second.model_decrease > 0
@@ -187,7 +183,6 @@ class TestKLPaths:
         the iteration is rejected and the next one runs at half the radius
         from the same particles."""
         target = chain_target()
-        fam = family_of(target)
         ps = ParticleSet(np.random.default_rng(1).normal(size=(10, 2)), seed=1)
         real_solve = tr.solve_subproblems
         calls = {"n": 0}
@@ -201,13 +196,13 @@ class TestKLPaths:
 
         real_context = tr.local_context
 
-        def context(X, family):
+        def context(X, layout, kernel):
             calls["X"] = X
-            return real_context(X, family)
+            return real_context(X, layout, kernel)
 
         monkeypatch.setattr(tr, "solve_subproblems", second_collapses)
         monkeypatch.setattr(tr, "local_context", context)
-        final, trace = tr.tr_svi_kl_run(ps, target, fam, 1.0, 4, seed=2)
+        final, trace = tr.tr_svi_kl_run(ps, target, KERNEL, 1.0, 4, seed=2)
         first, second, third = trace.records[:3]
         assert first.accepted and not second.accepted
         assert second.model_decrease < 0 and second.rho is None
@@ -218,8 +213,8 @@ class TestKLPaths:
         # a lone particle at the mode of a symmetric target has zero field
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[0.0]]))
-        got = tr.tr_svi_kl_run(ps, target, family_of(target), 1.0, 5, seed=0)
-        assert_same_run(got, tr_svi_kl_oracle(ps, target, family_of(target),
+        got = tr.tr_svi_kl_run(ps, target, KERNEL, 1.0, 5, seed=0)
+        assert_same_run(got, tr_svi_kl_oracle(ps, target, KERNEL,
                                               1.0, 5, seed=0))
         (record,) = got[1].records
         assert not record.accepted and record.model_decrease == 0.0
@@ -230,15 +225,15 @@ class TestATPaths:
     def test_zero_initial_gradient_returns_input(self):
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[0.0]]))
-        got = tr.tr_svi_at_run(ps, target, family_of(target), 5)
-        assert_same_run(got, tr_svi_at_oracle(ps, target, family_of(target), 5))
+        got = tr.tr_svi_at_run(ps, target, KERNEL, 5)
+        assert_same_run(got, tr_svi_at_oracle(ps, target, KERNEL, 5))
         assert got[0] is ps and got[1].warnings
 
     def test_small_initial_gradient_warns(self):
         target = standard_normal_1d()
         ps = ParticleSet(np.array([[1e-4], [-2e-4]]))
-        got = tr.tr_svi_at_run(ps, target, family_of(target), 3)
-        assert_same_run(got, tr_svi_at_oracle(ps, target, family_of(target), 3))
+        got = tr.tr_svi_at_run(ps, target, KERNEL, 3)
+        assert_same_run(got, tr_svi_at_oracle(ps, target, KERNEL, 3))
         assert any("b_min" in w for w in got[1].warnings)
 
     def test_proposal_field_is_the_next_iterations(self, monkeypatch):
@@ -246,7 +241,7 @@ class TestATPaths:
         ps = ParticleSet(np.random.default_rng(2).normal(size=(8, 2)))
         contexts = Counter(monkeypatch, "local_context")
         stacks = Counter(monkeypatch, "hessian_stack_from_context")
-        tr.tr_svi_at_run(ps, target, family_of(target), 5)
+        tr.tr_svi_at_run(ps, target, KERNEL, 5)
         assert contexts.calls == 5 + 1
         assert stacks.calls == 5
 
@@ -266,13 +261,12 @@ def test_one_kernel_context_at_a_time(controller):
     """The loop drops the previous context, and everything built from it,
     before it builds the next one."""
     target = chain_target()
-    fam = family_of(target)
     ps = ParticleSet(np.random.default_rng(5).normal(size=(10, 2)), seed=5)
     built = []
 
     def build_context(X):
         assert all(ref() is None for ref in built)
-        ctx = local_context(X, fam)
+        ctx = local_context(X, target.layout, KERNEL)
         built.append(weakref.ref(ctx))
         return ctx
 

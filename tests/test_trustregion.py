@@ -13,7 +13,7 @@ from oracles import (
 )
 from targets import GaussianTarget, local_hessians
 from trsvi import trustregion as tr
-from trsvi.kernels import KernelSpec, LocalKernelFamily
+from trsvi.kernels import KernelSpec
 from trsvi.model import BayesNetModel, BayesNetSpec, BayesNode
 from trsvi.model.layout import FactorLayout
 from trsvi.stein import (
@@ -295,7 +295,7 @@ def standard_normal_1d():
 class TestKLDriver:
     def test_rejected_iteration_keeps_particles_bitwise(self, monkeypatch):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(0)
         ps = ParticleSet(rng.normal(size=(12, 2)), seed=0)
         # estimated KL increases a lot -> rho < 0 on every iteration
@@ -303,7 +303,7 @@ class TestKLDriver:
         monkeypatch.setattr(tr, "approx_kl",
                             lambda *args, **kwargs: next(values))
         before = ps.positions.tobytes()
-        final, trace = tr.tr_svi_kl_run(ps, target, fam, 1.0, 3, seed=0)
+        final, trace = tr.tr_svi_kl_run(ps, target, kernel, 1.0, 3, seed=0)
         assert final.positions.tobytes() == before
         assert [r.accepted for r in trace.records] == [False] * 3
         assert [r.radius_or_step for r in trace.records] == [1.0, 0.5, 0.25]
@@ -311,7 +311,7 @@ class TestKLDriver:
 
     def test_exact_model_expands_and_accepts(self, monkeypatch):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(1)
         ps = ParticleSet(rng.normal(size=(10, 2)), seed=1)
 
@@ -340,95 +340,97 @@ class TestKLDriver:
 
         monkeypatch.setattr(tr, "approx_kl", scripted)
         before = ps.positions.copy()
-        final, trace = tr.tr_svi_kl_run(ps, target, fam, 1.0, 1, seed=0)
+        final, trace = tr.tr_svi_kl_run(ps, target, kernel, 1.0, 1, seed=0)
         rec = trace.records[0]
         assert rec.rho == pytest.approx(1.0, rel=1e-12)
         assert rec.accepted
         assert not np.array_equal(final.positions, before)
         # 1.0 -> 1.5 after the expansion
-        _, trace2 = tr.tr_svi_kl_run(ps, target, fam, 1.0, 2, seed=0)
+        _, trace2 = tr.tr_svi_kl_run(ps, target, kernel, 1.0, 2, seed=0)
         assert trace2.records[1].radius_or_step == 1.5
 
     def test_gaussian_smoke_gradient_drops(self):
         target = standard_normal_1d()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(3)
         ps = ParticleSet(rng.normal(loc=2.0, size=(50, 1)), seed=3)
-        final, trace = tr.tr_svi_kl_run(ps, target, fam, 1.0, 100, seed=3)
+        final, trace = tr.tr_svi_kl_run(ps, target, kernel, 1.0, 100, seed=3)
         mags = trace.gradient_magnitudes()
         assert mags[-1] < 0.05 * mags[0]
 
     def test_deterministic(self):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(15, 2))
-        a, ta = tr.tr_svi_kl_run(ParticleSet(X), target, fam, 1.0, 10, seed=9)
-        b, tb = tr.tr_svi_kl_run(ParticleSet(X), target, fam, 1.0, 10, seed=9)
+        a, ta = tr.tr_svi_kl_run(ParticleSet(X), target, kernel, 1.0, 10,
+                                 seed=9)
+        b, tb = tr.tr_svi_kl_run(ParticleSet(X), target, kernel, 1.0, 10,
+                                 seed=9)
         np.testing.assert_array_equal(a.positions, b.positions)
         assert [r.rho for r in ta.records] == [r.rho for r in tb.records]
 
     def test_invalid_radius(self):
         target = standard_normal_1d()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         with pytest.raises(ValueError):
-            tr.tr_svi_kl_run(ParticleSet(np.zeros((2, 1))), target, fam,
+            tr.tr_svi_kl_run(ParticleSet(np.zeros((2, 1))), target, kernel,
                              0.0, 1, seed=0)
 
 
 class TestATDriver:
     def test_first_iteration_radius_is_one(self):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(0)
         ps = ParticleSet(rng.normal(size=(8, 2)))
-        _, trace = tr.tr_svi_at_run(ps, target, fam, 1)
+        _, trace = tr.tr_svi_at_run(ps, target, kernel, 1)
         assert trace.records[0].radius_or_step == 1.0
 
     def test_zero_initial_gradient_returns_input(self):
         # a lone particle at the mode of a symmetric target has zero field
         target = standard_normal_1d()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         ps = ParticleSet(np.array([[0.0]]))
-        final, trace = tr.tr_svi_at_run(ps, target, fam, 5)
+        final, trace = tr.tr_svi_at_run(ps, target, kernel, 5)
         assert final is ps
         assert trace.records == []
         assert trace.warnings
 
     def test_small_initial_gradient_flagged(self):
         target = standard_normal_1d()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         ps = ParticleSet(np.array([[1e-4]]))
-        _, trace = tr.tr_svi_at_run(ps, target, fam, 1)
+        _, trace = tr.tr_svi_at_run(ps, target, kernel, 1)
         assert any("b_min" in w for w in trace.warnings)
 
     def test_gaussian_smoke_converges(self):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(5)
         ps = ParticleSet(rng.normal(size=(40, 2)), seed=5)
-        _, trace = tr.tr_svi_at_run(ps, target, fam, 60)
+        _, trace = tr.tr_svi_at_run(ps, target, kernel, 60)
         mags = trace.gradient_magnitudes()
         assert mags[-1] < 0.02 * mags[0]
 
     def test_deterministic(self):
         target = gaussian_chain_target()
-        fam = LocalKernelFamily(KernelSpec(1.0), target.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(6)
         X = rng.normal(size=(10, 2))
-        a, ta = tr.tr_svi_at_run(ParticleSet(X), target, fam, 15)
-        b, tb = tr.tr_svi_at_run(ParticleSet(X), target, fam, 15)
+        a, ta = tr.tr_svi_at_run(ParticleSet(X), target, kernel, 15)
+        b, tb = tr.tr_svi_at_run(ParticleSet(X), target, kernel, 15)
         np.testing.assert_array_equal(a.positions, b.positions)
         assert ta.gradient_magnitudes().tolist() == tb.gradient_magnitudes().tolist()
 
 
 class TestSolveSubproblems:
     def test_steps_respect_radius_and_model(self, mixed_bn):
-        fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(7)
         ps = ParticleSet(rng.normal(size=(12, mixed_bn.layout.total_dim)))
-        field = graphical_stein_gradient(ps, mixed_bn, fam)
-        hessians = local_hessians(ps, mixed_bn, fam)
+        field = graphical_stein_gradient(ps, mixed_bn, kernel)
+        hessians = local_hessians(ps, mixed_bn, kernel)
         radius = 0.5
         steps, statuses, decrease, _ = tr.solve_subproblems(
             field, DenseHessians(hessians), radius)
@@ -571,12 +573,12 @@ class TestBatchedMatchesOracle:
 
     @pytest.mark.parametrize("radius", [0.05, 0.5, 5.0])
     def test_stein_hessian_stacks(self, mixed_bn, radius):
-        fam = LocalKernelFamily(KernelSpec(1.0), mixed_bn.layout)
+        kernel = KernelSpec(1.0)
         rng = np.random.default_rng(17)
         ps = ParticleSet(rng.normal(size=(30, mixed_bn.layout.total_dim)))
-        field = graphical_stein_gradient(ps, mixed_bn, fam)
+        field = graphical_stein_gradient(ps, mixed_bn, kernel)
         assert_matches_oracle(field.values,
-                              local_hessians(ps, mixed_bn, fam), radius)
+                              local_hessians(ps, mixed_bn, kernel), radius)
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
