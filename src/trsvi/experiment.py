@@ -140,11 +140,15 @@ def initialize_particles(problem, run_cfg: dict, seed: int) -> ParticleSet:
         (run_cfg["particles"], center.size)), seed=seed)
 
 
-def ground_truth_sample(problem, gt_cfg: dict) -> np.ndarray:
+def ground_truth_sample(problem, gt_cfg: dict, model=None) -> np.ndarray:
+    """The configured reference sample: ancestral draws from a net, a
+    Metropolis chain on an SNLP posterior (its model built here unless
+    given)."""
     count = gt_cfg["samples"]
     if isinstance(problem, BayesNetSpec):
         return ancestral_sample(problem, count, gt_cfg["seed"])
-    model = make_model(problem)
+    if model is None:
+        model = make_model(problem)
     result = metropolis_reference(
         model,
         chain_length=count * gt_cfg["thinning"],
@@ -166,7 +170,7 @@ def write_problem(config: dict, out: Path):
     gt_cfg = config["output"]["ground_truth"]
     if gt_cfg["samples"] == 0:
         return problem, model, None
-    ground_truth = ground_truth_sample(problem, gt_cfg)
+    ground_truth = ground_truth_sample(problem, gt_cfg, model)
     save_samples_with_twin(out / "ground_truth.csv", ground_truth,
                            model.dimension_names())
     return problem, model, ground_truth
@@ -216,10 +220,26 @@ def execute_method(problem, method_cfg: dict, lengthscale: float,
         method_cfg["iterations"])
 
 
+# The problem, and its model, that this process's (method, seed) runs take:
+# `write_problem`'s in the main process, built once in each worker process.
+_task_problem: tuple = (None, None)
+
+
+def _use_problem(problem, model) -> None:
+    """Make `_run_task` run on `problem` and its model."""
+    global _task_problem
+    _task_problem = (problem, model)
+
+
+def _start_worker(problem) -> None:
+    """A worker process's initializer: its runs' model, built once."""
+    _use_problem(problem, make_model(problem))
+
+
 def _run_task(payload: dict) -> dict:
-    """One (method, seed) run; executed possibly in a worker process."""
-    problem = payload["problem"]
-    model = make_model(problem)
+    """One (method, seed) run on the problem of `_use_problem`; executed
+    possibly in a worker process."""
+    problem, model = _task_problem
     started = time.perf_counter()
     final, trace = execute_method(
         problem, payload["method"], payload["lengthscale"], payload["run"],
@@ -333,7 +353,6 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
 
     tasks = [
         {
-            "problem": problem,
             "method": method,
             "lengthscale": lengthscale,
             "run": config["run"],
@@ -344,10 +363,16 @@ def _run_experiment_body(config: dict, out: Path, workers: int) -> Path:
         for seed in config["run"]["seeds"]
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_start_worker,
+                                 initargs=(problem,)) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_task(task) for task in tasks]
+        _use_problem(problem, model)
+        try:
+            results = [_run_task(task) for task in tasks]
+        finally:
+            _use_problem(None, None)    # hold no model past the runs
 
     with open(out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

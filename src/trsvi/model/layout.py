@@ -4,7 +4,8 @@ A target distribution factors its state space into contiguous blocks of
 dimensions ("factors").  Each factor carries a blanket: the set of dimensions
 that render it conditionally independent of everything else.  Local kernels,
 blanket-sparse Hessians and the per-factor Stein updates are all driven by
-this structure.
+this structure.  Factors whose blankets hold the same dimensions share one
+local kernel.
 """
 
 from __future__ import annotations
@@ -81,19 +82,23 @@ class PairGroup:
 
 @dataclass(frozen=True, eq=False)
 class FactorGroup:
-    """Factors of one size, in factor order.
+    """Distinct blankets whose sharing factors have the same sizes, in
+    order: one consecutive run of a local context's kernels.
 
     Attributes:
-        factors: (F,) ascending factor indices.
-        dims: (F, |C|) state dimensions of each factor.
+        kernels: (F,) consecutive ascending kernel indices.
+        factors: (F, m) the ascending factors that share each kernel.
+        dims: (F, W) the state dimensions of those factors, side by side.
     """
 
+    kernels: np.ndarray
     factors: np.ndarray
     dims: np.ndarray
 
     def chunk(self, part: slice) -> "FactorGroup":
-        """The group restricted to a slice of its factors."""
-        return FactorGroup(self.factors[part], self.dims[part])
+        """The group restricted to a slice of its kernels."""
+        return FactorGroup(self.kernels[part], self.factors[part],
+                           self.dims[part])
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +178,8 @@ class HessianPattern:
 class FactorLayout:
     """Partition of the state dimensions into factors plus per-factor blankets.
     The tables derived from them are cached properties, built on first use.
+    Among them, `factor_groups` and `kernel_index` number the distinct
+    blankets, one local kernel each, and map every factor to its kernel.
 
     Attributes:
         factors: ordered contiguous index ranges covering every dimension.
@@ -246,22 +253,48 @@ class FactorLayout:
 
     @cached_property
     def factor_groups(self) -> list[FactorGroup]:
-        """Factors grouped by size, in factor order."""
-        by_size: dict[int, list[int]] = {}
-        for a, f in enumerate(self.factors):
-            by_size.setdefault(f.size, []).append(a)
-        return [FactorGroup(np.array(members, dtype=np.intp),
-                            np.stack([self.factors[a] for a in members]))
-                for members in by_size.values()]
+        """The distinct blankets, each with the factors whose blankets hold
+        exactly its dimensions, grouped by those factors' sizes.  Groups and
+        their blankets come in order of each blanket's first factor, and
+        the blankets are numbered group after group: the kernel indices."""
+        sharing: dict[bytes, list[int]] = {}
+        for a, blanket in enumerate(self.blankets):
+            sharing.setdefault(blanket.tobytes(), []).append(a)
+        by_sizes: dict[tuple[int, ...], list[list[int]]] = {}
+        for members in sharing.values():
+            by_sizes.setdefault(tuple(self.factors[a].size for a in members),
+                                []).append(members)
+        groups, start = [], 0
+        for runs in by_sizes.values():
+            groups.append(FactorGroup(
+                np.arange(start, start + len(runs)),
+                np.array(runs, dtype=np.intp),
+                np.stack([np.concatenate([self.factors[a] for a in members])
+                          for members in runs])))
+            start += len(runs)
+        return groups
+
+    @cached_property
+    def kernel_index(self) -> np.ndarray:
+        """(D,) each factor's index among the distinct blankets: where a
+        local context holds its kernel.  Factors whose blankets hold the
+        same dimensions share one kernel."""
+        index = np.empty(self.n_factors, dtype=np.intp)
+        for g in self.factor_groups:
+            index[g.factors] = g.kernels[:, None]
+        return index
 
     @cached_property
     def padded_blankets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every blanket as a row of one (D, w) index array, w the widest
-        blanket's size, each row padded past its blanket by repeating the
-        blanket's last index; and the (D,) blanket sizes."""
-        widths = np.array([b.size for b in self.blankets], dtype=np.intp)
+        """Every distinct blanket, in kernel order, as a row of one (U, w)
+        index array, w the widest blanket's size, each row padded past its
+        blanket by repeating the blanket's last index; and the (U,) blanket
+        sizes."""
+        blankets = [self.blankets[a] for g in self.factor_groups
+                    for a in g.factors[:, 0]]
+        widths = np.array([b.size for b in blankets], dtype=np.intp)
         index = np.stack([np.pad(b, (0, widths.max() - b.size), mode="edge")
-                          for b in self.blankets])
+                          for b in blankets])
         return index, widths
 
     @cached_property

@@ -8,13 +8,17 @@ particle distribution is the empirical mean over all particles, including
 the particle being updated, summed in ascending particle order so results
 do not depend on how work is scheduled.
 
-The per-factor layers are batched.  A local context's kernels are built a
-chunk of consecutive blankets at a time, by one batched product of the
-blankets zero-padded to the chunk's widest, bitwise each blanket's own
-`rbf_matrix`.  The field takes one product K^T @ [scores | x | 1] per chunk
-of equal-size factors (`FactorLayout.factor_groups`), and one for the global
-kernel.  A chunk holds as many factors as have n x n kernels within
-_CHUNK_BYTES, which bounds the temporaries.
+Factors whose blankets hold the same dimensions share one kernel: a local
+context holds one per distinct blanket, U n^2 8 bytes for the layout's U
+distinct blankets, and `FactorLayout.kernel_index` maps each factor to its
+own.  The kernels are built a chunk of consecutive blankets at a time, by
+one batched product of the blankets zero-padded to the chunk's widest,
+bitwise each blanket's own `rbf_matrix`.  The field takes one product
+K^T @ [scores | x | 1] per chunk of a group of `FactorLayout.factor_groups`,
+whose kernels are consecutive, with the columns of every factor that shares
+a kernel side by side; and one for the global kernel.  The Hessian reads
+each pair's kernels through the map.  A chunk holds as many kernels as have
+n x n matrices within _CHUNK_BYTES, which bounds the temporaries.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class SteinGradientField:
 @dataclass
 class AssemblyContext:
     """Kernel matrices shared by gradient and Hessian assembly at one particle
-    configuration: one per factor (an (n_factors, n, n) array), or the
-    global kernel alone (a one-tuple)."""
+    configuration: one per distinct blanket (a (U, n, n) array, factor a's
+    at `layout.kernel_index[a]`), or the global kernel alone (a one-tuple)."""
 
     X: np.ndarray
     layout: FactorLayout
@@ -88,22 +92,25 @@ class AssemblyContext:
 
 def local_context(X: np.ndarray, layout: FactorLayout,
                   kernel: KernelSpec) -> AssemblyContext:
-    """Every blanket's kernel, bitwise its own
-    `rbf_matrix(X, X, l, dims=blanket)`, as one (n_factors, n, n) array
-    filled one chunk of consecutive factors at a time."""
+    """Every distinct blanket's kernel, bitwise its own
+    `rbf_matrix(X, X, l, dims=blanket)`, as one (U, n, n) array in the
+    layout's kernel order, filled one chunk of consecutive kernels at a
+    time.  Factors whose blankets hold the same dimensions share one
+    kernel, so the context takes U n^2 8 bytes for the layout's U distinct
+    blankets."""
     ls = kernel.lengthscale
     n = X.shape[0]
     index, widths = layout.padded_blankets
-    kmats = np.empty((layout.n_factors, n, n))
+    kmats = np.empty((index.shape[0], n, n))
     step = _factors_per_chunk(n)
-    for start in range(0, layout.n_factors, step):
+    for start in range(0, index.shape[0], step):
         part = slice(start, start + step)
         _blanket_kernels(X, index[part], widths[part], ls, kmats[part])
     return AssemblyContext(X, layout, ls, kmats)
 
 
 def _factors_per_chunk(n: int) -> int:
-    """How many factors' n x n kernels fit in _CHUNK_BYTES (at least one)."""
+    """How many n x n kernels fit in _CHUNK_BYTES (at least one)."""
     return max(1, _CHUNK_BYTES // (8 * n * n))
 
 
@@ -149,8 +156,11 @@ def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradie
     coordinates, from one product K^T @ [s | x | 1] per kernel: the
     kernel-weighted scores, the kernel-weighted positions and the column
     sums that expand the kernel gradients' sum_j K_ji (x_j - x_i) / l^2.
-    Local kernels take the product for a chunk of equal-size factors at
-    once, the global kernel once over all coordinates."""
+    A local kernel's product holds the [s | x] columns of every factor that
+    shares it, side by side, and each group of the layout's
+    `factor_groups` takes the product for a chunk of its consecutive
+    kernels at once; the global kernel takes it once over all
+    coordinates."""
     X, layout = ctx.X, ctx.layout
     scores = target.gradient_batch(X)
     if ctx.is_global:
@@ -160,16 +170,13 @@ def field_from_context(ctx: AssemblyContext, target: TargetModel) -> SteinGradie
     out = np.empty_like(X)
     step = _factors_per_chunk(X.shape[0])
     for group in layout.factor_groups:
-        for start in range(0, group.factors.size, step):
+        for start in range(0, group.kernels.size, step):
             g = group.chunk(slice(start, start + step))
-            first, last = g.factors[0], g.factors[-1]
-            # consecutive factors' kernels are a view; others are gathered
-            K = (ctx.kmats[first:last + 1] if last - first == g.factors.size - 1
-                 else ctx.kmats[g.factors])
+            K = ctx.kmats[g.kernels[0]:g.kernels[-1] + 1]
             rhs = np.concatenate(
                 [scores[:, g.dims], X[:, g.dims],
-                 np.ones((X.shape[0], g.factors.size, 1))], axis=2,
-            ).transpose(1, 0, 2)                    # (F, n, 2c + 1)
+                 np.ones((X.shape[0], g.kernels.size, 1))], axis=2,
+            ).transpose(1, 0, 2)                    # (F, n, 2W + 1)
             mom = np.matmul(K.transpose(0, 2, 1), rhs)
             terms = _field_terms(mom, rhs, ctx.lengthscale)
             out[:, g.dims] = terms.transpose(1, 0, 2)
@@ -287,8 +294,8 @@ def hessian_stack_from_context(ctx: AssemblyContext, target: TargetModel):
     for g in layout.pair_groups:
         step = _pairs_per_chunk(n, *g.mask.shape[1:])
         for start in range(0, g.a.size, step):
-            _pair_rows(g, slice(start, start + step), ctx.kmats, model, XcT,
-                       inv_ls4, W, values)
+            _pair_rows(g, slice(start, start + step), ctx.kmats,
+                       layout.kernel_index, model, XcT, inv_ls4, W, values)
     return PatternHessians(pattern, values.T)
 
 
@@ -322,16 +329,19 @@ def _block_entries(ca: int, cb: int, diagonal: bool):
     return p, q, qx
 
 
-def _pair_rows(g: PairGroup, part: slice, kmats, model: np.ndarray,
-               XcT: np.ndarray, inv_ls4: float, W: np.ndarray,
-               values: np.ndarray) -> None:
+def _pair_rows(g: PairGroup, part: slice, kmats, kernel_index: np.ndarray,
+               model: np.ndarray, XcT: np.ndarray, inv_ls4: float,
+               W: np.ndarray, values: np.ndarray) -> None:
     """A slice of g's pairs as (P, e, n) rows of their block entries (p, q),
-    written into values (nnz, n) at each entry and at its transpose's."""
+    written into values (nnz, n) at each entry and at its transpose's.
+    Pair (a, b) weighs its moments by W = K_a * K_b of its factors'
+    kernels, read through `kernel_index`."""
     p, q, qx = _block_entries(*g.mask.shape[1:], g.diagonal)
-    pairs = list(zip(g.a[part], g.b[part]))
+    kernels = [tuple(sorted(ab)) for ab in zip(
+        kernel_index[g.a[part]].tolist(), kernel_index[g.b[part]].tolist())]
     dims = (g.rows[part] if g.diagonal else
             np.concatenate([g.rows[part], g.cols[part]], axis=1))
-    P, e, n = len(pairs), p.size, XcT.shape[1]
+    P, e, n = len(kernels), p.size, XcT.shape[1]
     lhs = np.empty((P, 2 * e + dims.shape[1] + 1, n))
     lhs[:, :e] = model[g.entries[part, p, q]]
     x = lhs[:, 2 * e:-1]
@@ -341,8 +351,14 @@ def _pair_rows(g: PairGroup, part: slice, kmats, model: np.ndarray,
     np.multiply(xp, xq, out=outer)
     lhs[:, -1] = 1.0
     mom = np.empty_like(lhs)
-    for k, (a, b) in enumerate(pairs):
-        np.multiply(kmats[a], kmats[b], out=W)
+    # pairs whose factors' kernels agree, in either order, share one weight
+    # (a product of two floats does not depend on their order): taken in
+    # order of their kernels, each distinct weight is formed once per chunk
+    weight = None
+    for k in sorted(range(P), key=kernels.__getitem__):
+        if kernels[k] != weight:
+            weight = kernels[k]
+            np.multiply(kmats[weight[0]], kmats[weight[1]], out=W)
         np.matmul(lhs[k], W, out=mom[k])
     mx = mom[:, 2 * e:-1]
     term = mom[:, e:2 * e]                      # the cross term, in place

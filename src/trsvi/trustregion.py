@@ -399,10 +399,13 @@ class AdaTrustState:
         return self.radius()
 
     def judge(self, trial: Trial, target: TargetModel, field_at) -> Verdict:
-        """The gradient magnitude at the proposal sets the next radius."""
+        """The gradient magnitude at the proposal sets the next radius; the
+        run stops on the proposal once that radius g / b is 0, where no
+        subproblem has a step."""
         g_new = gradient_magnitude(field_at(trial.proposal))
         self.update(g_new)
-        return Verdict(True, {"gradient_magnitude": g_new, "b": self.b})
+        return Verdict(True, {"gradient_magnitude": g_new, "b": self.b},
+                       stop=self.radius() == 0.0)
 
 
 @dataclass
@@ -465,9 +468,11 @@ def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
     Stein field and Hessian operator at the current particles, solves the
     subproblems at `controller.trial_radius()`, and lets
     `controller.judge(trial, target, field_at)` take or reject the proposal;
-    `controller.begin(g0, warnings)`, if defined, may end the run early.  The
-    three are kept with the positions array they were built at, so nothing is
-    rebuilt after a rejection or at a proposal `field_at` already evaluated.
+    `controller.begin(g0, warnings)`, if defined, may end the run early, and
+    a verdict's `stop` ends it after its iteration, on the proposal if it
+    was taken.  The three are kept with the positions array they were built
+    at, so nothing is rebuilt after a rejection or at a proposal `field_at`
+    already evaluated.
     Only one context is held: the old one is dropped before the next is
     built.  No rebuild comes of that, since tr-svi-at takes every proposal
     it evaluates and tr-svi-kl evaluates none.  A `StepSchedule` controller
@@ -509,6 +514,8 @@ def trust_region_run(particles: ParticleSet, target: TargetModel, build_context,
             model_decrease=solution.decrease, **solution.trace_counts(),
             **verdict.record))
         if verdict.stop:
+            if verdict.accepted:
+                current = current.advanced(trial.proposal)
             break
         current = current.advanced(
             trial.proposal if verdict.accepted else current.positions)

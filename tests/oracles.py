@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.optimize import brentq
 from scipy.spatial.distance import pdist
 
+from trsvi import stein
 from trsvi import trustregion as tr
 from trsvi.evaluation import MetropolisResult, gradient_magnitude
 from trsvi.kernels import (
@@ -382,6 +383,7 @@ def moment_hessian_stack(ctx, target) -> np.ndarray:
             stack[i] = prods[:, upper_twin]
         return stack.reshape(n, dim, dim)
 
+    kmats = ctx.kmats[layout.kernel_index]      # factor a's kernel at a
     Xc = X - X.mean(axis=0)
     stack = np.zeros((n, dim, dim))
     for g in layout.pair_groups:
@@ -397,7 +399,7 @@ def moment_hessian_stack(ctx, target) -> np.ndarray:
         ).transpose(1, 0, 2).copy()
         mom = np.empty_like(rhs)
         for p, (a, b) in enumerate(zip(g.a, g.b)):
-            np.matmul((ctx.kmats[a] * ctx.kmats[b]).T, rhs[p], out=mom[p])
+            np.matmul((kmats[a] * kmats[b]).T, rhs[p], out=mom[p])
         mom = mom.transpose(1, 0, 2)
         ma, mb = mom[..., 2 * m:2 * m + ca], mom[..., 2 * m + ca:-1]
         cross = (
@@ -438,10 +440,11 @@ def moment_term_magnitudes(ctx, target) -> np.ndarray:
     H = np.abs(dense_model_hessians(target, X))
     A = np.abs(X - X.mean(axis=0))
     inv_ls4 = (1.0 / ctx.lengthscale**2) ** 2
+    kmats = ctx.kmats[layout.kernel_index]      # factor a's kernel at a
     out = np.zeros((n, dim, dim))
     for a, b in layout.overlapping_pairs:
         Ca, Cb = layout.factors[a], layout.factors[b]
-        W = ctx.kmats[a] * ctx.kmats[b]
+        W = kmats[a] * kmats[b]
         xa, xb = A[:, Ca], A[:, Cb]
         outer = xa[:, :, None] * xb[:, None, :]
         wsum = W.sum(axis=0)
@@ -993,7 +996,8 @@ def blanket_loop_kmats(X, layout, lengthscale: float) -> np.ndarray:
 
 def factor_loop_field(ctx, target) -> np.ndarray:
     """The Stein field one factor at a time, two products and a column sum
-    each, with `ctx.kmats[a][j, i] = k_a(x_j, x_i)` (a global context's one
+    each, with factor a's kernel `k_a(x_j, x_i)` at
+    `ctx.kmats[layout.kernel_index[a]][j, i]` (a global context's one
     kernel for every factor): the loop that computed local and global
     fields before factors were batched."""
     X = ctx.X
@@ -1002,12 +1006,94 @@ def factor_loop_field(ctx, target) -> np.ndarray:
     out = np.empty_like(X)
     inv_ls2 = 1.0 / ctx.lengthscale**2
     for a, dims in enumerate(ctx.layout.factors):
-        Ka = ctx.kmats[0 if ctx.is_global else a]
+        Ka = ctx.kmats[0 if ctx.is_global else ctx.layout.kernel_index[a]]
         colsum = Ka.sum(axis=0)
         term1 = Ka.T @ scores[:, dims]
         term2 = -inv_ls2 * (Ka.T @ X[:, dims] - X[:, dims] * colsum[:, None])
         out[:, dims] = -(term1 + term2) / n
     return out
+
+
+def per_factor_field(X, target, kmats, lengthscale: float) -> np.ndarray:
+    """The local Stein field from one kernel per factor, `kmats[a][j, i] =
+    k_a(x_j, x_i)` (n_factors, n, n), as the package took it before
+    factors with one blanket shared a kernel: one product
+    K^T @ [s | x | 1] per chunk of equal-size factors, in factor order."""
+    layout = target.layout
+    n = X.shape[0]
+    scores = target.gradient_batch(X)
+    by_size: dict[int, list[int]] = {}
+    for a, f in enumerate(layout.factors):
+        by_size.setdefault(f.size, []).append(a)
+    out = np.empty_like(X)
+    step = stein._factors_per_chunk(n)
+    for members in by_size.values():
+        for start in range(0, len(members), step):
+            factors = members[start:start + step]
+            dims = np.stack([layout.factors[a] for a in factors])
+            rhs = np.concatenate(
+                [scores[:, dims], X[:, dims], np.ones((n, len(factors), 1))],
+                axis=2).transpose(1, 0, 2)
+            mom = np.matmul(kmats[factors].transpose(0, 2, 1), rhs)
+            c = dims.shape[1]
+            term2 = -(1.0 / lengthscale**2) * (
+                mom[..., c:2 * c] - rhs[..., c:2 * c] * mom[..., -1:])
+            out[:, dims] = (-(mom[..., :c] + term2) / n).transpose(1, 0, 2)
+    return out
+
+
+def per_factor_hessian_values(X, target, kmats, lengthscale: float):
+    """The local Stein Hessians' (n, nnz) pattern values from one kernel per
+    factor, as the package assembled them before factors with one blanket
+    shared a kernel: pair (a, b) takes the product of its moment rows
+    [H_ab | x_a x_b^T | x_a | x_b | 1] with W = K_a * K_b, formed for every
+    pair in pair order, chunk by chunk of each pair group."""
+    layout = target.layout
+    n = X.shape[0]
+    model = np.ascontiguousarray(target.hessian_batch(X).T)
+    XcT = np.subtract(X.T, X.mean(axis=0)[:, None],
+                      out=np.empty(X.shape[::-1]))
+    inv_ls4 = (1.0 / lengthscale**2)**2
+    values = np.empty((layout.pattern.nnz, n))
+    W = np.empty((n, n))
+    for g in layout.pair_groups:
+        step = stein._pairs_per_chunk(n, *g.mask.shape[1:])
+        for start in range(0, g.a.size, step):
+            part = slice(start, start + step)
+            ca, cb = g.mask.shape[1:]
+            if g.diagonal:              # the upper triangle, and x_a alone
+                p, q = np.triu_indices(ca)
+                qx = q
+            else:
+                p, q = np.divmod(np.arange(ca * cb), cb)
+                qx = ca + q
+            pairs = list(zip(g.a[part], g.b[part]))
+            dims = (g.rows[part] if g.diagonal else
+                    np.concatenate([g.rows[part], g.cols[part]], axis=1))
+            P, e = len(pairs), p.size
+            lhs = np.empty((P, 2 * e + dims.shape[1] + 1, n))
+            lhs[:, :e] = model[g.entries[part, p, q]]
+            x = lhs[:, 2 * e:-1]
+            x[...] = XcT[dims]
+            xp, xq = x[:, p], x[:, qx]
+            outer = lhs[:, e:2 * e]
+            np.multiply(xp, xq, out=outer)
+            lhs[:, -1] = 1.0
+            mom = np.empty_like(lhs)
+            for k, (a, b) in enumerate(pairs):
+                np.multiply(kmats[a], kmats[b], out=W)
+                np.matmul(lhs[k], W, out=mom[k])
+            mx = mom[:, 2 * e:-1]
+            term = mom[:, e:2 * e]
+            term -= xp * mx[:, qx]
+            term -= mx[:, p] * xq
+            term += outer * mom[:, -1, None]
+            term *= inv_ls4 if g.diagonal else inv_ls4 * g.mask[part, p, q, None]
+            term -= mom[:, :e]
+            term /= n
+            values[g.entries[part, p, q]] = term
+            values[g.twins[part, q, p]] = term
+    return values.T
 
 
 def rbf_matrix_longdouble(X, Y, lengthscale: float, dims=None) -> np.ndarray:

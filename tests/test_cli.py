@@ -545,6 +545,26 @@ class TestRunExperiment:
             assert (artifact / name).read_bytes() == \
                 (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_built_once_per_process(self, tmp_path, monkeypatch,
+                                          workers):
+        """The four (method, seed) runs take the model `write_problem`
+        built (one worker) or the one each worker process built when it
+        started (two): no process builds it twice."""
+        log = tmp_path / "builds.txt"
+        build = experiment.make_model
+
+        def counted(problem):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(problem)
+
+        monkeypatch.setattr(experiment, "make_model", counted)
+        run_experiment(tiny_config(), tmp_path / "art", workers=workers)
+        pids = log.read_text().split()
+        assert pids[0] == str(os.getpid())
+        assert len(pids) == len(set(pids))
+
 
 def snlp_twin_config():
     """A small SNLP experiment whose Metropolis ground truth repeats rows."""
@@ -920,6 +940,29 @@ def test_config_that_cannot_run_exits_2_before_any_output(tmp_path, edit,
     assert result.stderr.count("\n") == 1 and field in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_tr_svi_at_stops_where_its_radius_reaches_zero(tmp_path):
+    """On a 2-unknown, 3-anchor SNLP under a 1e-30 lengthscale, tr-svi-at's
+    gradient magnitude reaches 0 at iteration 4, so its next radius g / b
+    is 0.  The run stops there and `trsvi run` exits 0, where CG-Steihaug
+    raised "radius must be positive"."""
+    cfg = {"problem": {"kind": "snlp", "unknowns": 2, "anchors": 3,
+                       "seed": 0},
+           "kernel": {"lengthscale": 1.0e-30},
+           "method": [{"name": "tr-svi-at", "iterations": 20}],
+           "run": {"particles": 10, "seeds": [0]},
+           "output": {"ground_truth": {"samples": 0}}}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "art"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 0
+    with open(out / "runs" / "tr-svi-at" / "seed_0" / "trace.csv",
+              newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert rows[-1]["gradient_magnitude"] == "0.0"
+    assert rows[-1]["accepted"] == "true"
 
 
 class TestMarginals:

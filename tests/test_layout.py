@@ -114,20 +114,33 @@ def test_target_model_is_abstract():
 
 def _assert_matches_isin_oracles(layout):
     """Overlap, pair masks and pattern equal their np.isin / loop oracles
-    bit for bit, and the factor groups and padded blankets list every
-    factor and blanket."""
-    grouped = []
+    bit for bit; the factor groups list every factor once, with the
+    factors that share its blanket, under one kernel index per distinct
+    blanket, numbered group after group; and the padded blankets list
+    every distinct blanket in kernel order."""
+    grouped, kernels, firsts = [], [], []
     for g in layout.factor_groups:
-        assert np.all(np.diff(g.factors) > 0)
-        for a, dims in zip(g.factors, g.dims):
-            grouped.append(a)
-            np.testing.assert_array_equal(dims, layout.factors[a])
+        for u, members, dims in zip(g.kernels, g.factors, g.dims):
+            assert np.all(np.diff(members) > 0)
+            kernels.append(u)
+            firsts.append(members[0])
+            grouped.extend(members)
+            np.testing.assert_array_equal(
+                dims, np.concatenate([layout.factors[a] for a in members]))
+            for a in members:
+                assert layout.kernel_index[a] == u
+                np.testing.assert_array_equal(layout.blankets[a],
+                                              layout.blankets[members[0]])
+    assert kernels == list(range(len(kernels)))
     assert sorted(grouped) == list(range(layout.n_factors))
-    sizes = [g.dims.shape[1] for g in layout.factor_groups]
+    assert len({layout.blankets[a].tobytes() for a in firsts}) == len(firsts)
+    sizes = [tuple(layout.factors[a].size for a in g.factors[0])
+             for g in layout.factor_groups]
     assert len(set(sizes)) == len(sizes)
     index, widths = layout.padded_blankets
-    assert index.shape == (layout.n_factors, max(widths))
-    for row, width, blanket in zip(index, widths, layout.blankets):
+    assert index.shape == (len(kernels), max(widths))
+    for row, width, a in zip(index, widths, firsts):
+        blanket = layout.blankets[a]
         assert width == blanket.size
         np.testing.assert_array_equal(row[:width], blanket)
         assert np.all(row[width:] == blanket[-1])

@@ -13,7 +13,10 @@ import pytest
 import yaml
 
 from trsvi.config import validate_config
-from trsvi.experiment import build_problem, execute_method
+from trsvi.experiment import (build_problem, execute_method,
+                              initialize_particles, make_model)
+from trsvi.kernels import KernelSpec
+from trsvi.stein import local_context
 
 DENSE_STACK = 200 * 100 * 100 * 8
 
@@ -56,3 +59,25 @@ def test_snlp50_run_peak_stays_below_one_dense_stack(label):
         tracemalloc.stop()
     assert len(trace.records) == 2
     assert peak < PEAK_BOUNDS[label], f"{label}: peak {peak / 1e6:.1f} MB"
+
+
+def test_snlp50_local_context_holds_one_kernel_per_distinct_blanket():
+    """At snlp50 (n = 200) a local context holds one n x n kernel per
+    distinct blanket: 41 of the 50 blankets are distinct, so U n^2 8 =
+    13.1 MB where one kernel per factor took 16 MB.  The chunked build's
+    temporaries add 0.58 MB (numpy 2.4); the bound allows 1 MiB."""
+    problem, run_cfg = _snlp50()
+    layout = make_model(problem).layout
+    X = initialize_particles(problem, run_cfg, 3).positions
+    n = X.shape[0]
+    distinct = len({b.tobytes() for b in layout.blankets})
+    assert (n, layout.n_factors, distinct) == (200, 50, 41)
+    layout.padded_blankets          # the layout's tables, built once
+    tracemalloc.start()
+    try:
+        ctx = local_context(X, layout, KernelSpec(3.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < distinct * n * n * 8 + 2**20, f"peak {peak / 1e6:.2f} MB"
+    assert ctx.kmats.nbytes == distinct * n * n * 8

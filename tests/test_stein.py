@@ -2,6 +2,8 @@ from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     BAYESNET_ROUNDING_BOUND,
@@ -18,6 +20,8 @@ from oracles import (
     operator_matrix,
     pair_loop_hessian_stack,
     per_edge_snlp_hessian_batch,
+    per_factor_field,
+    per_factor_hessian_values,
 )
 from targets import (
     GaussianTarget,
@@ -32,6 +36,7 @@ from trsvi import stein
 from trsvi.kernels import KernelSpec, rbf_matrix
 from trsvi.model import (
     BayesNetConfig,
+    FactorLayout,
     BayesNetModel,
     BayesNetSpec,
     BayesNode,
@@ -326,18 +331,21 @@ def _assembly_cases(mixed_bn, small_snlp):
 
 
 def test_local_context_kernels_share_one_array(mixed_bn, small_snlp):
-    """A local context's kernels are views of one (n_factors, n, n) array,
-    each bitwise the blanket's own `rbf_matrix`."""
+    """A local context's kernels are views of one (U, n, n) array, one per
+    distinct blanket; factor a's, read through `layout.kernel_index`, is
+    bitwise its blanket's own `rbf_matrix`."""
     for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
         layout = target.layout
         ctx = local_context(X, layout, KernelSpec(ls))
+        distinct = {b.tobytes() for b in layout.blankets}
         base = ctx.kmats[0].base
         assert base is not None
-        assert base.shape == (layout.n_factors, len(X), len(X))
+        assert base.shape == (len(distinct), len(X), len(X))
         for a in range(layout.n_factors):
-            assert ctx.kmats[a].base is base, (name, a)
+            K = ctx.kmats[layout.kernel_index[a]]
+            assert K.base is base, (name, a)
             separate = rbf_matrix(X, X, ls, dims=layout.blankets[a])
-            assert ctx.kmats[a].tobytes() == separate.tobytes(), (name, a)
+            assert K.tobytes() == separate.tobytes(), (name, a)
 
 
 BUNDLED = ["bn10_desk", "bn30_paper", "snlp_small", "snlp_large"]
@@ -366,7 +374,7 @@ def field_bound(ctx, target) -> np.ndarray:
     S, A = np.abs(target.gradient_batch(X)), np.abs(X)
     scale = np.empty_like(X)
     for a, dims in enumerate(ctx.layout.factors):
-        K = ctx.kmats[0 if ctx.is_global else a]
+        K = ctx.kmats[0 if ctx.is_global else ctx.layout.kernel_index[a]]
         scale[:, dims] = (K.T @ S[:, dims] + (
             K.T @ A[:, dims] + A[:, dims] * K.sum(axis=0)[:, None]
         ) / ctx.lengthscale**2) / n
@@ -389,10 +397,30 @@ class TestFactorBatching:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_kernels_bitwise_at_bundled_sizes(self, name):
         target, X = bundled(name)
+        kernel_index = target.layout.kernel_index
         for ls in (0.5, 3.0):
             ctx = _context("local", X, target, ls)
-            assert ctx.kmats.tobytes() == \
+            assert ctx.kmats[kernel_index].tobytes() == \
                 blanket_loop_kmats(X, target.layout, ls).tobytes(), ls
+
+    @pytest.mark.parametrize("name, distinct", [
+        ("bn10_desk", 9), ("bn30_paper", 30), ("snlp_small", 6),
+        ("snlp_large", 41)])
+    def test_bundled_contexts_hold_one_kernel_per_distinct_blanket(
+            self, name, distinct):
+        """snlp_large's 50 blankets hold 41 distinct dimension sets (two
+        sensors with one closed neighbourhood share one) and bn10_desk's 10
+        hold 9; bn30_paper's and snlp_small's are all distinct, and their
+        kernels and field groups are those of one kernel per factor."""
+        target, X = bundled(name)
+        layout = target.layout
+        ctx = _context("local", X, target, 1.0)
+        assert ctx.kmats.shape == (distinct, len(X), len(X))
+        assert np.unique(layout.kernel_index).size == distinct
+        if distinct == layout.n_factors:
+            np.testing.assert_array_equal(layout.kernel_index,
+                                          np.arange(distinct))
+            assert all(g.factors.shape[1] == 1 for g in layout.factor_groups)
 
     @pytest.mark.parametrize("kind", ["local", "global"])
     @pytest.mark.parametrize("name", BUNDLED)
@@ -409,19 +437,23 @@ class TestFactorBatching:
             else:
                 assert np.all(np.abs(field - oracle) <= field_bound(ctx, target))
 
-    def test_mixed_factor_sizes_gather_their_kernels(self):
-        """Interleaved one- and two-dimensional factors: each size's group
-        is not consecutive, so its kernels are gathered."""
+    def test_mixed_factor_sizes_take_consecutive_kernels(self):
+        """Interleaved one- and two-dimensional factors: neither size's
+        factors are consecutive, but each group's kernels are one run of
+        the context, so the field reads them as a view."""
         target = _mixed_size_target()
-        groups = target.layout.factor_groups
+        layout = target.layout
+        groups = layout.factor_groups
         assert [g.dims.shape[1] for g in groups] == [1, 2]
-        assert all(np.any(np.diff(g.factors) > 1) for g in groups)
-        X = np.random.default_rng(27).normal(size=(30, target.layout.total_dim))
+        assert all(np.any(np.diff(g.factors[:, 0]) > 1) for g in groups)
+        assert np.concatenate([g.kernels for g in groups]).tolist() == \
+            list(range(layout.n_factors))
+        X = np.random.default_rng(27).normal(size=(30, layout.total_dim))
         for kind in ("local", "global"):
             ctx = _context(kind, X, target, 1.2)
             if kind == "local":
-                assert ctx.kmats.tobytes() == blanket_loop_kmats(
-                    X, target.layout, 1.2).tobytes()
+                assert ctx.kmats[layout.kernel_index].tobytes() == \
+                    blanket_loop_kmats(X, layout, 1.2).tobytes()
             field = field_from_context(ctx, target).values
             oracle = factor_loop_field(ctx, target)
             assert np.all(np.abs(field - oracle) <= field_bound(ctx, target))
@@ -454,6 +486,73 @@ class TestFactorBatching:
             assert got == whole[name], name
 
 
+@st.composite
+def clique_layouts(draw):
+    """`from_factor_neighbors` layouts of 2-8 factors of sizes 1-3 over a
+    graph of cliques: each factor is drawn into a clique, some cliques are
+    joined whole, and at most two single edges are added.  Members of one
+    clique that no single edge reaches share one closed neighbourhood, so
+    one blanket."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8))
+    D = len(sizes)
+    clique = draw(st.lists(st.integers(0, D - 1), min_size=D, max_size=D))
+    pairs = st.tuples(st.integers(0, D - 1), st.integers(0, D - 1))
+    joins = draw(st.sets(pairs, max_size=4))
+    edges = draw(st.sets(pairs, max_size=2))
+    neighbors = [
+        {b for b in range(D) if clique[a] == clique[b]
+         or (clique[a], clique[b]) in joins or (clique[b], clique[a]) in joins}
+        for a in range(D)]
+    for a, b in edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return FactorLayout.from_factor_neighbors(sizes, neighbors)
+
+
+class TestSharedKernels:
+    """Factors whose blankets hold the same dimensions share one kernel;
+    the field and Hessian operator read it through `layout.kernel_index`
+    and give bitwise what one kernel per factor gave (`per_factor_field`,
+    `per_factor_hessian_values`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clique_layouts(), st.integers(2, 12), st.integers(0, 2**32 - 1),
+           st.floats(0.3, 3.0))
+    @example(FactorLayout.from_factor_neighbors(
+        [2, 1, 2, 3, 1], [[1, 2], [0, 2], [0, 1], [4], [3]]), 9, 0, 1.0)
+    def test_bitwise_one_kernel_per_factor(self, layout, n, seed, ls):
+        rng = np.random.default_rng(seed)
+        d = layout.total_dim
+        A = rng.normal(size=(d, d))
+        target = GaussianTarget(rng.normal(size=d), A @ A.T + d * np.eye(d),
+                                layout)
+        X = rng.normal(size=(n, d))
+        ctx = local_context(X, layout, KernelSpec(ls))
+        assert ctx.kmats.shape[0] == len({b.tobytes() for b in layout.blankets})
+        per_factor = np.empty((layout.n_factors, n, n))
+        for a in range(layout.n_factors):
+            rbf_matrix(X, X, ls, dims=layout.blankets[a], out=per_factor[a])
+        assert ctx.kmats[layout.kernel_index].tobytes() == per_factor.tobytes()
+        field = field_from_context(ctx, target).values
+        assert field.tobytes() == per_factor_field(
+            X, target, per_factor, ls).tobytes()
+        values = hessian_stack_from_context(ctx, target)._matrix.data
+        assert values.tobytes() == per_factor_hessian_values(
+            X, target, per_factor, ls).tobytes()
+
+    def test_bundled_field_and_hessians_bitwise_one_kernel_per_factor(self):
+        """snlp_large at its bundled size (n = 200, 9 of 50 blankets
+        repeated), bitwise against one kernel per factor."""
+        target, X = bundled("snlp_large")
+        layout = target.layout
+        ctx = local_context(X, layout, KernelSpec(3.0))
+        per_factor = ctx.kmats[layout.kernel_index]
+        assert field_from_context(ctx, target).values.tobytes() == \
+            per_factor_field(X, target, per_factor, 3.0).tobytes()
+        assert hessian_stack_from_context(ctx, target)._matrix.data.tobytes() \
+            == per_factor_hessian_values(X, target, per_factor, 3.0).tobytes()
+
+
 class TestStackAssembly:
     """The moment-GEMM assembly against the per-pair difference-tensor loop."""
 
@@ -465,7 +564,8 @@ class TestStackAssembly:
         for name, target, X, ls in _assembly_cases(mixed_bn, small_snlp):
             ctx = local_context(X, target.layout, KernelSpec(ls))
             stack = operator_matrix(hessian_stack_from_context(ctx, target))
-            oracle = pair_loop_hessian_stack(X, target, ctx.kmats, ls)
+            oracle = pair_loop_hessian_stack(
+                X, target, ctx.kmats[target.layout.kernel_index], ls)
             assert stack.shape == oracle.shape
             scale = np.abs(oracle).max()
             assert np.abs(stack - oracle).max() <= 1e-12 * scale, name

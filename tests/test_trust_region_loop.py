@@ -245,6 +245,46 @@ class TestATPaths:
         assert contexts.calls == 5 + 1
         assert stacks.calls == 5
 
+    def test_zero_radius_stops_on_the_proposal(self, monkeypatch):
+        """A gradient magnitude of 0 at a proposal makes the next radius
+        g / b 0: judge takes the proposal and stops the run there, one
+        iteration early, instead of handing CG a zero radius."""
+        target = chain_target()
+        ps = ParticleSet(np.random.default_rng(4).normal(size=(8, 2)))
+        reference = tr.tr_svi_at_run(ps, target, KERNEL, 3)
+        real = tr.gradient_magnitude
+        calls = {"n": 0}
+
+        def third_judged_is_zero(field):
+            calls["n"] += 1             # call 1 is begin's
+            return 0.0 if calls["n"] == 4 else real(field)
+
+        monkeypatch.setattr(tr, "gradient_magnitude", third_judged_is_zero)
+        final, trace = tr.tr_svi_at_run(ps, target, KERNEL, 6)
+        assert len(trace.records) == 3
+        assert trace.records[:2] == reference[1].records[:2]
+        last = trace.records[-1]
+        assert last.accepted and last.gradient_magnitude == 0.0
+        assert last.model_decrease == reference[1].records[2].model_decrease
+        assert final.positions.tobytes() == reference[0].positions.tobytes()
+        assert final.iteration == 3
+
+    def test_judge_stops_at_zero_radius(self):
+        target = chain_target()
+        X = np.random.default_rng(6).normal(size=(5, 2))
+        field = SteinGradientField(target.layout, -X)
+        solution = tr.Subproblems(np.zeros_like(X), [tr.INTERIOR] * 5, 0.0,
+                                  np.zeros(5, dtype=int))
+        trial = tr.Trial(ParticleSet(X), field, solution, X + 1.0)
+        state = tr.AdaTrustState.initialize(2.0)
+        zero = SteinGradientField(target.layout, np.zeros_like(X))
+        verdict = state.judge(trial, target, lambda P: field)
+        assert verdict.accepted and not verdict.stop
+        verdict = state.judge(trial, target, lambda P: zero)
+        assert verdict == tr.Verdict(
+            True, {"gradient_magnitude": 0.0, "b": state.b}, stop=True)
+        assert state.radius() == 0.0
+
 
 def test_constant_radius_must_be_positive():
     for radius in (0.0, -1.0):
