@@ -18,10 +18,10 @@ import io
 import os
 import re
 import warnings
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
+import orjson
 import yaml
 
 from .bayesnet import BayesNetSpec, BayesNode
@@ -30,6 +30,9 @@ from .snlp import SnlpEdge, SnlpProblem
 SCHEMA_VERSION = 1
 _HEADER_BYTES = 16
 SAMPLE_INDEX = "samples.sha256"
+# fresh sample rows printed per orjson call: a few hundred KB of text at
+# d = 100
+_CSV_BLOCK_ROWS = 256
 # `<digest>  <path>`; a path never holds a character sha256sum would escape
 _INDEX_LINE = re.compile(r"([0-9a-f]{64})  (.+)")
 
@@ -141,25 +144,44 @@ def load_problem(path):
 
 def save_samples_csv(path, samples: np.ndarray, names: list[str]) -> None:
     """One header row of names, then one row per sample of repr() values,
-    each line ended by CR LF as csv.writer ends it."""
+    each line ended by CR LF as csv.writer ends it.
+
+    The body is printed by orjson, blocks of _CSV_BLOCK_ROWS rows at a
+    time.  orjson prints a float with Ryu's shortest round-trip digits,
+    the digits repr prints (the shortest string that reads back to the
+    same float, the nearest such, ties to even), and lays them out as repr
+    does for 0 and for 1e-4 <= |v| < 1e16: `-0.0`, `0.0001`,
+    `9999999999999998.0`.  Outside that range the layouts differ (orjson
+    writes 1e-05 as `0.00001`, 1e+16 as `1e16`, NaN and infinities as
+    `null`), so a row holding such a value keeps its repr line, and every
+    file's bytes are repr's.
+    """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != len(names):
         raise ValueError("samples must be (rows, len(names))")
     # a row whose bits repeat the previous row's (a rejected Metropolis
-    # step) repeats its line; bits, unlike float ==, tell 0.0 from -0.0.
-    # The fresh rows are picked from the list, not copied as an array:
-    # freeing a copy that large raised the peak RSS of later runs.
+    # step) repeats its line; bits, unlike float ==, tell 0.0 from -0.0
     bits = samples.view(np.uint64)
     fresh = np.ones(len(samples), dtype=bool)
     fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    repeats = np.diff(np.append(np.flatnonzero(fresh), len(samples)))
+    first = np.flatnonzero(fresh)
+    repeats = np.diff(np.append(first, len(samples))).tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
-        # repr of a float never holds a comma, quote or line break, so the
-        # body needs no csv quoting
-        fh.writelines((",".join(map(repr, row)) + "\r\n") * count
-                      for row, count in zip(compress(samples.tolist(), fresh),
-                                            repeats.tolist()))
+        # neither printer writes a comma, quote or line break within a
+        # float, so the body needs no csv quoting
+        for start in range(0, len(first), _CSV_BLOCK_ROWS):
+            block = samples[first[start:start + _CSV_BLOCK_ROWS]]
+            # `[[a,b],[c,d]]`: each row's line lies between `],[`
+            lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[
+                2:-2].decode().split("],[")
+            mag = np.abs(block)
+            # NaN fails every comparison, inf the upper bound
+            same = ((mag >= 1e-4) & (mag < 1e16) | (mag == 0)).all(axis=1)
+            for k in np.flatnonzero(~same).tolist():
+                lines[k] = ",".join(map(repr, block[k].tolist()))
+            fh.writelines((line + "\r\n") * count for line, count in
+                          zip(lines, repeats[start:start + _CSV_BLOCK_ROWS]))
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -36,6 +36,8 @@ from .model.layout import FactorLayout, HessianPattern, PairGroup, TargetModel
 # many consecutive or equal-size factors, or pairs, at a time as keep their
 # temporaries within this many bytes
 _CHUNK_BYTES = 2 * 2**20
+# the smallest normal float; global kernel weights below it are dropped
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -377,9 +379,17 @@ def _global_hessians(ctx: AssemblyContext, pattern: HessianPattern,
                      model: np.ndarray) -> GlobalHessians:
     """The model term -sum_j K_ji^2 H_j / n is one product over the
     pattern's upper-triangle columns, each entry then read from its
-    upper-triangle twin, so both triangles come from the same values."""
+    upper-triangle twin, so both triangles come from the same values.
+
+    Entries of W = K * K below the smallest normal float are set to 0
+    first (1-2% of them at snlp50's n = 200), since subnormal operands
+    make the product about 8 times slower.  A dropped term W_ji M_jk of
+    model entry M_jk is below 2^-1022 |M_jk|, so each value, a sum of n
+    such terms over n, changes by at most 2^-1022 max_j |M_jk|, and
+    W * S in `apply` by at most 2^-1022 |S|."""
     n = ctx.X.shape[0]
     W = ctx.kmats[0] * ctx.kmats[0]
+    W[W < _TINY] = 0.0
     upper = W.T @ model[:, pattern.upper] / n
     values = np.negative(upper[:, pattern.from_upper])
     return GlobalHessians(PatternHessians(pattern, values), ctx.X, W,

@@ -355,6 +355,18 @@ def dense_global_hessian_stack(ctx, target) -> np.ndarray:
     return np.triu(stack) + np.triu(stack, 1).transpose(0, 2, 1)
 
 
+def unflushed_global_hessians(ctx, target) -> stein.GlobalHessians:
+    """The global-kernel operator with W = K * K kept whole, subnormal
+    entries included, as the package built it before it dropped them."""
+    pattern, n = ctx.layout.pattern, ctx.X.shape[0]
+    model = target.hessian_batch(ctx.X)
+    W = ctx.kmats[0] * ctx.kmats[0]
+    upper = W.T @ model[:, pattern.upper] / n
+    values = np.negative(upper[:, pattern.from_upper])
+    return stein.GlobalHessians(stein.PatternHessians(pattern, values), ctx.X,
+                                W, ctx.lengthscale)
+
+
 def moment_hessian_stack(ctx, target) -> np.ndarray:
     """Every particle's second-variation Hessian as one dense
     (n, dim, dim) stack, as the package built it before it kept Hessians

@@ -262,6 +262,78 @@ def test_csv_writer_byte_identical_and_loader_bitwise(tmp_path_factory, case):
         assert expected[1:3] == (samples.shape, canonical.tobytes())
 
 
+# orjson prints the body; it lays its digits out as repr does only for 0 and
+# 1e-4 <= |v| < 1e16, and a row holding any other value keeps its repr line
+ORJSON_FLOATS = st.floats(min_value=1e-4, max_value=np.nextafter(1e16, 0))
+SAME_LAYOUT = st.one_of(ORJSON_FLOATS, ORJSON_FLOATS.map(lambda v: -v),
+                        st.sampled_from([0.0, -0.0]))
+RAW_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(0, 5), data=st.data())
+def test_csv_writer_matches_the_oracle_in_and_outside_the_shared_layout(
+        tmp_path_factory, rows, cols, data):
+    cells = data.draw(st.lists(st.one_of(SAME_LAYOUT, RAW_BITS),
+                               min_size=rows * cols, max_size=rows * cols))
+    samples = np.array(cells, dtype=float).reshape(rows, cols)
+    names = [f"x{j}" for j in range(cols)]
+    folder = tmp_path_factory.mktemp("csv")
+    new, old = folder / "new.csv", folder / "old.csv"
+    save_samples_csv(new, samples, names)
+    oracles.csv_writer_save_samples(old, samples, names)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fresh=st.integers(257, 700),
+       edges=st.lists(st.integers(-3, 3), max_size=4))
+def test_csv_writer_blocks_with_repeats_across_their_edges(tmp_path_factory,
+                                                           seed, fresh, edges):
+    """More fresh rows than one block of the writer holds, with runs of
+    repeated rows at and next to each block's first and last fresh row,
+    at sample row 256, and at random; a few rows hold a value outside
+    the shared layout."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(scale=10.0, size=(fresh, 3))
+    distinct[rng.integers(fresh, size=4), rng.integers(3, size=4)] = [
+        1e-5, np.nan, -np.inf, 3e16]
+    counts = np.where(rng.random(fresh) < 0.2, rng.integers(2, 6, fresh), 1)
+    for edge in (255, 256, 511, 512):
+        for shift in edges:
+            if 0 <= edge + shift < fresh:
+                counts[edge + shift] = rng.integers(2, 9)
+    samples = np.repeat(distinct, counts, axis=0)
+    # a run that covers sample row 256
+    samples[250:262] = samples[250]
+    folder = tmp_path_factory.mktemp("csv")
+    new, old = folder / "new.csv", folder / "old.csv"
+    save_samples_csv(new, samples, ["a", "b", "c"])
+    oracles.csv_writer_save_samples(old, samples, ["a", "b", "c"])
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_csv_writer_keeps_repr_at_the_edges_of_the_shared_layout(tmp_path):
+    """The values at and next to the bounds of the layout orjson and repr
+    share, and those outside it: a row holding any of them is repr's, as
+    one row together and one value at a time beside an in-layout value."""
+    edge = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 5e-324,
+            -0.0, np.nan, np.inf, -np.inf]
+    samples = np.array(edge).reshape(1, -1)
+    path, old = tmp_path / "edge.csv", tmp_path / "old.csv"
+    names = [f"x{j}" for j in range(len(edge))]
+    save_samples_csv(path, samples, names)
+    oracles.csv_writer_save_samples(old, samples, names)
+    assert path.read_bytes() == old.read_bytes()
+    assert path.read_bytes().split(b"\r\n")[1] == (
+        b"9.999999999999999e-05,0.0001,9999999999999998.0,1e+16,5e-324,"
+        b"-0.0,nan,inf,-inf")
+    pairs = np.column_stack([edge, np.full(len(edge), 0.5)])
+    save_samples_csv(path, pairs, ["a", "b"])
+    oracles.csv_writer_save_samples(old, pairs, ["a", "b"])
+    assert path.read_bytes() == old.read_bytes()
+
+
 # body lines: numbers, non-numbers, blanks and whitespace (some of it a line
 # break to str.splitlines), with every line ending csv.reader knows and a
 # last line with or without one

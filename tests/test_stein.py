@@ -1,4 +1,5 @@
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     per_edge_snlp_hessian_batch,
     per_factor_field,
     per_factor_hessian_values,
+    unflushed_global_hessians,
 )
 from targets import (
     GaussianTarget,
@@ -33,6 +35,8 @@ from targets import (
     partial_blanket_layout,
 )
 from trsvi import stein
+from trsvi.config import validate_config
+from trsvi.experiment import execute_method, initialize_particles
 from trsvi.kernels import KernelSpec, rbf_matrix
 from trsvi.model import (
     BayesNetConfig,
@@ -44,6 +48,7 @@ from trsvi.model import (
     SnlpModel,
     build_snlp,
     generate_bayes_net,
+    load_yaml,
 )
 from trsvi.stein import (
     ParticleSet,
@@ -55,6 +60,9 @@ from trsvi.stein import (
     local_context,
 )
 from trsvi.trustregion import solve_subproblems
+
+
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
 
 
 def standard_normal_1d():
@@ -692,6 +700,36 @@ class TestGlobalStack:
         assert np.mean((W > 0.0) & (W < np.finfo(float).tiny)) > 0.005
         K = global_context(X, target.layout, KernelSpec(0.5)).kmats[0]
         np.testing.assert_array_equal(K, np.diag(np.diag(K)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_snlp_large_svn_ctr_bitwise_without_subnormal_weights(self,
+                                                                  seed):
+        """On snlp_large's svn-ctr particles after 0, 2 and 4 iterations,
+        whose K * K holds subnormal entries, the operator built with them
+        set to 0 has bitwise the model values and products of the one
+        that keeps them, and its W holds no subnormal entry."""
+        target, _ = bundled("snlp_large")
+        cfg = validate_config(load_yaml(CONFIG_DIR / "snlp_large.yaml"))
+        kernel = KernelSpec(cfg["kernel"]["lengthscale"])
+        method = {"name": "svn-ctr", "label": "svn-ctr", "radius": 0.1}
+        rng = np.random.default_rng(seed)
+        tiny = np.finfo(float).tiny
+        for iterations in (0, 2, 4):
+            particles = (initialize_particles(target.problem, cfg["run"], seed)
+                         if iterations == 0 else execute_method(
+                             target.problem, {**method, "iterations": iterations},
+                             kernel.lengthscale, cfg["run"], seed,
+                             model=target)[0])
+            ctx = global_context(particles.positions, target.layout, kernel)
+            got = hessian_stack_from_context(ctx, target)
+            want = unflushed_global_hessians(ctx, target)
+            assert np.any((want._W > 0.0) & (want._W < tiny)), iterations
+            assert not np.any((got._W > 0.0) & (got._W < tiny)), iterations
+            assert (got._model._matrix.data.tobytes()
+                    == want._model._matrix.data.tobytes()), iterations
+            for V in rng.normal(size=(3, *got.shape)):
+                assert got.apply(V).tobytes() == want.apply(V).tobytes(), \
+                    iterations
 
     def test_model_hessians_vanish_outside_the_pattern(self, mixed_bn,
                                                        small_snlp, noisy_snlp):
